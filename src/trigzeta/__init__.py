@@ -36,7 +36,6 @@ from .errors import (
 )
 from .hurwitz import (
     EulerMaclaurinPlan,
-    HurwitzPoint,
     hurwitz_formula_partial,
     hurwitz_zeta,
     hurwitz_zeta_sderiv,
@@ -59,7 +58,6 @@ __all__ = [
     "DomainError",
     "EulerMaclaurinPlan",
     "GeneralFormulaParams",
-    "HurwitzPoint",
     "OracleReport",
     "PoleError",
     "ResourceError",

@@ -25,6 +25,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 from .closedforms import (
+    _MAX_WEIGHT,
     SeriesSpec,
     TABLE2_ROWS,
     closed_form_eval,
@@ -32,11 +33,13 @@ from .closedforms import (
 )
 from .dirichlet import (
     SPECIAL_VALUES,
-    evaluate_function,
+    beta_fn,
+    dirichlet_lambda,
+    eta,
+    riemann_zeta,
     zeta_prime_neg_even,
 )
-from .errors import TrigZetaError, VerificationError
-from .foundations import CONSTANTS, log_gamma
+from .errors import DomainError, TrigZetaError, VerificationError
 from .hurwitz import hurwitz_formula_partial, hurwitz_zeta, hurwitz_zeta_sderiv
 from .oracles import (
     choi_srivastava_check,
@@ -47,6 +50,7 @@ from .oracles import (
 
 TOL_ENV_VAR = "TRIGZETA_TOL"
 DEFAULT_TOL = 1e-8
+MAX_GRID = 10_000
 
 FAMILIES = tuple(f"T{i}" for i in range(1, 9))
 
@@ -83,39 +87,59 @@ def _fmt(value: float, machine: bool) -> str:
 def parse_x(text: str) -> float:
     """Parse an x argument; accepts plain floats and pi-multiples (0.5pi)."""
     t = text.strip().lower()
-    if t.endswith("pi"):
-        head = t[:-2]
-        if head in ("", "+"):
-            return math.pi
-        if head == "-":
-            return -math.pi
-        return float(head) * math.pi
-    return float(t)
+    try:
+        if t.endswith("pi"):
+            head = t[:-2]
+            if head in ("", "+"):
+                return math.pi
+            if head == "-":
+                return -math.pi
+            return float(head) * math.pi
+        return float(t)
+    except ValueError:
+        raise DomainError(f"cannot parse x={text!r}") from None
 
 
 def parse_m_range(text: str) -> list[int]:
     """Parse --m for sweeps: '2', '1..3', or '1,2,3'."""
     t = text.strip()
-    if ".." in t:
-        lo, hi = t.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    if "," in t:
-        return [int(part) for part in t.split(",")]
-    return [int(t)]
+    try:
+        if ".." in t:
+            lo, hi = (int(part) for part in t.split("..", 1))
+        else:
+            weights = [int(part) for part in t.split(",")]
+            lo, hi = min(weights), max(weights)
+    except ValueError:
+        raise DomainError(f"cannot parse weights {text!r}") from None
+    # checked before a range is listed, so a huge one is never built
+    if not 1 <= lo <= hi <= _MAX_WEIGHT:
+        raise DomainError(f"weights {text!r} must be a non-empty list in [1, {_MAX_WEIGHT}]")
+    return list(range(lo, hi + 1)) if ".." in t else weights
+
+
+def parse_tol(text: str, source: str) -> float:
+    """A tolerance from --tol or the environment: finite and positive."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"{source} must be a finite positive number, got {text!r}")
+    return tol
 
 
 def default_tol() -> float:
     raw = os.environ.get(TOL_ENV_VAR)
     if raw is None:
         return DEFAULT_TOL
-    return float(raw)
+    return parse_tol(raw, TOL_ENV_VAR)
 
 
 def grid_points(family: str, count: int) -> list[float]:
     """count interior points with a 5% endpoint offset on each side."""
     lo, hi = SeriesSpec.from_family(family, 1).interval
-    if count < 1:
-        raise TrigZetaError("grid count must be >= 1")
+    if not 1 <= count <= MAX_GRID:
+        raise DomainError(f"grid count must lie in [1, {MAX_GRID}], got {count}")
     if count == 1:
         return [lo + 0.5 * (hi - lo)]
     return [lo + (0.05 + 0.9 * i / (count - 1)) * (hi - lo) for i in range(count)]
@@ -201,7 +225,7 @@ def cmd_eval(args, out) -> int:
 
 
 def cmd_compare(args, out) -> int:
-    tol = args.tol if args.tol is not None else default_tol()
+    tol = default_tol() if args.tol is None else parse_tol(args.tol, "--tol")
     records = [
         make_record(args.family, args.m, x, tol)
         for x in grid_points(args.family, args.grid)
@@ -219,7 +243,7 @@ def cmd_compare(args, out) -> int:
 
 
 def cmd_sweep(args, out) -> int:
-    tol = args.tol if args.tol is not None else default_tol()
+    tol = default_tol() if args.tol is None else parse_tol(args.tol, "--tol")
     records = []
     for m in parse_m_range(args.m):
         for x in grid_points(args.family, args.grid):
@@ -233,9 +257,10 @@ def cmd_sweep(args, out) -> int:
 
 
 def _suite_special_values():
+    functions = {"zeta": riemann_zeta, "eta": eta, "lambda": dirichlet_lambda, "beta": beta_fn}
     checks = []
     for sv in SPECIAL_VALUES:
-        got = evaluate_function(sv.function_id, float(sv.argument))
+        got = functions[sv.function_id](float(sv.argument))
         ok = abs(got - sv.value) <= 1e-12
         checks.append(
             (f"special.{sv.function_id}({sv.argument})", ok,
@@ -264,7 +289,7 @@ def _suite_identities():
                        f"gap {abs(got - want):.3e}"))
     for a in (0.25, 0.5, 0.75, 1.0):
         got = hurwitz_zeta_sderiv(0.0, a)
-        want = log_gamma(a) - 0.5 * CONSTANTS.log_2pi
+        want = math.lgamma(a) - 0.5 * math.log(2.0 * math.pi)
         checks.append((f"identity.zeta_sderiv(0,{a})", abs(got - want) <= 1e-10,
                        f"gap {abs(got - want):.3e}"))
     # term count kept moderate so the truncation bound stays above the
@@ -396,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, need_family=True):
         if need_family:
             p.add_argument("--family", required=True, choices=FAMILIES)
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", default=None,
                        help=f"tolerance (default from ${TOL_ENV_VAR} or {DEFAULT_TOL})")
         p.add_argument("--format", choices=("csv", "json", "text"), default="text")
         p.add_argument("--out", default=None, help="write output to this file")

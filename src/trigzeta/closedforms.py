@@ -15,10 +15,9 @@ evaluators here return both the numeric value and the exact combination
 reconstruction.
 
 A single parameterised master formula reproducing the eight families
-from one table of row constants is also provided; two of its literal
-rows disagree with the per-family evaluators (see
-``general_closed_form``), which is precisely what the ``table2``
-verification suite reports.
+from one table of row constants is also provided; its literal T8 row
+disagrees with the per-family evaluators (see ``general_closed_form``),
+which is precisely what the ``table2`` verification suite reports.
 """
 
 from __future__ import annotations
@@ -132,83 +131,58 @@ class ClosedFormResult:
         )
 
 
-def _validate_x(spec: SeriesSpec, x: float) -> float:
-    """Interval check with parity fold; returns the x actually evaluated."""
+def _validate_x(spec: SeriesSpec, x: float) -> None:
+    """Reject x outside the open interval of ``spec``."""
     lo, hi = spec.interval
     margin = 1e-9 * (hi - lo)
     if not (lo + margin <= x <= hi - margin):
         raise DomainError(
             f"x={x} outside open interval ({lo}, {hi}) for family {spec.family}"
         )
-    return x
+
+
+def _fold(spec: SeriesSpec, x: float) -> tuple[float, float]:
+    """Interval check and parity fold; returns (sign, |x|).
+
+    Sin families are odd in x, cos families even, and the zeta'-argument
+    expressions require the positive half of symmetric intervals.
+    """
+    _validate_x(spec, x)
+    if x < 0.0:
+        return (-1.0 if spec.kind == "sin" else 1.0), -x
+    return 1.0, x
+
+
+# family -> (prefactor base, sign offset, halving, g exponent offset or None,
+#            (coefficient sign, a0, a_y) per zeta' term).  With k = alpha - 1
+# the prefactor is (-1)^(alpha//2 + sign offset) base^k / (halving * k!),
+# g = 2^(k + g offset) multiplies the terms with |a_y| = 1, and each term
+# is evaluated at s = 1 - alpha, a = a0 + a_y * y with y = x / 2pi.
+_BRACKETS = {
+    "T1": (_TWO_PI, 0, 1, None, ((1, 1.0, -1), (-1, 0.0, 1))),
+    "T2": (_TWO_PI, 0, 1, None, ((1, 1.0, -1), (1, 0.0, 1))),
+    "T3": (math.pi, 0, 1, 0, ((1, 1.0, -1), (-1, 0.0, 1), (-1, 1.0, -2), (1, 0.0, 2))),
+    "T4": (math.pi, 0, 1, 0, ((1, 1.0, -1), (1, 0.0, 1), (-1, 1.0, -2), (-1, 0.0, 2))),
+    "T5": (math.pi, 0, 2, 1, ((1, 1.0, -1), (-1, 0.0, 1), (-1, 1.0, -2), (1, 0.0, 2))),
+    "T6": (math.pi, 0, 2, 1, ((1, 1.0, -1), (1, 0.0, 1), (-1, 1.0, -2), (-1, 0.0, 2))),
+    "T7": (_TWO_PI, 0, 2, None, ((1, 0.25, -1), (-1, 0.75, -1), (-1, 0.25, 1), (1, 0.75, 1))),
+    "T8": (_TWO_PI, 1, 2, None, ((1, 0.25, -1), (-1, 0.75, -1), (1, 0.25, 1), (-1, 0.75, 1))),
+}
 
 
 def _bracket_terms(spec: SeriesSpec, x: float) -> tuple[float, tuple]:
     """Prefactor and zeta'-term list for x in the positive part of the domain."""
-    m = spec.m
-    fam = spec.family
+    base, sign_offset, halving, g_offset, offsets = _BRACKETS[spec.family]
+    k = spec.alpha - 1
+    s = 1.0 - spec.alpha
+    parity = (-1.0) ** (spec.alpha // 2 + sign_offset)
+    pref = parity * base**k / (halving * math.factorial(k))
+    g = 1.0 if g_offset is None else 2.0 ** (k + g_offset)
     y = x / _TWO_PI
-    w = x / math.pi
-    if fam == "T1":
-        pref = (-1.0) ** m * _TWO_PI ** (2 * m - 1) / math.factorial(2 * m - 1)
-        s = 1.0 - 2 * m
-        terms = ((1.0, s, 1.0 - y), (-1.0, s, y))
-    elif fam == "T2":
-        pref = (-1.0) ** (m - 1) * _TWO_PI ** (2 * m - 2) / math.factorial(2 * m - 2)
-        s = 2.0 - 2 * m
-        terms = ((1.0, s, 1.0 - y), (1.0, s, y))
-    elif fam == "T3":
-        pref = (-1.0) ** m * math.pi ** (2 * m - 1) / math.factorial(2 * m - 1)
-        s = 1.0 - 2 * m
-        g = 2.0 ** (2 * m - 1)
-        terms = ((g, s, 1.0 - y), (-g, s, y), (-1.0, s, 1.0 - w), (1.0, s, w))
-    elif fam == "T4":
-        pref = (-1.0) ** (m - 1) * math.pi ** (2 * m - 2) / math.factorial(2 * m - 2)
-        s = 2.0 - 2 * m
-        g = 2.0 ** (2 * m - 2)
-        terms = ((g, s, 1.0 - y), (g, s, y), (-1.0, s, 1.0 - w), (-1.0, s, w))
-    elif fam == "T5":
-        pref = (
-            (-1.0) ** m * math.pi ** (2 * m - 1) / (2.0 * math.factorial(2 * m - 1))
-        )
-        s = 1.0 - 2 * m
-        g = 2.0 ** (2 * m)
-        terms = ((g, s, 1.0 - y), (-g, s, y), (-1.0, s, 1.0 - w), (1.0, s, w))
-    elif fam == "T6":
-        pref = (
-            (-1.0) ** (m - 1)
-            * math.pi ** (2 * m - 2)
-            / (2.0 * math.factorial(2 * m - 2))
-        )
-        s = 2.0 - 2 * m
-        g = 2.0 ** (2 * m - 1)
-        terms = ((g, s, 1.0 - y), (g, s, y), (-1.0, s, 1.0 - w), (-1.0, s, w))
-    elif fam == "T7":
-        pref = (
-            (-1.0) ** (m - 1)
-            * _TWO_PI ** (2 * m - 2)
-            / (2.0 * math.factorial(2 * m - 2))
-        )
-        s = 2.0 - 2 * m
-        terms = (
-            (1.0, s, 0.25 - y),
-            (-1.0, s, 0.75 - y),
-            (-1.0, s, 0.25 + y),
-            (1.0, s, 0.75 + y),
-        )
-    else:  # T8
-        pref = (
-            (-1.0) ** (m - 1)
-            * _TWO_PI ** (2 * m - 1)
-            / (2.0 * math.factorial(2 * m - 1))
-        )
-        s = 1.0 - 2 * m
-        terms = (
-            (1.0, s, 0.25 - y),
-            (-1.0, s, 0.75 - y),
-            (1.0, s, 0.25 + y),
-            (-1.0, s, 0.75 + y),
-        )
+    terms = tuple(
+        (sign * (g if abs(a_y) == 1 else 1.0), s, a0 + a_y * y)
+        for sign, a0, a_y in offsets
+    )
     return pref, terms
 
 
@@ -231,15 +205,7 @@ def _t4_at_zero(m: int) -> ClosedFormResult:
 
 def closed_form_eval(spec: SeriesSpec, x: float) -> ClosedFormResult:
     """Evaluate the closed form of ``spec`` at x inside its open interval."""
-    x = _validate_x(spec, x)
-    # Parity fold: sin families are odd in x, cos families even, and the
-    # zeta'-argument expressions require the positive half of symmetric
-    # intervals.
-    sign = 1.0
-    if x < 0.0:
-        x = -x
-        if spec.kind == "sin":
-            sign = -1.0
+    sign, x = _fold(spec, x)
     if x == 0.0:
         # Only the symmetric-interval families reach 0 in the interior.
         if spec.kind == "sin":
@@ -319,23 +285,15 @@ _ROW_BY_FAMILY = {row.family: row for row in TABLE2_ROWS}
 def general_closed_form(family: str, m: int, x: float) -> float:
     """Literal evaluation of the parameterised master formula.
 
-    For six of the eight rows this agrees with ``closed_form_eval`` to
-    rounding.  Rows T6 and T8, read literally, do not: T6 differs by the
-    logarithmic terms generated when its zeta'-offsets are shifted by
-    one, and T8's sign/offset combination makes its bracket vanish
-    identically at x = 0 where the series does not.  The verification
-    CLI reports both as deviations.
+    For seven of the eight rows this agrees with ``closed_form_eval`` to
+    rounding.  Row T8, read literally, does not: its sign/offset
+    combination makes its bracket vanish identically at x = 0 where the
+    series does not.  The verification CLI reports it as a deviation.
     """
     row = _ROW_BY_FAMILY.get(family)
     if row is None:
         raise DomainError(f"unknown family {family!r}")
-    spec = SeriesSpec.from_family(family, m)
-    x = _validate_x(spec, x)
-    sign = 1.0
-    if x < 0.0:
-        x = -x
-        if row.kind == "sin":
-            sign = -1.0
+    sign, x = _fold(SeriesSpec.from_family(family, m), x)
     if x == 0.0 and row.kind == "sin":
         return 0.0
     if x == 0.0 and family == "T4":

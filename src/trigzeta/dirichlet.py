@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, PoleError
-from .foundations import cospi, gamma_fn, log_gamma, sinpi
+from .foundations import cospi, sinpi
 from .hurwitz import hurwitz_zeta
 
 __all__ = [
@@ -44,7 +44,7 @@ def _zeta_unguarded(s: float) -> float:
     cos_term = cospi(0.5 * u)
     if cos_term == 0.0:
         return 0.0
-    log_mag = math.log(2.0) + log_gamma(u) - u * math.log(2.0 * math.pi)
+    log_mag = math.log(2.0) + math.lgamma(u) - u * math.log(2.0 * math.pi)
     return hurwitz_zeta(u, 1.0) * cos_term * math.exp(log_mag)
 
 
@@ -118,7 +118,7 @@ def beta_fn(s: float) -> float:
         factor = 0.5 * math.pi if u == 0.0 else sinpi(0.5 * u) / u
         return (
             (0.5 * math.pi) ** (s - 1.0)
-            * gamma_fn(2.0 - s)
+            * math.gamma(2.0 - s)
             * factor
             * _beta_hurwitz(u)
         )
@@ -129,7 +129,7 @@ def beta_fn(s: float) -> float:
         sin_term = sinpi(0.5 * u)
         if sin_term == 0.0:
             return 0.0
-        return (2.0 / math.pi) ** u * sin_term * gamma_fn(u) * _beta_hurwitz(u)
+        return (2.0 / math.pi) ** u * sin_term * math.gamma(u) * _beta_hurwitz(u)
     return _beta_hurwitz(s)
 
 
@@ -140,7 +140,7 @@ def beta_prime_neg_odd(m: int, k: int) -> float:
     exponent = 2 * k - 2 * m + 1
     sign = -1.0 if (k - m) % 2 else 1.0
     order = 2 * m - 2 * k
-    return -((0.5 * math.pi) ** exponent) * sign * gamma_fn(float(order)) * beta_fn(
+    return -((0.5 * math.pi) ** exponent) * sign * math.gamma(float(order)) * beta_fn(
         float(order)
     )
 
@@ -169,19 +169,3 @@ def _build_special_values() -> tuple[SpecialValue, ...]:
 
 
 SPECIAL_VALUES = _build_special_values()
-
-_EVALUATORS = {
-    "zeta": riemann_zeta,
-    "eta": eta,
-    "lambda": dirichlet_lambda,
-    "beta": beta_fn,
-}
-
-
-def evaluate_function(function_id: str, s: float) -> float:
-    """Evaluate one of zeta/eta/lambda/beta by name."""
-    try:
-        fn = _EVALUATORS[function_id]
-    except KeyError:
-        raise DomainError(f"unknown function id {function_id!r}") from None
-    return fn(s)

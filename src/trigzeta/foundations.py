@@ -1,22 +1,20 @@
 """Exact-rational and floating-point building blocks.
 
-Bernoulli numbers (exact rationals), gamma/log-gamma/digamma/polygamma,
-harmonic numbers, Pochhammer symbols and a few shared constants.  All
-functions take real arguments only; the Bernoulli table is built eagerly
-at import time and never mutated afterwards.
+Bernoulli numbers (exact rationals), digamma, harmonic numbers,
+Pochhammer symbols and sinpi/cospi.  All functions take real arguments
+only; the Bernoulli table is built eagerly at import time and never
+mutated afterwards.  Gamma and log-gamma come from the standard library
+(``math.gamma``/``math.lgamma``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, PoleError, ResourceError
 
 __all__ = [
-    "CONSTANTS",
-    "MathConstants",
     "BernoulliTable",
     "BERNOULLI",
     "bernoulli",
@@ -24,23 +22,10 @@ __all__ = [
     "harmonic",
     "pochhammer",
     "pochhammer_sderiv",
-    "log_gamma",
-    "gamma_fn",
     "digamma",
-    "polygamma",
     "sinpi",
     "cospi",
 ]
-
-
-@dataclass(frozen=True)
-class MathConstants:
-    euler_gamma: float = 0.5772156649015329
-    log_2pi: float = math.log(2.0 * math.pi)
-    pi: float = math.pi
-
-
-CONSTANTS = MathConstants()
 
 
 class BernoulliTable:
@@ -151,52 +136,6 @@ def cospi(t: float) -> float:
     return -v if (n & 1) else v
 
 
-# Lanczos approximation, g = 7, 9 coefficients (the widely published set).
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _log_gamma_lanczos(s: float) -> float:
-    # Valid for s >= 0.5.
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (s - 1.0 + i)
-    t = s + _LANCZOS_G - 0.5
-    return _LOG_SQRT_2PI + (s - 0.5) * math.log(t) - t + math.log(acc)
-
-
-def log_gamma(s: float) -> float:
-    """log Gamma(s) for s > 0."""
-    if s <= 0.0:
-        raise DomainError("log_gamma requires s > 0")
-    if s >= 0.5:
-        return _log_gamma_lanczos(s)
-    # Lift small arguments: log Gamma(s) = log Gamma(s+1) - log s.
-    return _log_gamma_lanczos(s + 1.0) - math.log(s)
-
-
-def gamma_fn(s: float) -> float:
-    """Gamma(s) for real s, extended below zero by the reflection formula."""
-    if s > 0.0:
-        return math.exp(log_gamma(s))
-    if s == math.floor(s):
-        raise PoleError(f"Gamma pole at non-positive integer s={s}")
-    # Gamma(s) Gamma(1-s) = pi / sin(pi s)
-    return math.pi / (sinpi(s) * math.exp(log_gamma(1.0 - s)))
-
-
 def digamma(s: float) -> float:
     """psi(s) for real s excluding non-positive integers.
 
@@ -222,14 +161,3 @@ def digamma(s: float) -> float:
         power *= inv2
     return acc + math.log(x) - 0.5 / x - tail
 
-
-def polygamma(n: int, a: float) -> float:
-    """psi^{(n)}(a) = (-1)^{n-1} n! zeta(n+1, a) for n >= 1, a > 0."""
-    if n < 1:
-        raise DomainError("polygamma order must be >= 1")
-    if a <= 0.0:
-        raise DomainError("polygamma requires a > 0")
-    from .hurwitz import hurwitz_zeta  # deferred: hurwitz depends on this module
-
-    sign = 1.0 if n % 2 == 1 else -1.0
-    return sign * math.factorial(n) * hurwitz_zeta(n + 1.0, a)

@@ -34,7 +34,6 @@ from .foundations import (
 )
 
 __all__ = [
-    "HurwitzPoint",
     "EulerMaclaurinPlan",
     "plan_for",
     "hurwitz_zeta",
@@ -43,20 +42,6 @@ __all__ = [
 ]
 
 _MAX_CORRECTION = BERNOULLI.capacity // 2  # highest usable B_{2j}
-
-
-@dataclass(frozen=True)
-class HurwitzPoint:
-    """A (order, offset) evaluation point for zeta(s, a)."""
-
-    s: float
-    a: float
-
-    def __post_init__(self):
-        if self.a <= 0.0:
-            raise DomainError(f"Hurwitz offset must be positive, got a={self.a}")
-        if self.s == 1.0:
-            raise PoleError("Hurwitz zeta has a pole at s=1")
 
 
 @dataclass(frozen=True)
@@ -159,7 +144,10 @@ def _em_core(s: float, a: float, plan: EulerMaclaurinPlan, want_deriv: bool):
 
 def hurwitz_zeta(s: float, a: float, plan: EulerMaclaurinPlan | None = None) -> float:
     """zeta(s, a) for real s != 1 and a > 0."""
-    HurwitzPoint(s, a)  # domain validation
+    if a <= 0.0:
+        raise DomainError(f"Hurwitz offset must be positive, got a={a}")
+    if s == 1.0:
+        raise PoleError("Hurwitz zeta has a pole at s=1")
     if plan is None:
         plan = plan_for(s, a)
     value, _ = _em_core(s, a, plan, want_deriv=False)
@@ -170,7 +158,10 @@ def hurwitz_zeta_sderiv(
     s: float, a: float, plan: EulerMaclaurinPlan | None = None
 ) -> float:
     """d/ds zeta(s, a), the analytic derivative of the expansion."""
-    HurwitzPoint(s, a)
+    if a <= 0.0:
+        raise DomainError(f"Hurwitz offset must be positive, got a={a}")
+    if s == 1.0:
+        raise PoleError("Hurwitz zeta has a pole at s=1")
     if plan is None:
         plan = plan_for(s, a)
     _, deriv = _em_core(s, a, plan, want_deriv=True)
@@ -184,8 +175,6 @@ def hurwitz_formula_partial(s: float, a: float, terms: int) -> float:
     restricted to s > 1 and 0 < a <= 1 where the series converges
     absolutely.  Used purely as an identity-check oracle.
     """
-    from .foundations import gamma_fn
-
     if s <= 1.0:
         raise DomainError("hurwitz_formula_partial requires s > 1")
     if not (0.0 < a <= 1.0):
@@ -197,4 +186,4 @@ def hurwitz_formula_partial(s: float, a: float, terms: int) -> float:
     n = np.arange(1, terms + 1, dtype=np.float64)
     phase = 0.5 * math.pi * s - 2.0 * math.pi * a * n
     total = float(np.sum(np.cos(phase) * n ** (-s)))
-    return 2.0 * gamma_fn(s) / (2.0 * math.pi) ** s * total
+    return 2.0 * math.gamma(s) / (2.0 * math.pi) ** s * total

@@ -1,14 +1,21 @@
 """Tests for the command-line interface."""
 
+import contextlib
 import csv
 import io
 import json
 import math
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trigzeta.cli import (
     CSV_HEADER,
+    FAMILIES,
+    MAX_GRID,
+    TOL_ENV_VAR,
     grid_points,
     main,
     parse_m_range,
@@ -96,9 +103,9 @@ class TestCompare:
             "\n".join(ln for ln in lines if not ln.startswith("max_rel_err")))))
         assert len(rows) == 9
         # the resonant midpoint x=pi must be present and served by the
-        # averaged-partial-sum method
+        # partial sum with its tail summed by parts
         mid = [r for r in rows if abs(float(r["x"]) - math.pi) < 1e-12]
-        assert mid and mid[0]["oracle_method"] == "cesaro"
+        assert mid and mid[0]["oracle_method"] == "direct"
         for r in rows:
             assert float(r["rel_err"]) <= 1e-8
 
@@ -218,3 +225,86 @@ class TestVerify:
         assert "FAIL" not in out
         summary = [ln for ln in out.splitlines() if "checks passed" in ln]
         assert summary
+
+
+# digit-free text: float() reads none of it as a finite number, and
+# without p/i none of it ends in the pi suffix
+_NO_NUMBER = st.text(st.characters(
+    blacklist_categories=("Nd", "Cs"), blacklist_characters="\x00pPiI"))
+_BAD_TOL = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-400"]),
+    st.floats(max_value=0.0).map(repr),
+    _NO_NUMBER,
+)
+_BAD_GRID = st.one_of(
+    st.integers(max_value=0), st.integers(min_value=MAX_GRID + 1)).map(str)
+_BAD_X = st.one_of(  # every interval lies inside (-7, 7)
+    st.floats(min_value=7.0).map(repr),
+    st.floats(max_value=-7.0).map(repr),
+    st.sampled_from(["nan", "nanpi", "1e400", "2pipi", "1..2"]),
+    _NO_NUMBER,
+)
+_BAD_M = st.one_of(
+    st.lists(st.integers(), min_size=1)
+    .filter(lambda ms: not all(1 <= m <= 8 for m in ms))
+    .map(lambda ms: ",".join(map(str, ms))),
+    st.tuples(st.integers(), st.integers())
+    .filter(lambda p: not 1 <= p[0] <= p[1] <= 8)
+    .map(lambda p: f"{p[0]}..{p[1]}"),
+    _NO_NUMBER,
+)
+
+
+def assert_rejected(argv, env_tol=None):
+    """main() exits 2 with a single error line and raises nothing."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ):
+        os.environ.pop(TOL_ENV_VAR, None)
+        if env_tol is not None:
+            os.environ[TOL_ENV_VAR] = env_tol
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code == 2, argv
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("argv, env_tol", [
+        (["compare", "--family", "T1", "--m", "6", "--tol", "nan"], None),
+        (["compare", "--family", "T1", "--m", "1", "--tol", "-1"], None),
+        (["compare", "--family", "T1", "--m", "1"], "abc"),
+        (["eval", "--family", "T1", "--m", "1", "--x", "abc"], None),
+        (["sweep", "--family", "T1", "--m", "x"], None),
+        (["compare", "--family", "T1", "--m", "1", "--grid", "0"], None),
+        (["sweep", "--family", "T1", "--m", "1", "--grid", "-3"], None),
+        (["sweep", "--family", "T1", "--m", "1..100000000000"], None),
+    ])
+    def test_reproduced_cases(self, argv, env_tol):
+        assert_rejected(argv, env_tol)
+
+    @given(st.sampled_from(["compare", "sweep"]), _BAD_TOL)
+    @settings(max_examples=40, deadline=None)
+    def test_bad_tol(self, command, tol):
+        assert_rejected([command, "--family", "T2", "--m", "1", "--grid", "1",
+                         f"--tol={tol}"])
+
+    @given(_BAD_TOL)
+    @settings(max_examples=40, deadline=None)
+    def test_bad_env_tol(self, tol):
+        assert_rejected(["compare", "--family", "T2", "--m", "1", "--grid", "1"], tol)
+
+    @given(st.sampled_from(["compare", "sweep"]), _BAD_GRID)
+    @settings(max_examples=40, deadline=None)
+    def test_bad_grid(self, command, grid):
+        assert_rejected([command, "--family", "T3", "--m", "1", f"--grid={grid}"])
+
+    @given(st.sampled_from(FAMILIES), _BAD_X)
+    @settings(max_examples=40, deadline=None)
+    def test_bad_x(self, family, x):
+        assert_rejected(["eval", "--family", family, "--m", "1", f"--x={x}"])
+
+    @given(_BAD_M)
+    @settings(max_examples=40, deadline=None)
+    def test_bad_weights(self, weights):
+        assert_rejected(["sweep", "--family", "T4", "--m=" + weights, "--grid", "1"])

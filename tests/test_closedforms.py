@@ -5,6 +5,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trigzeta import closedforms
+from trigzeta.cli import grid_points
 from trigzeta.closedforms import (
     SeriesSpec,
     TABLE2_ROWS,
@@ -202,3 +204,74 @@ class TestMasterFormula:
     def test_unknown_row(self):
         with pytest.raises(DomainError):
             general_closed_form("T9", 1, 0.5)
+
+
+def reference_bracket(spec, x):
+    """Eight-branch bracket, kept as the reference for the data table."""
+    two_pi = 2.0 * math.pi
+    m = spec.m
+    fam = spec.family
+    y = x / two_pi
+    w = x / math.pi
+    if fam == "T1":
+        pref = (-1.0) ** m * two_pi ** (2 * m - 1) / math.factorial(2 * m - 1)
+        s = 1.0 - 2 * m
+        terms = ((1.0, s, 1.0 - y), (-1.0, s, y))
+    elif fam == "T2":
+        pref = (-1.0) ** (m - 1) * two_pi ** (2 * m - 2) / math.factorial(2 * m - 2)
+        s = 2.0 - 2 * m
+        terms = ((1.0, s, 1.0 - y), (1.0, s, y))
+    elif fam == "T3":
+        pref = (-1.0) ** m * math.pi ** (2 * m - 1) / math.factorial(2 * m - 1)
+        s = 1.0 - 2 * m
+        g = 2.0 ** (2 * m - 1)
+        terms = ((g, s, 1.0 - y), (-g, s, y), (-1.0, s, 1.0 - w), (1.0, s, w))
+    elif fam == "T4":
+        pref = (-1.0) ** (m - 1) * math.pi ** (2 * m - 2) / math.factorial(2 * m - 2)
+        s = 2.0 - 2 * m
+        g = 2.0 ** (2 * m - 2)
+        terms = ((g, s, 1.0 - y), (g, s, y), (-1.0, s, 1.0 - w), (-1.0, s, w))
+    elif fam == "T5":
+        pref = (-1.0) ** m * math.pi ** (2 * m - 1) / (2.0 * math.factorial(2 * m - 1))
+        s = 1.0 - 2 * m
+        g = 2.0 ** (2 * m)
+        terms = ((g, s, 1.0 - y), (-g, s, y), (-1.0, s, 1.0 - w), (1.0, s, w))
+    elif fam == "T6":
+        pref = (-1.0) ** (m - 1) * math.pi ** (2 * m - 2) / (2.0 * math.factorial(2 * m - 2))
+        s = 2.0 - 2 * m
+        g = 2.0 ** (2 * m - 1)
+        terms = ((g, s, 1.0 - y), (g, s, y), (-1.0, s, 1.0 - w), (-1.0, s, w))
+    elif fam == "T7":
+        pref = (-1.0) ** (m - 1) * two_pi ** (2 * m - 2) / (2.0 * math.factorial(2 * m - 2))
+        s = 2.0 - 2 * m
+        terms = (
+            (1.0, s, 0.25 - y), (-1.0, s, 0.75 - y), (-1.0, s, 0.25 + y), (1.0, s, 0.75 + y),
+        )
+    else:  # T8
+        pref = (-1.0) ** (m - 1) * two_pi ** (2 * m - 1) / (2.0 * math.factorial(2 * m - 1))
+        s = 1.0 - 2 * m
+        terms = (
+            (1.0, s, 0.25 - y), (-1.0, s, 0.75 - y), (1.0, s, 0.25 + y), (-1.0, s, 0.75 + y),
+        )
+    return pref, terms
+
+
+class TestBracketTable:
+    def test_table_matches_eight_branch_reference_exactly(self, monkeypatch):
+        # only the decomposition is compared, so skip the zeta' evaluations
+        monkeypatch.setattr(closedforms, "hurwitz_zeta_sderiv", lambda s, a: 0.0)
+        for fam in FAMILIES:
+            xs = grid_points(fam, 33)  # midpoint x = 0 on symmetric intervals
+            if SeriesSpec.from_family(fam, 1).interval[0] < 0.0:
+                assert 0.0 in xs
+                xs += [-x for x in xs if x > 0.0]
+            for m in range(1, 9):
+                spec = SeriesSpec.from_family(fam, m)
+                for x in xs:
+                    if x == 0.0 and fam != "T8":
+                        continue  # sin families and T4 take their own x = 0 route
+                    res = closed_form_eval(spec, x)
+                    pref, terms = reference_bracket(spec, abs(x))
+                    sign = -1.0 if x < 0.0 and spec.kind == "sin" else 1.0
+                    assert res.prefactor == sign * pref, (fam, m, x)
+                    assert res.terms == terms, (fam, m, x)

@@ -10,7 +10,6 @@ from trigzeta.dirichlet import (
     beta_prime_neg_odd,
     dirichlet_lambda,
     eta,
-    evaluate_function,
     riemann_zeta,
     zeta_neg_odd,
     zeta_prime_neg_even,
@@ -27,8 +26,11 @@ def alternating_partial(f, n_terms):
 
 class TestSpecialValuesTable:
     def test_table_is_exact(self):
+        functions = {
+            "zeta": riemann_zeta, "eta": eta, "lambda": dirichlet_lambda, "beta": beta_fn,
+        }
         for sv in SPECIAL_VALUES:
-            got = evaluate_function(sv.function_id, float(sv.argument))
+            got = functions[sv.function_id](float(sv.argument))
             assert abs(got - sv.value) <= 1e-12, sv
 
     def test_trivial_zeros_are_exact_floats(self):
@@ -38,10 +40,6 @@ class TestSpecialValuesTable:
             assert eta(-2.0 * n) == 0.0
             assert dirichlet_lambda(-2.0 * n) == 0.0
             assert beta_fn(float(1 - 2 * n)) == 0.0
-
-    def test_unknown_function_id(self):
-        with pytest.raises(DomainError):
-            evaluate_function("theta", 2.0)
 
 
 class TestZeta:

@@ -1,4 +1,4 @@
-"""Tests for exact tables, Pochhammer symbols and gamma-family functions."""
+"""Tests for exact tables, Pochhammer symbols, sinpi/cospi and digamma."""
 
 import math
 from fractions import Fraction
@@ -6,24 +6,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from trigzeta.errors import DomainError, PoleError, ResourceError
+from trigzeta.errors import DomainError, ResourceError
 from trigzeta.foundations import (
     BERNOULLI,
-    CONSTANTS,
     bernoulli,
     bernoulli_float,
     cospi,
     digamma,
-    gamma_fn,
     harmonic,
-    log_gamma,
     pochhammer,
     pochhammer_sderiv,
-    polygamma,
     sinpi,
 )
 
-EULER_GAMMA = CONSTANTS.euler_gamma
+EULER_GAMMA = 0.5772156649015329
 
 
 class TestBernoulli:
@@ -93,20 +89,6 @@ class TestTrigPi:
 
 
 class TestGammaFamily:
-    @given(st.floats(0.05, 40.0))
-    def test_log_gamma_matches_lgamma(self, s):
-        assert log_gamma(s) == pytest.approx(math.lgamma(s), rel=1e-13, abs=1e-13)
-
-    def test_gamma_reflection_negative(self):
-        # Gamma(-0.5) = -2 sqrt(pi)
-        assert gamma_fn(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-13)
-
-    def test_gamma_pole(self):
-        with pytest.raises(PoleError):
-            gamma_fn(0.0)
-        with pytest.raises(PoleError):
-            gamma_fn(-3.0)
-
     def test_digamma_known_values(self):
         assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-13)
         assert digamma(0.5) == pytest.approx(-EULER_GAMMA - 2.0 * math.log(2.0), abs=1e-13)
@@ -118,11 +100,3 @@ class TestGammaFamily:
         lhs = digamma(0.75) - digamma(0.25)
         assert lhs == pytest.approx(math.pi, abs=1e-12)
 
-    def test_polygamma_trigamma_at_one(self):
-        assert polygamma(1, 1.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-12)
-
-    def test_polygamma_domain(self):
-        with pytest.raises(DomainError):
-            polygamma(0, 1.0)
-        with pytest.raises(DomainError):
-            polygamma(1, -1.0)
