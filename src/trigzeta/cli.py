@@ -114,7 +114,7 @@ def parse_m_range(text: str) -> list[int]:
     # checked before a range is listed, so a huge one is never built
     if not 1 <= lo <= hi <= _MAX_WEIGHT:
         raise DomainError(f"weights {text!r} must be a non-empty list in [1, {_MAX_WEIGHT}]")
-    return list(range(lo, hi + 1)) if ".." in t else weights
+    return list(range(lo, hi + 1)) if ".." in t else sorted(set(weights))
 
 
 def parse_tol(text: str, source: str) -> float:
@@ -421,8 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, need_family=True):
         if need_family:
             p.add_argument("--family", required=True, choices=FAMILIES)
-        p.add_argument("--tol", default=None,
-                       help=f"tolerance (default from ${TOL_ENV_VAR} or {DEFAULT_TOL})")
         p.add_argument("--format", choices=("csv", "json", "text"), default="text")
         p.add_argument("--out", default=None, help="write output to this file")
 
@@ -443,6 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--m", required=True, help="weight range: 2, 1..3, or 1,2,3")
     p_sweep.add_argument("--grid", type=int, default=9)
     p_sweep.set_defaults(func=cmd_sweep)
+
+    for p in (p_cmp, p_sweep):  # the two subcommands that compare
+        p.add_argument("--tol", default=None,
+                       help=f"tolerance (default from ${TOL_ENV_VAR} or {DEFAULT_TOL})")
 
     p_verify = sub.add_parser("verify", help="run property suites")
     add_common(p_verify, need_family=False)

@@ -2,8 +2,8 @@
 
 Bernoulli numbers (exact rationals), digamma, harmonic numbers,
 Pochhammer symbols and sinpi/cospi.  All functions take real arguments
-only; the Bernoulli table is built eagerly at import time and never
-mutated afterwards.  Gamma and log-gamma come from the standard library
+only; ``BERNOULLI`` is a tuple of exact Fractions B_0..B_64 built once
+at import time.  Gamma and log-gamma come from the standard library
 (``math.gamma``/``math.lgamma``).
 """
 
@@ -15,7 +15,6 @@ from fractions import Fraction
 from .errors import DomainError, PoleError, ResourceError
 
 __all__ = [
-    "BernoulliTable",
     "BERNOULLI",
     "bernoulli",
     "bernoulli_float",
@@ -28,55 +27,32 @@ __all__ = [
 ]
 
 
-class BernoulliTable:
-    """Exact Bernoulli numbers B_0..B_capacity (B_1 = -1/2 convention).
-
-    Built from the defining recurrence sum_{i=0}^{n} C(n+1, i) B_i = 0,
-    kept as Fractions so that Euler-Maclaurin coefficients carry no
-    rounding noise.
-    """
-
-    def __init__(self, capacity: int = 64):
-        self.capacity = capacity
-        values = [Fraction(1)]
-        for n in range(1, capacity + 1):
-            acc = Fraction(0)
-            for i in range(n):
-                acc += math.comb(n + 1, i) * values[i]
-            values.append(-acc / (n + 1))
-        self.values = tuple(values)
-        # Floats cached once; the exact table stays authoritative.
-        self._floats = tuple(float(v) for v in values)
-
-    def __getitem__(self, n: int) -> Fraction:
-        if n < 0:
-            raise DomainError("Bernoulli index must be non-negative")
-        if n > self.capacity:
-            raise ResourceError(
-                f"Bernoulli table capacity {self.capacity} exceeded (asked for B_{n})"
-            )
-        return self.values[n]
-
-    def as_float(self, n: int) -> float:
-        if n < 0:
-            raise DomainError("Bernoulli index must be non-negative")
-        if n > self.capacity:
-            raise ResourceError(
-                f"Bernoulli table capacity {self.capacity} exceeded (asked for B_{n})"
-            )
-        return self._floats[n]
+def _bernoulli_numbers(count: int) -> tuple[Fraction, ...]:
+    """B_0..B_{count-1} from sum_{i=0}^{n} C(n+1, i) B_i = 0 (B_1 = -1/2)."""
+    values = [Fraction(1)]
+    for n in range(1, count):
+        acc = sum(math.comb(n + 1, i) * values[i] for i in range(n))
+        values.append(-acc / (n + 1))
+    return tuple(values)
 
 
-BERNOULLI = BernoulliTable(64)
+# Exact B_0..B_64, so Euler-Maclaurin coefficients carry no rounding noise.
+BERNOULLI = _bernoulli_numbers(65)
 
 
 def bernoulli(n: int) -> Fraction:
     """Exact Bernoulli number B_n (B_1 = -1/2)."""
+    if n < 0:
+        raise DomainError("Bernoulli index must be non-negative")
+    if n >= len(BERNOULLI):
+        raise ResourceError(
+            f"Bernoulli table capacity {len(BERNOULLI) - 1} exceeded (asked for B_{n})"
+        )
     return BERNOULLI[n]
 
 
 def bernoulli_float(n: int) -> float:
-    return BERNOULLI.as_float(n)
+    return float(bernoulli(n))
 
 
 def harmonic(n: int) -> float:
@@ -97,23 +73,19 @@ def pochhammer(s: float, n: int) -> float:
 
 
 def pochhammer_sderiv(s: float, n: int) -> float:
-    """d/ds (s)_n, as the product-rule sum of sub-products.
+    """d/ds (s)_n, by the product rule one factor at a time.
 
-    Computed as sum_j prod_{i != j} (s+i) so it stays finite when some
-    factor (and hence (s)_n itself) is zero.
+    (s)_{i+1}' = (s)_i' (s+i) + (s)_i needs no division, so it stays
+    finite when some factor (and hence (s)_n itself) is zero.
     """
     if n < 0:
         raise DomainError("pochhammer order must be non-negative")
-    if n == 0:
-        return 0.0
-    # prefix[j] = prod_{i<j}(s+i), suffix[j] = prod_{i>j}(s+i)
-    prefix = [1.0] * n
-    for j in range(1, n):
-        prefix[j] = prefix[j - 1] * (s + j - 1)
-    suffix = [1.0] * n
-    for j in range(n - 2, -1, -1):
-        suffix[j] = suffix[j + 1] * (s + j + 1)
-    return math.fsum(prefix[j] * suffix[j] for j in range(n))
+    poch, dpoch = 1.0, 0.0
+    for i in range(n):
+        f = s + i
+        dpoch = dpoch * f + poch
+        poch *= f
+    return dpoch
 
 
 def sinpi(t: float) -> float:

@@ -26,12 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, PoleError
-from .foundations import (
-    BERNOULLI,
-    bernoulli_float,
-    pochhammer,
-    pochhammer_sderiv,
-)
+from .foundations import BERNOULLI, bernoulli_float
 
 __all__ = [
     "EulerMaclaurinPlan",
@@ -41,7 +36,12 @@ __all__ = [
     "hurwitz_formula_partial",
 ]
 
-_MAX_CORRECTION = BERNOULLI.capacity // 2  # highest usable B_{2j}
+_MAX_CORRECTION = (len(BERNOULLI) - 1) // 2  # highest usable B_{2j}
+# B_2j/(2j)! for j = 1.._MAX_CORRECTION
+_EM_COEFFS = tuple(
+    bernoulli_float(2 * j) / math.factorial(2 * j)
+    for j in range(1, _MAX_CORRECTION + 1)
+)
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,21 @@ class EulerMaclaurinPlan:
             )
         if not (math.isfinite(self.est_error) and self.est_error > 0.0):
             raise DomainError("est_error must be finite and positive")
+
+
+def _corrections(s: float, count: int):
+    """Yield (B_2j/(2j)!, (s)_{2j-1}, d/ds (s)_{2j-1}) for j = 1..count.
+
+    Each step multiplies in the factors s+2j-1 and s+2j by the product
+    rule.  They are written ``s + (2 * j - 1)`` so that every partial
+    product rounds exactly as in ``pochhammer``.
+    """
+    poch, dpoch = s, 1.0  # (s)_1 and its derivative
+    for j, coeff in enumerate(_EM_COEFFS[:count], 1):
+        yield coeff, poch, dpoch
+        for f in (s + (2 * j - 1), s + 2 * j):
+            dpoch = dpoch * f + poch
+            poch *= f
 
 
 def plan_for(s: float, a: float) -> EulerMaclaurinPlan:
@@ -90,12 +105,9 @@ def plan_for(s: float, a: float) -> EulerMaclaurinPlan:
     # global minimum.
     m_used = 1
     est = math.inf
-    for j in range(1, _MAX_CORRECTION + 1):
-        weight = max(
-            abs(pochhammer(s, 2 * j - 1)), abs(pochhammer_sderiv(s, 2 * j - 1))
-        )
+    for j, (coeff, poch, dpoch) in enumerate(_corrections(s, _MAX_CORRECTION), 1):
         size = (
-            abs(bernoulli_float(2 * j)) / math.factorial(2 * j) * weight
+            abs(coeff) * max(abs(poch), abs(dpoch))
         ) * math.exp((-s - 2 * j + 1) * log_base) * (1.0 + log_base)
         if size <= est:
             m_used = j
@@ -128,13 +140,10 @@ def _em_core(s: float, a: float, plan: EulerMaclaurinPlan, want_deriv: bool):
     if want_deriv:
         dparts.append(-tail_pow * (log_base / (s - 1.0) + 1.0 / (s - 1.0) ** 2))
         dparts.append(-log_base * half)
-    for j in range(1, plan.correction_m + 1):
-        coeff = bernoulli_float(2 * j) / math.factorial(2 * j)
+    for j, (coeff, poch, dpoch) in enumerate(_corrections(s, plan.correction_m), 1):
         power = math.exp((-s - 2 * j + 1) * log_base)
-        poch = pochhammer(s, 2 * j - 1)
         parts.append(coeff * poch * power)
         if want_deriv:
-            dpoch = pochhammer_sderiv(s, 2 * j - 1)
             dparts.append(coeff * (dpoch - poch * log_base) * power)
     value = math.fsum(parts)
     if want_deriv:

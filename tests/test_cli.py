@@ -46,6 +46,11 @@ class TestParsing:
         assert parse_m_range("1,2,3") == [1, 2, 3]
         assert parse_m_range("2,4") == [2, 4]
 
+    def test_parse_m_range_dedupes(self):
+        # a repeated weight used to print every sweep row twice
+        assert parse_m_range("1,1") == [1]
+        assert parse_m_range("2,1,2") == [1, 2]
+
     def test_grid_points(self):
         pts = grid_points("T1", 9)
         assert len(pts) == 9
@@ -282,6 +287,17 @@ class TestHostileInput:
     ])
     def test_reproduced_cases(self, argv, env_tol):
         assert_rejected(argv, env_tol)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--tol", "1e-6"],
+        ["eval", "--family", "T1", "--m", "1", "--x", "1", "--tol", "1e-6"],
+    ])
+    def test_tol_only_where_read(self, argv, capsys):
+        # eval and verify never read a tolerance, so they do not accept one
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
 
     @given(st.sampled_from(["compare", "sweep"]), _BAD_TOL)
     @settings(max_examples=40, deadline=None)

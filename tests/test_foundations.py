@@ -36,12 +36,12 @@ class TestBernoulli:
             assert bernoulli(n) == 0
 
     def test_float_cache_matches_exact(self):
-        for n in range(0, BERNOULLI.capacity + 1):
+        for n in range(0, len(BERNOULLI)):
             assert bernoulli_float(n) == float(bernoulli(n))
 
     def test_capacity_guard(self):
         with pytest.raises(ResourceError):
-            bernoulli(BERNOULLI.capacity + 1)
+            bernoulli(len(BERNOULLI))
         with pytest.raises(DomainError):
             bernoulli(-1)
 

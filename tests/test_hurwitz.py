@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trigzeta.errors import DomainError, PoleError
+from trigzeta.foundations import bernoulli_float, pochhammer
 from trigzeta.hurwitz import (
     EulerMaclaurinPlan,
+    _corrections,
     hurwitz_formula_partial,
     hurwitz_zeta,
     hurwitz_zeta_sderiv,
@@ -100,6 +102,36 @@ class TestDerivative:
     def test_explicit_plan_accepted(self):
         plan = plan_for(-2.0, 0.5)
         assert hurwitz_zeta(-2.0, 0.5, plan) == hurwitz_zeta(-2.0, 0.5)
+
+
+def prefix_suffix_sderiv(s, n):
+    """Reference d/ds (s)_n: fsum over j of prod_{i<j}(s+i) * prod_{i>j}(s+i).
+
+    Returns the value and sum_j |prefix[j] * suffix[j]|, the scale of its
+    rounding error.
+    """
+    prefix = [1.0] * n
+    for j in range(1, n):
+        prefix[j] = prefix[j - 1] * (s + j - 1)
+    suffix = [1.0] * n
+    for j in range(n - 2, -1, -1):
+        suffix[j] = suffix[j + 1] * (s + j + 1)
+    products = [p * q for p, q in zip(prefix, suffix)]
+    return math.fsum(products), math.fsum(abs(v) for v in products)
+
+
+class TestCorrections:
+    @pytest.mark.parametrize("s", [float(-k) for k in range(16)] + [
+        -14.7, -7.5, -3.3, -1.5, -0.25, 0.5, 2.5, 3.0, 7.7, 20.0])
+    def test_recurrence_matches_direct_products(self, s):
+        weights = list(_corrections(s, 32))
+        assert len(weights) == 32
+        for j, (coeff, poch, dpoch) in enumerate(weights, 1):
+            n = 2 * j - 1
+            assert coeff == bernoulli_float(2 * j) / math.factorial(2 * j)
+            assert poch == pochhammer(s, n)
+            ref, scale = prefix_suffix_sderiv(s, n)
+            assert abs(dpoch - ref) <= 2 * n * 2.0**-52 * scale, (j, dpoch, ref)
 
 
 class TestHurwitzFormulaPartial:
