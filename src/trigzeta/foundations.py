@@ -28,10 +28,17 @@ __all__ = [
 
 
 def _bernoulli_numbers(count: int) -> tuple[Fraction, ...]:
-    """B_0..B_{count-1} from sum_{i=0}^{n} C(n+1, i) B_i = 0 (B_1 = -1/2)."""
+    """B_0..B_{count-1} from sum_{i=0}^{n} C(n+1, i) B_i = 0 (B_1 = -1/2).
+
+    B_n = 0 for odd n >= 3, so those are set directly and left out of
+    the sums.
+    """
     values = [Fraction(1)]
     for n in range(1, count):
-        acc = sum(math.comb(n + 1, i) * values[i] for i in range(n))
+        if n > 1 and n % 2:
+            values.append(Fraction(0))
+            continue
+        acc = sum(math.comb(n + 1, i) * values[i] for i in range(n) if i == 1 or i % 2 == 0)
         values.append(-acc / (n + 1))
     return tuple(values)
 

@@ -17,7 +17,7 @@ grows, while the rounding error grows like eps*(N+a)^(|s|+1) for
 negative s because the large direct terms cancel against the integral
 term.  Deeply negative s therefore gets a small direct sum sized from a
 cancellation budget, and a correction depth chosen by scanning the term
-magnitudes until they stop decreasing.
+magnitudes until they stop decreasing, in the same pass that sums them.
 """
 
 from __future__ import annotations
@@ -50,16 +50,6 @@ class EulerMaclaurinPlan:
     correction_m: int
     est_error: float
 
-    def __post_init__(self):
-        if self.shift_n < 1:
-            raise DomainError("Euler-Maclaurin plan needs shift_n >= 1")
-        if not (1 <= self.correction_m <= _MAX_CORRECTION):
-            raise DomainError(
-                f"correction depth must lie in [1, {_MAX_CORRECTION}]"
-            )
-        if not (math.isfinite(self.est_error) and self.est_error > 0.0):
-            raise DomainError("est_error must be finite and positive")
-
 
 def _corrections(s: float, count: int):
     """Yield (B_2j/(2j)!, (s)_{2j-1}, d/ds (s)_{2j-1}) for j = 1..count.
@@ -76,10 +66,14 @@ def _corrections(s: float, count: int):
             poch *= f
 
 
-def plan_for(s: float, a: float) -> EulerMaclaurinPlan:
-    """Deterministic Euler-Maclaurin plan for the point (s, a)."""
+def _em(s: float, a: float) -> tuple[float, float, EulerMaclaurinPlan]:
+    """zeta(s, a), d/ds zeta(s, a) and the plan that produced them."""
     if a <= 0.0:
         raise DomainError(f"Hurwitz offset must be positive, got a={a}")
+    if s == 1.0:
+        raise PoleError("Hurwitz zeta has a pole at s=1")
+    if not (math.isfinite(s) and math.isfinite(a)):
+        raise DomainError(f"Hurwitz zeta needs finite s and a, got s={s}, a={a}")
     if s > -2.0:
         shift_n = max(16, math.ceil(abs(s)) + 12)
     else:
@@ -97,18 +91,33 @@ def plan_for(s: float, a: float) -> EulerMaclaurinPlan:
         log_budget = (4.0 + math.log10(scale)) / (sigma + 1.0)
         base_target = max(2.25, 10.0 ** log_budget)
         shift_n = min(16, max(1, round(base_target - a)))
-    base = shift_n + a
-    log_base = math.log(base)
-    # Optimal truncation of the asymptotic correction series: scan the
-    # term magnitudes (including the s-derivative factor, which does not
-    # terminate where the plain Pochhammer vanishes) and cut at the
-    # global minimum.
+    log_base = math.log(shift_n + a)
+    parts, dparts = [], []
+    for k in range(shift_n):
+        x = k + a
+        lx = math.log(x)
+        p = math.exp(-s * lx)
+        parts.append(p)
+        dparts.append(-lx * p)
+    tail_pow = math.exp((1.0 - s) * log_base)  # (N+a)^{1-s}
+    half = 0.5 * math.exp(-s * log_base)
+    parts += [tail_pow / (s - 1.0), half]
+    dparts += [
+        -tail_pow * (log_base / (s - 1.0) + 1.0 / (s - 1.0) ** 2),
+        -log_base * half,
+    ]
+    # Optimal truncation of the asymptotic correction series: cut at the
+    # global minimum of the term magnitudes, where the magnitude includes
+    # the s-derivative factor (it does not terminate where the plain
+    # Pochhammer vanishes).  Terms past the cut are computed but not summed.
+    corr, dcorr = [], []
     m_used = 1
     est = math.inf
     for j, (coeff, poch, dpoch) in enumerate(_corrections(s, _MAX_CORRECTION), 1):
-        size = (
-            abs(coeff) * max(abs(poch), abs(dpoch))
-        ) * math.exp((-s - 2 * j + 1) * log_base) * (1.0 + log_base)
+        power = math.exp((-s - 2 * j + 1) * log_base)
+        corr.append(coeff * poch * power)
+        dcorr.append(coeff * (dpoch - poch * log_base) * power)
+        size = abs(coeff) * max(abs(poch), abs(dpoch)) * power * (1.0 + log_base)
         if size <= est:
             m_used = j
             est = size
@@ -117,64 +126,26 @@ def plan_for(s: float, a: float) -> EulerMaclaurinPlan:
     est = max(est, 1e-18)
     # Rounding floor from the cancelling large terms at negative s.
     est += 1e-16 * math.exp(max(0.0, -s + 1.0) * log_base)
-    return EulerMaclaurinPlan(shift_n, m_used, est)
+    return (
+        math.fsum(parts + corr[:m_used]),
+        math.fsum(dparts + dcorr[:m_used]),
+        EulerMaclaurinPlan(shift_n, m_used, est),
+    )
 
 
-def _em_core(s: float, a: float, plan: EulerMaclaurinPlan, want_deriv: bool):
-    n = plan.shift_n
-    base = n + a
-    log_base = math.log(base)
-    parts = []
-    dparts = [] if want_deriv else None
-    for k in range(n):
-        x = k + a
-        lx = math.log(x)
-        p = math.exp(-s * lx)
-        parts.append(p)
-        if want_deriv:
-            dparts.append(-lx * p)
-    tail_pow = math.exp((1.0 - s) * log_base)  # (N+a)^{1-s}
-    parts.append(tail_pow / (s - 1.0))
-    half = 0.5 * math.exp(-s * log_base)
-    parts.append(half)
-    if want_deriv:
-        dparts.append(-tail_pow * (log_base / (s - 1.0) + 1.0 / (s - 1.0) ** 2))
-        dparts.append(-log_base * half)
-    for j, (coeff, poch, dpoch) in enumerate(_corrections(s, plan.correction_m), 1):
-        power = math.exp((-s - 2 * j + 1) * log_base)
-        parts.append(coeff * poch * power)
-        if want_deriv:
-            dparts.append(coeff * (dpoch - poch * log_base) * power)
-    value = math.fsum(parts)
-    if want_deriv:
-        return value, math.fsum(dparts)
-    return value, None
+def plan_for(s: float, a: float) -> EulerMaclaurinPlan:
+    """The Euler-Maclaurin plan the kernel uses at the point (s, a)."""
+    return _em(s, a)[2]
 
 
-def hurwitz_zeta(s: float, a: float, plan: EulerMaclaurinPlan | None = None) -> float:
+def hurwitz_zeta(s: float, a: float) -> float:
     """zeta(s, a) for real s != 1 and a > 0."""
-    if a <= 0.0:
-        raise DomainError(f"Hurwitz offset must be positive, got a={a}")
-    if s == 1.0:
-        raise PoleError("Hurwitz zeta has a pole at s=1")
-    if plan is None:
-        plan = plan_for(s, a)
-    value, _ = _em_core(s, a, plan, want_deriv=False)
-    return value
+    return _em(s, a)[0]
 
 
-def hurwitz_zeta_sderiv(
-    s: float, a: float, plan: EulerMaclaurinPlan | None = None
-) -> float:
+def hurwitz_zeta_sderiv(s: float, a: float) -> float:
     """d/ds zeta(s, a), the analytic derivative of the expansion."""
-    if a <= 0.0:
-        raise DomainError(f"Hurwitz offset must be positive, got a={a}")
-    if s == 1.0:
-        raise PoleError("Hurwitz zeta has a pole at s=1")
-    if plan is None:
-        plan = plan_for(s, a)
-    _, deriv = _em_core(s, a, plan, want_deriv=True)
-    return deriv
+    return _em(s, a)[1]
 
 
 def hurwitz_formula_partial(s: float, a: float, terms: int) -> float:

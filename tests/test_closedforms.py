@@ -16,6 +16,7 @@ from trigzeta.closedforms import (
 )
 from trigzeta.dirichlet import beta_fn, eta
 from trigzeta.errors import DomainError
+from trigzeta.oracles import direct_sum
 
 CATALAN = 0.915965594177219  # 15-digit reference, cross-checked by the
                              # direct-sum oracle in test_oracles
@@ -117,6 +118,26 @@ class TestClosedFormValues:
         res = closed_form_eval(SeriesSpec.from_family("T4", 1), 0.0)
         assert res.value == pytest.approx(math.log(2.0), abs=1e-14)
         assert res.reconstruct() == pytest.approx(res.value, abs=1e-14)
+
+
+class TestAccuracyAgainstOracle:
+    # About 10x the worst |closed - oracle| / (1 + |oracle|) measured per
+    # weight on the 9-point grids (1.4e-12, 1.9e-10, 3.5e-10, 3.0e-9,
+    # 3.1e-7, 9.3e-7, 1.5e-6, 1.5e-6): the Euler-Maclaurin derivative
+    # loses digits as the order falls.  A wrong bracket or prefactor is off
+    # by O(1).  A more accurate negative-order kernel only tightens these.
+    BOUNDS = {1: 1.5e-11, 2: 2e-9, 3: 4e-9, 4: 3e-8,
+              5: 3e-6, 6: 1e-5, 7: 1.5e-5, 8: 1.5e-5}
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_all_families_on_grid(self, m):
+        for fam in FAMILIES:
+            spec = SeriesSpec.from_family(fam, m)
+            for x in grid_points(fam, 9):
+                closed = closed_form_eval(spec, x).value
+                oracle = direct_sum(spec, x, 1e-10).value
+                rel = abs(closed - oracle) / (1.0 + abs(oracle))
+                assert rel <= self.BOUNDS[m], (fam, m, x, rel)
 
 
 class TestDecompositionContract:

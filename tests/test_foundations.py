@@ -22,6 +22,15 @@ from trigzeta.foundations import (
 EULER_GAMMA = 0.5772156649015329
 
 
+def full_recurrence(count):
+    """Reference B_0..B_{count-1}: sum_{i=0}^{n} C(n+1, i) B_i = 0 over every i."""
+    values = [Fraction(1)]
+    for n in range(1, count):
+        acc = sum(math.comb(n + 1, i) * values[i] for i in range(n))
+        values.append(-acc / (n + 1))
+    return tuple(values)
+
+
 class TestBernoulli:
     def test_known_exact_values(self):
         # [TRIVIAL] textbook rationals, recurrence-checkable by hand
@@ -34,6 +43,10 @@ class TestBernoulli:
     def test_odd_vanish(self):
         for n in range(3, 63, 2):
             assert bernoulli(n) == 0
+
+    def test_table_matches_full_recurrence(self):
+        assert len(BERNOULLI) == 65
+        assert BERNOULLI == full_recurrence(65)
 
     def test_float_cache_matches_exact(self):
         for n in range(0, len(BERNOULLI)):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from trigzeta.errors import DomainError, PoleError
 from trigzeta.foundations import bernoulli_float, pochhammer
 from trigzeta.hurwitz import (
-    EulerMaclaurinPlan,
+    _MAX_CORRECTION,
     _corrections,
     hurwitz_formula_partial,
     hurwitz_zeta,
@@ -19,19 +19,18 @@ from trigzeta.hurwitz import (
 
 class TestDomain:
     def test_point_validation(self):
-        for fn in (hurwitz_zeta, hurwitz_zeta_sderiv):
+        for fn in (hurwitz_zeta, hurwitz_zeta_sderiv, plan_for):
             with pytest.raises(DomainError):
                 fn(2.0, 0.0)
             with pytest.raises(PoleError):
                 fn(1.0, 0.5)
 
-    def test_plan_invariants(self):
-        with pytest.raises(DomainError):
-            EulerMaclaurinPlan(0, 4, 1e-12)
-        with pytest.raises(DomainError):
-            EulerMaclaurinPlan(8, 0, 1e-12)
-        with pytest.raises(DomainError):
-            EulerMaclaurinPlan(8, 4, 0.0)
+    def test_non_finite_rejected(self):
+        for fn in (hurwitz_zeta, hurwitz_zeta_sderiv, plan_for):
+            for s, a in [(math.nan, 0.5), (2.0, math.nan), (math.inf, 0.5),
+                         (-math.inf, 0.5), (2.0, math.inf), (-5.0, math.inf)]:
+                with pytest.raises(DomainError):
+                    fn(s, a)
 
     def test_plan_for_is_valid_plan(self):
         for s in (-25.0, -5.0, -0.5, 0.0, 3.0, 20.0):
@@ -99,10 +98,6 @@ class TestDerivative:
         rhs = -(a ** (-s)) * math.log(a) + hurwitz_zeta_sderiv(s, a + 1.0)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
-    def test_explicit_plan_accepted(self):
-        plan = plan_for(-2.0, 0.5)
-        assert hurwitz_zeta(-2.0, 0.5, plan) == hurwitz_zeta(-2.0, 0.5)
-
 
 def prefix_suffix_sderiv(s, n):
     """Reference d/ds (s)_n: fsum over j of prod_{i<j}(s+i) * prod_{i>j}(s+i).
@@ -132,6 +127,71 @@ class TestCorrections:
             assert poch == pochhammer(s, n)
             ref, scale = prefix_suffix_sderiv(s, n)
             assert abs(dpoch - ref) <= 2 * n * 2.0**-52 * scale, (j, dpoch, ref)
+
+
+def two_pass_plan(s, a):
+    """Reference plan: the truncation scan as a separate pass over the weights."""
+    if s > -2.0:
+        shift_n = max(16, math.ceil(abs(s)) + 12)
+    else:
+        sigma = -s
+        scale = max(
+            1.0,
+            2.0
+            * math.exp(math.lgamma(sigma + 2.0) - (sigma + 1.0) * math.log(2.0 * math.pi))
+            / (sigma + 1.0),
+        )
+        log_budget = (4.0 + math.log10(scale)) / (sigma + 1.0)
+        base_target = max(2.25, 10.0 ** log_budget)
+        shift_n = min(16, max(1, round(base_target - a)))
+    log_base = math.log(shift_n + a)
+    m_used = 1
+    est = math.inf
+    for j, (coeff, poch, dpoch) in enumerate(_corrections(s, _MAX_CORRECTION), 1):
+        size = (
+            abs(coeff) * max(abs(poch), abs(dpoch))
+        ) * math.exp((-s - 2 * j + 1) * log_base) * (1.0 + log_base)
+        if size <= est:
+            m_used = j
+            est = size
+        if size < 1e-19:
+            break
+    est = max(est, 1e-18)
+    est += 1e-16 * math.exp(max(0.0, -s + 1.0) * log_base)
+    return shift_n, m_used, est
+
+
+def two_pass_kernel(s, a):
+    """Reference (value, derivative): the plan's correction depth summed in a second pass."""
+    n, m, _ = two_pass_plan(s, a)
+    log_base = math.log(n + a)
+    parts, dparts = [], []
+    for k in range(n):
+        lx = math.log(k + a)
+        p = math.exp(-s * lx)
+        parts.append(p)
+        dparts.append(-lx * p)
+    tail_pow = math.exp((1.0 - s) * log_base)
+    half = 0.5 * math.exp(-s * log_base)
+    parts += [tail_pow / (s - 1.0), half]
+    dparts += [-tail_pow * (log_base / (s - 1.0) + 1.0 / (s - 1.0) ** 2), -log_base * half]
+    for j, (coeff, poch, dpoch) in enumerate(_corrections(s, m), 1):
+        power = math.exp((-s - 2 * j + 1) * log_base)
+        parts.append(coeff * poch * power)
+        dparts.append(coeff * (dpoch - poch * log_base) * power)
+    return math.fsum(parts), math.fsum(dparts)
+
+
+class TestSinglePassKernel:
+    @pytest.mark.parametrize("s", [float(-k) for k in range(16)] + [
+        -14.7, -7.5, -3.3, -1.5, -0.25, 0.5, 2.0, 2.5, 3.0, 7.7, 20.0])
+    def test_matches_two_pass_reference(self, s):
+        for a in (1e-3, 0.05, 0.25, 0.5, 0.75, 1.0, 1.7, 3.0):
+            plan = plan_for(s, a)
+            assert (plan.shift_n, plan.correction_m, plan.est_error) == two_pass_plan(s, a)
+            value, deriv = two_pass_kernel(s, a)
+            assert hurwitz_zeta(s, a) == value, (s, a)
+            assert hurwitz_zeta_sderiv(s, a) == deriv, (s, a)
 
 
 class TestHurwitzFormulaPartial:
