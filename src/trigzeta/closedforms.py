@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - _TWO_PI
 _MAX_WEIGHT = 8
 
 # family id -> (alternating, kind, odd_denoms)
@@ -157,7 +158,7 @@ def _fold(spec: SeriesSpec, x: float) -> tuple[float, float]:
 #            (coefficient sign, a0, a_y) per zeta' term).  With k = alpha - 1
 # the prefactor is (-1)^(alpha//2 + sign offset) base^k / (halving * k!),
 # g = 2^(k + g offset) multiplies the terms with |a_y| = 1, and each term
-# is evaluated at s = 1 - alpha, a = a0 + a_y * y with y = x / 2pi.
+# is evaluated at s = 1 - alpha, a = a0 + a_y * x / 2pi.
 _BRACKETS = {
     "T1": (_TWO_PI, 0, 1, None, ((1, 1.0, -1), (-1, 0.0, 1))),
     "T2": (_TWO_PI, 0, 1, None, ((1, 1.0, -1), (1, 0.0, 1))),
@@ -178,9 +179,12 @@ def _bracket_terms(spec: SeriesSpec, x: float) -> tuple[float, tuple]:
     parity = (-1.0) ** (spec.alpha // 2 + sign_offset)
     pref = parity * base**k / (halving * math.factorial(k))
     g = 1.0 if g_offset is None else 2.0 ** (k + g_offset)
-    y = x / _TWO_PI
+    # a = (a0 2pi + a_y x) / 2pi with 2pi in two parts: where a vanishes at
+    # the upper end of the interval, a0 2pi + a_y x cancels exactly and the
+    # low part keeps the relative accuracy of a (and so of log a).
     terms = tuple(
-        (sign * (g if abs(a_y) == 1 else 1.0), s, a0 + a_y * y)
+        (sign * (g if abs(a_y) == 1 else 1.0), s,
+         (a0 * _TWO_PI + a_y * x + a0 * _TWO_PI_LO) / _TWO_PI)
         for sign, a0, a_y in offsets
     )
     return pref, terms

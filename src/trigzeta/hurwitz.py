@@ -1,6 +1,23 @@
-"""Hurwitz zeta and its order-derivative via Euler-Maclaurin summation.
+"""Hurwitz zeta and its order-derivative: Euler-Maclaurin and a Taylor table.
 
-The expansion used everywhere (N direct terms, M Bernoulli corrections):
+Two routes, chosen from the point (s, a):
+
+* ``hurwitz_zeta_sderiv(s, a)`` at integer order s = -n, 0 <= n <= 15,
+  and 0 < a < 5/2 -- every point the closed forms ask for -- sums the
+  power series of the Choi-Srivastava expansion
+
+      zeta'(-n, 1-t) = sum_k c_k t^k,   |t| <= 1/2,
+
+  after at most one step of zeta'(-n, a) = zeta'(-n, a+1) - a^n log a.
+  The coefficients depend only on n and are built once at import, from
+  exact Bernoulli values and a few positive-order zeta and zeta' values:
+
+      k <= n    c_k = (-1)^k C(n,k) [zeta'(k-n) - (H_n - H_{n-k}) zeta(k-n)]
+      k = n+1   c_k = (-1)^n (gamma - H_n) / (n+1)
+      k >= n+2  c_k = (-1)^n zeta(k-n) / (k C(k-1,n))
+
+* every other point, and ``hurwitz_zeta`` everywhere, use Euler-Maclaurin
+  summation (N direct terms, M Bernoulli corrections):
 
     zeta(s,a) ~ sum_{k=0}^{N-1} (k+a)^-s
               + (N+a)^{1-s}/(s-1) + (N+a)^-s / 2
@@ -18,6 +35,8 @@ negative s because the large direct terms cancel against the integral
 term.  Deeply negative s therefore gets a small direct sum sized from a
 cancellation budget, and a correction depth chosen by scanning the term
 magnitudes until they stop decreasing, in the same pass that sums them.
+That rounding floor is why integer orders take the Taylor route: at
+s = -15 Euler-Maclaurin keeps only about six digits.
 """
 
 from __future__ import annotations
@@ -26,7 +45,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, PoleError
-from .foundations import BERNOULLI, bernoulli_float
+from .foundations import BERNOULLI, bernoulli_float, harmonic
 
 __all__ = [
     "EulerMaclaurinPlan",
@@ -42,6 +61,11 @@ _EM_COEFFS = tuple(
     bernoulli_float(2 * j) / math.factorial(2 * j)
     for j in range(1, _MAX_CORRECTION + 1)
 )
+
+_TAYLOR_MAX_N = 15  # s = 1 - alpha for weights m <= 8
+_TAYLOR_MAX_A = 2.5  # one recentring step keeps |t| <= 1/2
+_EULER_GAMMA = 0.5772156649015329
+_LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -134,7 +158,12 @@ def _em(s: float, a: float) -> tuple[float, float, EulerMaclaurinPlan]:
 
 
 def plan_for(s: float, a: float) -> EulerMaclaurinPlan:
-    """The Euler-Maclaurin plan the kernel uses at the point (s, a)."""
+    """The Euler-Maclaurin plan at the point (s, a).
+
+    This is the plan of the Euler-Maclaurin pass, which the derivative at
+    integer order s in [-15, 0] with 0 < a < 5/2 no longer uses (see
+    ``hurwitz_zeta_sderiv``).
+    """
     return _em(s, a)[2]
 
 
@@ -144,8 +173,96 @@ def hurwitz_zeta(s: float, a: float) -> float:
 
 
 def hurwitz_zeta_sderiv(s: float, a: float) -> float:
-    """d/ds zeta(s, a), the analytic derivative of the expansion."""
+    """d/ds zeta(s, a) for real s != 1 and a > 0.
+
+    Integer s in [-15, 0] with 0 < a < 5/2 takes the Taylor table; every
+    other point takes the analytic derivative of the Euler-Maclaurin
+    expansion.
+    """
+    if -_TAYLOR_MAX_N <= s <= 0.0 and 0.0 < a < _TAYLOR_MAX_A and s == int(s):
+        return _taylor(int(-s), a)
     return _em(s, a)[1]
+
+
+def _zeta_positive(j: int) -> float:
+    """zeta(j) for integer j >= 2: from B_j for even j, Euler-Maclaurin for odd j."""
+    if j % 2:
+        return _em(float(j), 1.0)[0]
+    # zeta(2k) = |B_2k / (2k)!| (2 pi)^2k / 2
+    return 0.5 * abs(_EM_COEFFS[j // 2 - 1]) * (2.0 * math.pi) ** j
+
+
+def _zeta_prime_nonpositive(j: int) -> float:
+    """zeta'(-j) for integer j >= 0, by the functional equation."""
+    if j == 0:
+        return -0.5 * _LOG_2PI
+    if j % 2 == 0:
+        # zeta'(-2k) = (-1)^k (2k)! zeta(2k+1) / (2 (2 pi)^(2k))
+        sign = -1.0 if j % 4 else 1.0
+        return sign * math.factorial(j) * _zeta_positive(j + 1) / (2.0 * (2.0 * math.pi) ** j)
+    # zeta'(1-2k) = zeta(1-2k) (log 2pi - psi(2k) - zeta'(2k)/zeta(2k)),
+    # with psi(2k) = H_{2k-1} - gamma and zeta(1-2k) = -B_2k / 2k.
+    two_k = j + 1
+    psi = harmonic(two_k - 1) - _EULER_GAMMA
+    ratio = _em(float(two_k), 1.0)[1] / _zeta_positive(two_k)
+    return float(-BERNOULLI[two_k] / two_k) * (_LOG_2PI - psi - ratio)
+
+
+def _taylor_rows() -> tuple[tuple[float, ...], ...]:
+    """Row n: c_k of zeta'(-n, 1-t) = sum_k c_k t^k, highest k first.
+
+    A row stops at the first k >= n+2 with |c_k| 2^-k < 1e-18; past n+1
+    the |c_k| only decrease, so the dropped tail is below about 2e-18.
+    """
+    orders = range(_TAYLOR_MAX_N + 1)
+    zeta_prime = [_zeta_prime_nonpositive(j) for j in orders]
+    # zeta(-j) = (-1)^j B_{j+1} / (j+1), with B_1 = -1/2
+    zeta_neg = [float((-1) ** j * BERNOULLI[j + 1] / (j + 1)) for j in orders]
+    zeta_pos = {}
+    rows = []
+    for n in orders:
+        sign = -1.0 if n % 2 else 1.0
+        coeffs = []
+        for k in range(n + 1):
+            j = n - k
+            h_diff = math.fsum(1.0 / i for i in range(j + 1, n + 1))  # H_n - H_j
+            coeffs.append(
+                (-1) ** k * math.comb(n, k) * (zeta_prime[j] - h_diff * zeta_neg[j])
+            )
+        coeffs.append(sign * (_EULER_GAMMA - harmonic(n)) / (n + 1))
+        k = n + 2
+        while True:
+            if k - n not in zeta_pos:
+                zeta_pos[k - n] = _zeta_positive(k - n)
+            c = sign * zeta_pos[k - n] / (k * math.comb(k - 1, n))
+            if abs(c) * 2.0**-k < 1e-18:
+                break
+            coeffs.append(c)
+            k += 1
+        rows.append(tuple(reversed(coeffs)))
+    return tuple(rows)
+
+
+_TAYLOR = _taylor_rows()
+
+
+def _taylor(n: int, a: float) -> float:
+    """zeta'(-n, a) for 0 <= n <= 15 and 0 < a < 5/2, by one Horner pass.
+
+    Recentres to b in [1/2, 3/2) so that t = 1 - b has |t| <= 1/2;
+    t is formed from a directly, without rounding b.
+    """
+    if a < 0.5:  # b = a + 1
+        t, shift = -a, -(a**n) * math.log(a)
+    elif a < 1.5:  # b = a
+        t, shift = 1.0 - a, 0.0
+    else:  # b = a - 1, exact for a in [3/2, 5/2)
+        b = a - 1.0
+        t, shift = 2.0 - a, b**n * math.log(b)
+    acc = 0.0
+    for c in _TAYLOR[n]:
+        acc = acc * t + c
+    return acc + shift
 
 
 def hurwitz_formula_partial(s: float, a: float, terms: int) -> float:

@@ -1,6 +1,8 @@
 """Tests for the eight closed-form evaluators and the master formula."""
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,12 +124,11 @@ class TestClosedFormValues:
 
 class TestAccuracyAgainstOracle:
     # About 10x the worst |closed - oracle| / (1 + |oracle|) measured per
-    # weight on the 9-point grids (1.4e-12, 1.9e-10, 3.5e-10, 3.0e-9,
-    # 3.1e-7, 9.3e-7, 1.5e-6, 1.5e-6): the Euler-Maclaurin derivative
-    # loses digits as the order falls.  A wrong bracket or prefactor is off
-    # by O(1).  A more accurate negative-order kernel only tightens these.
-    BOUNDS = {1: 1.5e-11, 2: 2e-9, 3: 4e-9, 4: 3e-8,
-              5: 3e-6, 6: 1e-5, 7: 1.5e-5, 8: 1.5e-5}
+    # weight on the 9-point grids (2.3e-14, 1.1e-15, 1.4e-15, 1.0e-15,
+    # 5.6e-16, 5.8e-16, 6.0e-16, 1.3e-15); at m = 1 the oracle's own error
+    # dominates.  A wrong bracket or prefactor is off by O(1).
+    BOUNDS = {1: 2.5e-13, 2: 1.2e-14, 3: 1.5e-14, 4: 1e-14,
+              5: 6e-15, 6: 6e-15, 7: 6e-15, 8: 1.5e-14}
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_all_families_on_grid(self, m):
@@ -138,6 +139,23 @@ class TestAccuracyAgainstOracle:
                 oracle = direct_sum(spec, x, 1e-10).value
                 rel = abs(closed - oracle) / (1.0 + abs(oracle))
                 assert rel <= self.BOUNDS[m], (fam, m, x, rel)
+
+
+REFERENCE = json.loads(Path(__file__).with_name("reference.json").read_text())
+
+
+class TestAccuracyAgainstReference:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_all_weights_to_the_interval_ends(self, family):
+        # 30-digit mpmath values from tests/make_reference.py: the 9-point
+        # grid plus points 1e-6 and 1e-3 of the interval from each end
+        entry = REFERENCE["closed_form"][family]
+        for m in range(1, 9):
+            spec = SeriesSpec.from_family(family, m)
+            for x, ref in zip(entry["x"], entry[str(m)]):
+                got = closed_form_eval(spec, x).value
+                rel = abs(got - ref) / (1.0 + abs(ref))
+                assert rel <= 1e-13, (family, m, x, rel)
 
 
 class TestDecompositionContract:
@@ -228,51 +246,63 @@ class TestMasterFormula:
 
 
 def reference_bracket(spec, x):
-    """Eight-branch bracket, kept as the reference for the data table."""
+    """Eight-branch bracket, kept as the reference for the data table.
+
+    Each offset a0 + a_y x / 2pi is formed as (a0 2pi + a_y x) / 2pi with
+    the low part of 2pi added, so that it keeps its relative accuracy where
+    it vanishes at the upper end of the interval.
+    """
     two_pi = 2.0 * math.pi
+    two_pi_lo = 2.4492935982947064e-16  # 2 pi - two_pi
+
+    def offset(a0, a_y):
+        return (a0 * two_pi + a_y * x + a0 * two_pi_lo) / two_pi
+
     m = spec.m
     fam = spec.family
-    y = x / two_pi
-    w = x / math.pi
+    y = offset(0.0, 1)
+    w = offset(0.0, 2)
     if fam == "T1":
         pref = (-1.0) ** m * two_pi ** (2 * m - 1) / math.factorial(2 * m - 1)
         s = 1.0 - 2 * m
-        terms = ((1.0, s, 1.0 - y), (-1.0, s, y))
+        terms = ((1.0, s, offset(1.0, -1)), (-1.0, s, y))
     elif fam == "T2":
         pref = (-1.0) ** (m - 1) * two_pi ** (2 * m - 2) / math.factorial(2 * m - 2)
         s = 2.0 - 2 * m
-        terms = ((1.0, s, 1.0 - y), (1.0, s, y))
+        terms = ((1.0, s, offset(1.0, -1)), (1.0, s, y))
     elif fam == "T3":
         pref = (-1.0) ** m * math.pi ** (2 * m - 1) / math.factorial(2 * m - 1)
         s = 1.0 - 2 * m
         g = 2.0 ** (2 * m - 1)
-        terms = ((g, s, 1.0 - y), (-g, s, y), (-1.0, s, 1.0 - w), (1.0, s, w))
+        terms = ((g, s, offset(1.0, -1)), (-g, s, y), (-1.0, s, offset(1.0, -2)), (1.0, s, w))
     elif fam == "T4":
         pref = (-1.0) ** (m - 1) * math.pi ** (2 * m - 2) / math.factorial(2 * m - 2)
         s = 2.0 - 2 * m
         g = 2.0 ** (2 * m - 2)
-        terms = ((g, s, 1.0 - y), (g, s, y), (-1.0, s, 1.0 - w), (-1.0, s, w))
+        terms = ((g, s, offset(1.0, -1)), (g, s, y), (-1.0, s, offset(1.0, -2)), (-1.0, s, w))
     elif fam == "T5":
         pref = (-1.0) ** m * math.pi ** (2 * m - 1) / (2.0 * math.factorial(2 * m - 1))
         s = 1.0 - 2 * m
         g = 2.0 ** (2 * m)
-        terms = ((g, s, 1.0 - y), (-g, s, y), (-1.0, s, 1.0 - w), (1.0, s, w))
+        terms = ((g, s, offset(1.0, -1)), (-g, s, y), (-1.0, s, offset(1.0, -2)), (1.0, s, w))
     elif fam == "T6":
         pref = (-1.0) ** (m - 1) * math.pi ** (2 * m - 2) / (2.0 * math.factorial(2 * m - 2))
         s = 2.0 - 2 * m
         g = 2.0 ** (2 * m - 1)
-        terms = ((g, s, 1.0 - y), (g, s, y), (-1.0, s, 1.0 - w), (-1.0, s, w))
+        terms = ((g, s, offset(1.0, -1)), (g, s, y), (-1.0, s, offset(1.0, -2)), (-1.0, s, w))
     elif fam == "T7":
         pref = (-1.0) ** (m - 1) * two_pi ** (2 * m - 2) / (2.0 * math.factorial(2 * m - 2))
         s = 2.0 - 2 * m
         terms = (
-            (1.0, s, 0.25 - y), (-1.0, s, 0.75 - y), (-1.0, s, 0.25 + y), (1.0, s, 0.75 + y),
+            (1.0, s, offset(0.25, -1)), (-1.0, s, offset(0.75, -1)),
+            (-1.0, s, offset(0.25, 1)), (1.0, s, offset(0.75, 1)),
         )
     else:  # T8
         pref = (-1.0) ** (m - 1) * two_pi ** (2 * m - 1) / (2.0 * math.factorial(2 * m - 1))
         s = 1.0 - 2 * m
         terms = (
-            (1.0, s, 0.25 - y), (-1.0, s, 0.75 - y), (1.0, s, 0.25 + y), (-1.0, s, 0.75 + y),
+            (1.0, s, offset(0.25, -1)), (-1.0, s, offset(0.75, -1)),
+            (1.0, s, offset(0.25, 1)), (-1.0, s, offset(0.75, 1)),
         )
     return pref, terms
 

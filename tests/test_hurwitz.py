@@ -1,6 +1,8 @@
-"""Tests for the Euler-Maclaurin Hurwitz zeta engine and its s-derivative."""
+"""Tests for the Hurwitz zeta kernels (Euler-Maclaurin and Taylor table)."""
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from trigzeta.foundations import bernoulli_float, pochhammer
 from trigzeta.hurwitz import (
     _MAX_CORRECTION,
     _corrections,
+    _em,
     hurwitz_formula_partial,
     hurwitz_zeta,
     hurwitz_zeta_sderiv,
@@ -191,7 +194,46 @@ class TestSinglePassKernel:
             assert (plan.shift_n, plan.correction_m, plan.est_error) == two_pass_plan(s, a)
             value, deriv = two_pass_kernel(s, a)
             assert hurwitz_zeta(s, a) == value, (s, a)
-            assert hurwitz_zeta_sderiv(s, a) == deriv, (s, a)
+            # the public derivative at integer s <= 0 takes the Taylor
+            # route, which TestTaylorRoute gates against the fixture
+            em_only = s <= 0.0 and s == int(s)
+            got = _em(s, a)[1] if em_only else hurwitz_zeta_sderiv(s, a)
+            assert got == deriv, (s, a)
+
+
+REFERENCE = json.loads(Path(__file__).with_name("reference.json").read_text())
+
+
+class TestTaylorRoute:
+    def test_matches_frozen_reference(self):
+        # 30-digit mpmath zeta'(-n, a) from tests/make_reference.py
+        table = REFERENCE["zeta_sderiv"]
+        for n in range(16):
+            for a, ref in zip(table["a"], table[str(n)]):
+                got = hurwitz_zeta_sderiv(-float(n), a)
+                assert abs(got - ref) / (1.0 + abs(ref)) <= 1e-14, (n, a, got, ref)
+
+    def test_points_outside_the_route_use_euler_maclaurin(self):
+        points = [(-3.0 + 1e-9, a) for a in (0.3, 1.0, 2.4)]
+        points += [(-3.0 - 1e-9, a) for a in (0.3, 1.0, 2.4)]
+        points += [(-16.0, a) for a in (0.3, 1.0, 2.4)]
+        points += [(-4.0, 2.5), (-4.0, 3.0), (-0.5, 0.3), (1.5, 0.3)]
+        for s, a in points:
+            assert hurwitz_zeta_sderiv(s, a) == _em(s, a)[1], (s, a)
+
+    def test_routes_agree_across_the_boundaries(self):
+        for a in (1e-3, 0.05, 0.3, 0.5, 0.9, 1.0, 1.49, 1.6, 2.4):
+            inside = hurwitz_zeta_sderiv(-3.0, a)
+            for s in (-3.0 + 1e-9, -3.0 - 1e-9):
+                assert abs(hurwitz_zeta_sderiv(s, a) - inside) <= 1e-9, (s, a)
+        below = hurwitz_zeta_sderiv(-4.0, math.nextafter(2.5, 0.0))
+        assert abs(below - hurwitz_zeta_sderiv(-4.0, 2.5)) <= 1e-9
+
+    def test_bad_offsets_raise_domain_error(self):
+        for s in (0.0, -3.0, -15.0):
+            for a in (0.0, -0.5, -math.inf, math.inf, math.nan):
+                with pytest.raises(DomainError):
+                    hurwitz_zeta_sderiv(s, a)
 
 
 class TestHurwitzFormulaPartial:
