@@ -171,6 +171,17 @@ _BRACKETS = {
 }
 
 
+def _offset(a0: float, a_y: float, x: float) -> float:
+    """The zeta' offset a0 + a_y x / 2pi, for a_y a power of two.
+
+    It is formed as (a0 2pi + a_y x) / 2pi with 2pi in two parts: where
+    the offset vanishes at the upper end of an interval, a0 2pi + a_y x
+    cancels exactly and the low part keeps the relative accuracy of the
+    offset (and so of its logarithm).
+    """
+    return (a0 * _TWO_PI + a_y * x + a0 * _TWO_PI_LO) / _TWO_PI
+
+
 def _bracket_terms(spec: SeriesSpec, x: float) -> tuple[float, tuple]:
     """Prefactor and zeta'-term list for x in the positive part of the domain."""
     base, sign_offset, halving, g_offset, offsets = _BRACKETS[spec.family]
@@ -179,12 +190,8 @@ def _bracket_terms(spec: SeriesSpec, x: float) -> tuple[float, tuple]:
     parity = (-1.0) ** (spec.alpha // 2 + sign_offset)
     pref = parity * base**k / (halving * math.factorial(k))
     g = 1.0 if g_offset is None else 2.0 ** (k + g_offset)
-    # a = (a0 2pi + a_y x) / 2pi with 2pi in two parts: where a vanishes at
-    # the upper end of the interval, a0 2pi + a_y x cancels exactly and the
-    # low part keeps the relative accuracy of a (and so of log a).
     terms = tuple(
-        (sign * (g if abs(a_y) == 1 else 1.0), s,
-         (a0 * _TWO_PI + a_y * x + a0 * _TWO_PI_LO) / _TWO_PI)
+        (sign * (g if abs(a_y) == 1 else 1.0), s, _offset(a0, a_y, x))
         for sign, a0, a_y in offsets
     )
     return pref, terms
@@ -306,7 +313,6 @@ def general_closed_form(family: str, m: int, x: float) -> float:
     r = row.r[0] + row.r[1] * m
     k = row.k[0] + row.k[1] * m
     s = 2.0 - p - 2.0 * m
-    y = x / _TWO_PI
     pref = (
         (-1.0) ** (m + p - 1)
         * math.pi ** (2 * m + p - 2)
@@ -314,11 +320,12 @@ def general_closed_form(family: str, m: int, x: float) -> float:
         / math.factorial(2 * m + p - 2)
     )
     g = 2.0 ** (2.0 * k - 2.0)
-    bracket = g * hurwitz_zeta_sderiv(s, row.q - y)
-    bracket += g * row.delta * hurwitz_zeta_sderiv(s, 1.0 - row.q + y)
+    # offsets q - y, 1 - q + y, 1 - q - u, q + u with y = x/2pi and
+    # u = x/(2c pi) = (x/c)/2pi; every c is a power of two
+    bracket = g * hurwitz_zeta_sderiv(s, _offset(row.q, -1.0, x))
+    bracket += g * row.delta * hurwitz_zeta_sderiv(s, _offset(1.0 - row.q, 1.0, x))
     if row.j != 0:
-        u = x / (2.0 * row.c * math.pi)
-        extra = hurwitz_zeta_sderiv(s, 1.0 - row.q - u)
-        extra += row.delta * hurwitz_zeta_sderiv(s, row.q + u)
+        extra = hurwitz_zeta_sderiv(s, _offset(1.0 - row.q, -1.0 / row.c, x))
+        extra += row.delta * hurwitz_zeta_sderiv(s, _offset(row.q, 1.0 / row.c, x))
         bracket -= row.j * extra
     return sign * pref * bracket

@@ -240,6 +240,20 @@ class TestMasterFormula:
             else:
                 assert worst <= 1e-10, (row.family, worst)
 
+    def test_literal_rows_match_reference_to_the_interval_ends(self):
+        # rows T1..T7 against the 30-digit values of tests/reference.json,
+        # including the points 1e-6 of the interval from the upper end,
+        # where one zeta' offset vanishes
+        for row in TABLE2_ROWS:
+            if row.family == "T8":
+                continue
+            entry = REFERENCE["closed_form"][row.family]
+            for m in range(1, 9):
+                for x, ref in zip(entry["x"], entry[str(m)]):
+                    literal = general_closed_form(row.family, m, x)
+                    rel = abs(literal - ref) / (1.0 + abs(ref))
+                    assert rel <= 1e-13, (row.family, m, x, rel)
+
     def test_unknown_row(self):
         with pytest.raises(DomainError):
             general_closed_form("T9", 1, 0.5)

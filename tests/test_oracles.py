@@ -1,10 +1,14 @@
 """Tests for the independent oracle evaluation paths."""
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trigzeta import oracles
+from trigzeta.cli import grid_points
 from trigzeta.closedforms import SeriesSpec, closed_form_eval
 from trigzeta.errors import ConvergenceError, DomainError
 from trigzeta.oracles import (
@@ -117,6 +121,63 @@ class TestByPartsErrorEstimate:
                     err = abs(rep.value - self.EXACT[family](x))
                     assert err <= rep.error_estimate, (x, tol, err, rep.error_estimate)
         assert answered >= 6
+
+
+def _reference_points():
+    """(family, m, x, 30-digit value) of both frozen mpmath fixtures."""
+    here = Path(__file__).parent
+    tables = list(json.loads((here / "reference.json").read_text())["closed_form"].items())
+    grids = json.loads((here.parent / "benchmarks" / "reference.json").read_text())["grids"]
+    tables += [(key.split("/")[0], entry) for key, entry in grids.items()]
+    for family, entry in tables:
+        for m in range(1, 9):
+            for x, ref in zip(entry["x"], entry.get(str(m), ())):
+                yield family, m, x, ref
+
+
+class TestErrorEstimateIsHonest:
+    # The points the oracle refuses: the 128 points 1e-6 of the interval
+    # from an end (term cap) and the 8 weight-one points 1e-3 from an end
+    # where the differences of the tail lose too many digits.
+    REFUSED = 136
+
+    def test_estimate_bounds_the_error_on_both_fixtures(self):
+        refused = answered = 0
+        for family, m, x, ref in _reference_points():
+            try:
+                rep = direct_sum(SeriesSpec.from_family(family, m), x, 1e-10)
+            except ConvergenceError:
+                refused += 1
+                continue
+            answered += 1
+            err = abs(rep.value - ref)
+            assert err <= rep.error_estimate, (family, m, x, err, rep.error_estimate)
+        assert answered == 7120 - self.REFUSED
+        assert refused == self.REFUSED
+
+    def test_head_length_follows_the_tail_bound(self):
+        # 200/|1-z| terms plus the difference orders: at most hundreds on
+        # the CLI grids, which stay 5% clear of the ends
+        for family in ("T1", "T4", "T6", "T8"):
+            for m in (1, 4, 8):
+                spec = SeriesSpec.from_family(family, m)
+                for x in grid_points(family, 9):
+                    rep = direct_sum(spec, x, 1e-10)
+                    assert 100 <= rep.terms_used <= 700, (family, m, x, rep.terms_used)
+
+    @pytest.mark.parametrize("family", ["T2", "T3", "T5", "T8"])
+    def test_longer_head_agrees_within_the_estimates(self, family, monkeypatch):
+        # the same series summed with a 16x longer head must agree within
+        # the sum of the two error estimates
+        spec = SeriesSpec.from_family(family, 2)
+        xs = grid_points(family, 8)  # no x = 0, where sine series skip the sum
+        short = [direct_sum(spec, x, 1e-10) for x in xs]
+        monkeypatch.setattr(oracles, "_HEAD_SCALE", 3200.0)
+        for x, rep in zip(xs, short):
+            long = direct_sum(spec, x, 1e-10)
+            assert long.terms_used > rep.terms_used
+            gap = abs(long.value - rep.value)
+            assert gap <= long.error_estimate + rep.error_estimate, (x, gap)
 
 
 class TestPowerSeries:
