@@ -45,6 +45,7 @@ from .oracles import (
     OracleReport,
     choi_srivastava_check,
     direct_sum,
+    direct_sum_grid,
     lambda_series_path,
     limit_probe_eta_and_lambda,
     power_series_eval,
@@ -73,6 +74,7 @@ __all__ = [
     "closed_form_eval",
     "dirichlet_lambda",
     "direct_sum",
+    "direct_sum_grid",
     "eta",
     "general_closed_form",
     "hurwitz_formula_partial",

@@ -23,7 +23,7 @@ which is precisely what the ``table2`` verification suite reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import DomainError
@@ -90,24 +90,21 @@ class SeriesSpec:
     kind: str  # "sin" | "cos"
     odd_denominators: bool
     m: int
+    # derived from the four fields above, once, in __post_init__
+    family: str = field(init=False, repr=False, compare=False)
+    alpha: int = field(init=False, repr=False, compare=False)
+    interval: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("sin", "cos"):
             raise DomainError(f"kind must be 'sin' or 'cos', got {self.kind!r}")
         if not (1 <= self.m <= _MAX_WEIGHT):
             raise DomainError(f"weight m must lie in [1, {_MAX_WEIGHT}], got {self.m}")
-
-    @property
-    def family(self) -> str:
-        return _SWITCHES_TO_FAMILY[(self.alternating, self.kind, self.odd_denominators)]
-
-    @property
-    def alpha(self) -> int:
-        return 2 * self.m if self.family in _EVEN_ALPHA else 2 * self.m - 1
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        return _INTERVALS[self.family]
+        family = _SWITCHES_TO_FAMILY[(self.alternating, self.kind, self.odd_denominators)]
+        alpha = 2 * self.m if family in _EVEN_ALPHA else 2 * self.m - 1
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "interval", _INTERVALS[family])
 
     @classmethod
     def from_family(cls, family: str, m: int) -> "SeriesSpec":
@@ -182,19 +179,32 @@ def _offset(a0: float, a_y: float, x: float) -> float:
     return (a0 * _TWO_PI + a_y * x + a0 * _TWO_PI_LO) / _TWO_PI
 
 
-def _bracket_terms(spec: SeriesSpec, x: float) -> tuple[float, tuple]:
-    """Prefactor and zeta'-term list for x in the positive part of the domain."""
-    base, sign_offset, halving, g_offset, offsets = _BRACKETS[spec.family]
-    k = spec.alpha - 1
-    s = 1.0 - spec.alpha
-    parity = (-1.0) ** (spec.alpha // 2 + sign_offset)
+def _bracket_constants(family: str, m: int) -> tuple[float, float, tuple]:
+    """(prefactor, s, ((coefficient, a0, a_y) per zeta' term)) of one bracket."""
+    base, sign_offset, halving, g_offset, offsets = _BRACKETS[family]
+    alpha = SeriesSpec.from_family(family, m).alpha
+    k = alpha - 1
+    parity = (-1.0) ** (alpha // 2 + sign_offset)
     pref = parity * base**k / (halving * math.factorial(k))
     g = 1.0 if g_offset is None else 2.0 ** (k + g_offset)
-    terms = tuple(
-        (sign * (g if abs(a_y) == 1 else 1.0), s, _offset(a0, a_y, x))
-        for sign, a0, a_y in offsets
+    coefficients = tuple(
+        (sign * (g if abs(a_y) == 1 else 1.0), a0, a_y) for sign, a0, a_y in offsets
     )
-    return pref, terms
+    return pref, 1.0 - alpha, coefficients
+
+
+# (family, m) -> the x-independent part of its bracket
+_BRACKET_CONSTANTS = {
+    (family, m): _bracket_constants(family, m)
+    for family in _BRACKETS
+    for m in range(1, _MAX_WEIGHT + 1)
+}
+
+
+def _bracket_terms(spec: SeriesSpec, x: float) -> tuple[float, tuple]:
+    """Prefactor and zeta'-term list for x in the positive part of the domain."""
+    pref, s, coefficients = _BRACKET_CONSTANTS[spec.family, spec.m]
+    return pref, tuple((c, s, _offset(a0, a_y, x)) for c, a0, a_y in coefficients)
 
 
 def _t4_at_zero(m: int) -> ClosedFormResult:

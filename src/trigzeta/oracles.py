@@ -2,8 +2,9 @@
 
 Four routes that share no code with the Hurwitz-derivative closed forms:
 
-* ``direct_sum``      -- literal summation of the defining series, with a
-                         method chosen by convergence class (see below);
+* ``direct_sum_grid`` -- literal summation of the defining series for a
+                         grid of weights and points; ``direct_sum`` is its
+                         one-point call;
 * ``power_series_eval`` -- the non-singular power-series representation
                          over zeta/eta/lambda/beta values;
 * ``choi_srivastava_check`` -- both sides of the identity underpinning
@@ -11,7 +12,7 @@ Four routes that share no code with the Hurwitz-derivative closed forms:
 * ``lambda_series_path``  -- the semi-expanded logarithmic-limit form of
                          the odd-denominator families (third route).
 
-``direct_sum`` sums the defining series in complex form,
+``direct_sum_grid`` sums the defining series in complex form,
 sum_n sign^(n-1) e^{idx} d^{-alpha} with d = an-b, as a head of
 m = 200/|1-z| terms (z = sign e^{iax}) plus the tail summed by parts (a
 generalised Euler transformation).  The sign is exact, carried on the
@@ -26,6 +27,14 @@ decides whether to raise ``ConvergenceError`` because the estimate
 exceeds it, as it does for the conditionally convergent cosine series at
 exponent 1 near the singular endpoints.  Alternating series report
 ``euler_accelerated``, the rest ``direct``.
+
+Only d^{-alpha} depends on the weight.  The head length, the phases with
+their cosines and sines, and the tail's z, ratio and first phase depend
+on (family, x) alone, so a grid computes them once per x and reuses them
+for every weight; per weight it computes one table of d^{-alpha} and, per
+point, the sums and the tail's difference loop.  At most 2^16 terms
+(``_CHUNK``) are held at once: longer heads are summed in chunks of that
+length, and a grid's heads are laid end to end in batches of that size.
 """
 
 from __future__ import annotations
@@ -60,6 +69,7 @@ __all__ = [
     "DIRECT_TERM_CAP",
     "POWER_SERIES_TERM_CAP",
     "direct_sum",
+    "direct_sum_grid",
     "power_series_eval",
     "choi_srivastava_check",
     "lambda_series_path",
@@ -70,7 +80,8 @@ __all__ = [
 DIRECT_TERM_CAP = 10**7
 POWER_SERIES_TERM_CAP = 200
 
-_CHUNK = 1_000_000
+# terms held at once: the chunk length of a head and the batch size of a grid
+_CHUNK = 1 << 16
 _HEAD_SCALE = 200.0
 _EPS = sys.float_info.epsilon
 
@@ -87,20 +98,58 @@ class OracleReport:
             raise DomainError("error_estimate must be finite and positive")
 
 
-def _series_params(spec: SeriesSpec) -> tuple[int, int, int, int]:
-    """(a, b, sign, alpha) so terms are sign^(n-1) f((an-b)x)/(an-b)^alpha."""
+def _series_params(spec: SeriesSpec) -> tuple[int, int, int]:
+    """(a, b, sign) so terms are sign^(n-1) f((an-b)x)/(an-b)^alpha."""
     a = 2 if spec.odd_denominators else 1
     b = 1 if spec.odd_denominators else 0
     sign = -1 if spec.alternating else 1
-    return a, b, sign, spec.alpha
+    return a, b, sign
 
 
-def _partial_sum_complex(
-    a: int, b: int, sign: int, alpha: int, x: float, m: int
-) -> tuple[complex, float]:
-    """(S, R): S = sum_{n=1}^{m} sign^(n-1) e^{idx} d^{-alpha}, d = an-b.
+def _plan_point(a: int, b: int, sign: int, x: float):
+    """Head length and tail factors at x >= 0, or the refusal message.
 
-    S is the defining series in complex form, summed in chunks.  The sign
+    Returns (m, ratio, step, factor): the head is n = 1..m; the tail from
+    n = m + 1 has ratio |z/(1-z)|, step -z/(1-z) and first factor
+    sign^m e^{i d(m+1) x}/(1-z), none of which depend on the weight.
+    """
+    z = sign * cmath.exp(1j * a * x)
+    one_minus = 1.0 - z
+    if abs(one_minus) < 1e-8:
+        return f"series phase too close to resonance at x={x}; no tail bound available"
+    # each order of the tail transformation then gains about 200/(alpha + j)
+    m = int(_HEAD_SCALE / abs(one_minus))
+    if m > DIRECT_TERM_CAP:
+        return f"term cap {DIRECT_TERM_CAP} exceeded for x={x}"
+    factor = sign**m * cmath.exp(1j * ((a * (m + 1) - b) * x)) / one_minus
+    return m, abs(z / one_minus), -z / one_minus, factor
+
+
+def _batches(parts: list[tuple[int, int]]):
+    """Group consecutive (point, length) parts into runs of <= _CHUNK terms."""
+    batch, size = [], 0
+    for part in parts:
+        if batch and size + part[1] > _CHUNK:
+            yield batch
+            batch, size = [], 0
+        batch.append(part)
+        size += part[1]
+    if batch:
+        yield batch
+
+
+def _head_sums(
+    a: int, b: int, sign: int, alphas: list[int], xs: list[float], heads: list[int]
+) -> tuple[list[list[complex]], list[list[float]]]:
+    """S and R per weight and point: S = sum_{n=1}^{m} sign^(n-1) e^{idx} d^{-alpha}.
+
+    S is the defining series in complex form, summed in chunks of _CHUNK
+    values of n.  The parts of all heads in one chunk are laid end to end,
+    at most _CHUNK terms at a time, and d x, its cosine and its sine are
+    computed once for all weights.  Per weight, one table g = d^{-alpha}
+    serves every point: a point's S is the ndarray sum of g times its
+    contiguous slice of cosines and sines, the same value a lone partial
+    sum gives.  A head of 0 marks a point with nothing to sum.  The sign
     is exact, carried on the coefficients, and each phase d x is rounded
     once, by at most eps/2 * d x, independently of the other terms.  R
     bounds the rounding of S: those phase errors, weighted by d^{-alpha},
@@ -109,34 +158,59 @@ def _partial_sum_complex(
     blocks of 128 held in 8 running sums, so a term meets at most
     log2(m) + 12 additions there, and one more per chunk total.
     """
-    total = 0.0 + 0.0j
-    mass = 0.0  # sum of d^{-alpha}
-    moment = 0.0  # sum of d^{1-alpha}
-    start = 1
-    while start <= m:
-        stop = min(m, start + _CHUNK - 1)
-        d = np.arange(a * start - b, a * stop - b + 1, a, dtype=np.float64)
-        g = d ** (-float(alpha))
-        mass += float(g.sum())
-        moment += float(np.dot(d, g))
-        if sign < 0:
-            g[start % 2::2] *= -1.0  # even n
-        phases = d * x
-        total += complex((g * np.cos(phases)).sum(), (g * np.sin(phases)).sum())
-        start = stop + 1
-    depth = math.log2(m) + 12 + math.ceil(m / _CHUNK)
-    rounding = _EPS * (0.5 * x * moment + (2.5 + 0.5 * depth) * mass)
-    return total, rounding
+    totals = [[0.0 + 0.0j] * len(xs) for _ in alphas]
+    masses = [[0.0] * len(xs) for _ in alphas]  # sum of d^{-alpha}
+    moments = [[0.0] * len(xs) for _ in alphas]  # sum of d^{1-alpha}
+    for first in range(1, max(heads, default=0) + 1, _CHUNK):
+        # the part of each head in this chunk runs from n = first
+        parts = [(j, min(m - first + 1, _CHUNK)) for j, m in enumerate(heads) if m >= first]
+        for batch in _batches(parts):
+            lengths = [length for _, length in batch]
+            top = a * (first + max(lengths) - 1) - b
+            d = np.arange(a * first - b, top + 1, a, dtype=np.float64)
+            trig = np.empty((2, sum(lengths)))
+            start = 0
+            for j, length in batch:
+                np.multiply(d[:length], xs[j], out=trig[1, start:start + length])
+                start += length
+            np.cos(trig[1], out=trig[0])
+            np.sin(trig[1], out=trig[1])
+            ends = np.array(lengths) - 1
+            for w, alpha in enumerate(alphas):
+                g = d ** (-float(alpha))
+                mass = g.cumsum()[ends].tolist()
+                moment = (d * g).cumsum()[ends].tolist()
+                if sign < 0:
+                    g[first % 2::2] *= -1.0  # even n
+                start = 0
+                for (j, length), part_mass, part_moment in zip(batch, mass, moment):
+                    part = trig[:, start:start + length] * g[:length]
+                    cos_sum, sin_sum = part.sum(axis=1).tolist()
+                    totals[w][j] += complex(cos_sum, sin_sum)
+                    masses[w][j] += part_mass
+                    moments[w][j] += part_moment
+                    start += length
+    roundings = []
+    for mass, moment in zip(masses, moments):
+        row = [0.0] * len(xs)
+        for j, (x, m) in enumerate(zip(xs, heads)):
+            if m:
+                depth = math.log2(m) + 12 + math.ceil(m / _CHUNK)
+                row[j] = _EPS * (0.5 * x * moment[j] + (2.5 + 0.5 * depth) * mass[j])
+        roundings.append(row)
+    return totals, roundings
 
 
 def _tail_by_parts(
-    a: int, b: int, sign: int, alpha: int, x: float, m1: int
+    a: int, b: int, alpha: int, x: float, m1: int,
+    ratio: float, step: complex, factor: complex,
 ) -> tuple[complex, float, int]:
     """Tail sum_{n>=m1} sign^(n-1) e^{idx} d^{-alpha}, d = an-b, by parts.
 
     With z = sign e^{iax} and g(n) = (an-b)^{-alpha} the tail is
     sign^(m1-1) e^{i d(m1) x} sum_k z^k g(m1+k), transformed by iterated
-    summation by parts.  Returns (tail value, error bound, difference
+    summation by parts; ``ratio``, ``step`` and the first ``factor`` come
+    from ``_plan_point``.  Returns (tail value, error bound, difference
     order used).  g is completely monotone in n, so the iterated forward
     differences are positive and decreasing, giving the telescoping
     remainder bound |z/(1-z)|^(J+1) Delta^J g(m1) after orders 0..J.  The
@@ -148,19 +222,15 @@ def _tail_by_parts(
     The bound also covers the rounding of the phase d(m1) x, at most
     eps/2 * d(m1) x, and of the factors 1/(1-z) and -z/(1-z).
     """
-    z = sign * cmath.exp(1j * a * x)
-    one_minus = 1.0 - z
-    ratio = abs(z / one_minus)
     d_m1 = a * m1 - b
-    factor = sign ** (m1 - 1) * cmath.exp(1j * (d_m1 * x)) / one_minus
-    step = -z / one_minus
-    eps_g = _EPS * d_m1 ** (-float(alpha))
+    power = -float(alpha)
+    eps_g = _EPS * d_m1**power
     diag: list[float] = []
     tail = 0.0 + 0.0j
     best = (tail, math.inf, 0, 0.0)
     rounding = size = 0.0
     for j in range(60):
-        cur = (a * (m1 + j) - b) ** (-float(alpha))
+        cur = (a * (m1 + j) - b) ** power
         for k in range(j):
             diag[k], cur = cur, diag[k] - cur
         diag.append(cur)  # Delta^j g(m1)
@@ -181,54 +251,82 @@ def _tail_by_parts(
     return tail, err, used
 
 
-def _sum_by_parts(spec: SeriesSpec, x: float, tol: float, method: str) -> OracleReport:
-    a, b, sign, alpha = _series_params(spec)
-    one_minus = abs(1.0 - sign * cmath.exp(1j * a * x))
-    if one_minus < 1e-8:
-        raise ConvergenceError(
-            f"series phase too close to resonance at x={x}; no tail bound available"
-        )
-    # each order of the tail transformation then gains about 200/(alpha + j)
-    m = int(_HEAD_SCALE / one_minus)
-    if m > DIRECT_TERM_CAP:
-        raise ConvergenceError(f"term cap {DIRECT_TERM_CAP} exceeded for x={x}")
-    partial, partial_err = _partial_sum_complex(a, b, sign, alpha, x, m)
-    tail, tail_err, j_used = _tail_by_parts(a, b, sign, alpha, x, m + 1)
-    total = partial + tail
-    value = total.imag if spec.kind == "sin" else total.real
-    err = partial_err + tail_err + 0.5 * _EPS * abs(total)
-    report = OracleReport(value, method, m + j_used, err)
-    if err > tol:
-        raise ConvergenceError(
-            f"direct summation reached error estimate {err:.3e} > tol {tol:.3e}",
-            best_value=value,
-            report=report,
-        )
-    return report
+def direct_sum_grid(
+    family: str, weights, xs, tol: float = 1e-10
+) -> list[list[OracleReport]]:
+    """Evaluate the defining series of ``family`` for every weight and x.
+
+    Returns one list of reports per weight, in the order of ``xs``.  A
+    point's report does not depend on the rest of the grid: it is, bit for
+    bit, what ``direct_sum`` gives there.  Every x is validated first.
+    Each report's ``error_estimate`` bounds both the truncation and the
+    rounding (see the module docstring).
+
+    ``tol`` does not change the values: it only gates them.  The
+    ``ConvergenceError`` raised -- the phase at resonance, a head beyond
+    ``DIRECT_TERM_CAP`` terms, or an estimate above ``tol`` -- is that of
+    the first failing point in weight-major, x-minor order.
+    """
+    if tol < 1e-12:
+        raise DomainError("direct_sum tolerance must be >= 1e-12")
+    specs = [SeriesSpec.from_family(family, m) for m in weights]
+    spec = SeriesSpec.from_family(family, 1)
+    a, b, sign = _series_params(spec)
+    sine = spec.kind == "sin"
+    method = "euler_accelerated" if spec.alternating else "direct"
+    folds, abs_xs, plans = [], [], []  # plan None where a sine series vanishes
+    for x in xs:
+        _validate_x(spec, x)
+        fold = 1.0
+        if x < 0.0:
+            x = -x
+            if sine:
+                fold = -1.0
+        folds.append(fold)
+        abs_xs.append(x)
+        plans.append(None if x == 0.0 and sine else _plan_point(a, b, sign, x))
+    heads = [plan[0] if isinstance(plan, tuple) else 0 for plan in plans]
+    sums, roundings = _head_sums(a, b, sign, [s.alpha for s in specs], abs_xs, heads)
+    reports = []
+    for s, row_sums, row_roundings in zip(specs, sums, roundings):
+        row = []
+        for fold, x, plan, partial, partial_err in zip(
+            folds, abs_xs, plans, row_sums, row_roundings
+        ):
+            if plan is None:
+                row.append(OracleReport(0.0, "direct", 1, 1e-18))
+                continue
+            if isinstance(plan, str):
+                raise ConvergenceError(plan)
+            m = plan[0]
+            tail, tail_err, j_used = _tail_by_parts(a, b, s.alpha, x, m + 1, *plan[1:])
+            total = partial + tail
+            value = total.imag if sine else total.real
+            err = partial_err + tail_err + 0.5 * _EPS * abs(total)
+            if err > tol:
+                raise ConvergenceError(
+                    f"direct summation reached error estimate {err:.3e} > tol {tol:.3e}",
+                    best_value=value,
+                    report=OracleReport(value, method, m + j_used, err),
+                )
+            row.append(OracleReport(fold * value, method, m + j_used, err))
+        reports.append(row)
+    return reports
 
 
 def direct_sum(spec: SeriesSpec, x: float, tol: float = 1e-10) -> OracleReport:
     """Evaluate the defining series of ``spec`` at x by literal summation.
 
-    A head of 200/|1-z| terms plus the tail summed by parts (see the
-    module docstring); the report's ``error_estimate`` bounds both the
-    truncation and the rounding.  ``tol`` does not change the value: it
-    only gates it, raising ``ConvergenceError`` when the estimate exceeds
-    it or the head would exceed ``DIRECT_TERM_CAP`` terms.
+    The one-point call of ``direct_sum_grid``: a head of 200/|1-z| terms
+    plus the tail summed by parts, with an ``error_estimate`` that bounds
+    both the truncation and the rounding.  ``tol`` only gates the value,
+    raising ``ConvergenceError`` when the estimate exceeds it or the head
+    would exceed ``DIRECT_TERM_CAP`` terms.  A head longer than ``_CHUNK``
+    (2^16) terms is summed in chunks of that many, so memory stays bounded
+    near the ends of the interval.  Computing many weights or points, a
+    single ``direct_sum_grid`` call shares the phases between them.
     """
-    if tol < 1e-12:
-        raise DomainError("direct_sum tolerance must be >= 1e-12")
-    _validate_x(spec, x)
-    fold = 1.0
-    if x < 0.0:
-        x = -x
-        if spec.kind == "sin":
-            fold = -1.0
-    if x == 0.0 and spec.kind == "sin":
-        return OracleReport(0.0, "direct", 1, 1e-18)
-    method = "euler_accelerated" if spec.alternating else "direct"
-    rep = _sum_by_parts(spec, x, tol, method)
-    return OracleReport(fold * rep.value, rep.method, rep.terms_used, rep.error_estimate)
+    return direct_sum_grid(spec.family, [spec.m], [x], tol)[0][0]
 
 
 # --- power-series route ------------------------------------------------

@@ -1,20 +1,25 @@
 """Tests for the independent oracle evaluation paths."""
 
+import cmath
 import json
 import math
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from trigzeta import oracles
-from trigzeta.cli import grid_points
+from trigzeta.cli import grid_points, make_records
 from trigzeta.closedforms import SeriesSpec, closed_form_eval
 from trigzeta.errors import ConvergenceError, DomainError
 from trigzeta.oracles import (
+    DIRECT_TERM_CAP,
     OracleReport,
     choi_srivastava_check,
     direct_sum,
+    direct_sum_grid,
     lambda_probe_orders,
     lambda_series_path,
     limit_probe_eta_and_lambda,
@@ -178,6 +183,294 @@ class TestErrorEstimateIsHonest:
             assert long.terms_used > rep.terms_used
             gap = abs(long.value - rep.value)
             assert gap <= long.error_estimate + rep.error_estimate, (x, gap)
+
+
+# --- per-point reference: the oracle as it was before grids -------------
+#
+# One series at a time, with its own partial sum and tail.  direct_sum_grid
+# must reproduce it bit for bit in the value and the term count.
+
+_REF_CHUNK = 1_000_000
+_REF_EPS = sys.float_info.epsilon
+
+
+def _ref_partial_sum_complex(a, b, sign, alpha, x, m):
+    total = 0.0 + 0.0j
+    mass = 0.0
+    moment = 0.0
+    start = 1
+    while start <= m:
+        stop = min(m, start + _REF_CHUNK - 1)
+        d = np.arange(a * start - b, a * stop - b + 1, a, dtype=np.float64)
+        g = d ** (-float(alpha))
+        mass += float(g.sum())
+        moment += float(np.dot(d, g))
+        if sign < 0:
+            g[start % 2::2] *= -1.0
+        phases = d * x
+        total += complex((g * np.cos(phases)).sum(), (g * np.sin(phases)).sum())
+        start = stop + 1
+    depth = math.log2(m) + 12 + math.ceil(m / _REF_CHUNK)
+    rounding = _REF_EPS * (0.5 * x * moment + (2.5 + 0.5 * depth) * mass)
+    return total, rounding
+
+
+def _ref_tail_by_parts(a, b, sign, alpha, x, m1):
+    z = sign * cmath.exp(1j * a * x)
+    one_minus = 1.0 - z
+    ratio = abs(z / one_minus)
+    d_m1 = a * m1 - b
+    factor = sign ** (m1 - 1) * cmath.exp(1j * (d_m1 * x)) / one_minus
+    step = -z / one_minus
+    eps_g = _REF_EPS * d_m1 ** (-float(alpha))
+    diag = []
+    tail = 0.0 + 0.0j
+    best = (tail, math.inf, 0, 0.0)
+    rounding = size = 0.0
+    for j in range(60):
+        cur = (a * (m1 + j) - b) ** (-float(alpha))
+        for k in range(j):
+            diag[k], cur = cur, diag[k] - cur
+        diag.append(cur)
+        tail += factor * cur
+        factor *= step
+        weight = ratio ** (j + 1)
+        rounding += weight * 2.0**j * eps_g
+        bound = weight * cur
+        size += bound
+        err = max(bound, 1e-18) + rounding
+        if err > best[1]:
+            break
+        best = (tail, err, j + 1, size)
+        if bound < 1e-18:
+            break
+    tail, err, used, size = best
+    err += _REF_EPS * (0.5 * d_m1 * x + (used + 2) * (ratio + 2.0)) * size
+    return tail, err, used
+
+
+def _ref_sum_by_parts(spec, x, tol, method):
+    a = 2 if spec.odd_denominators else 1
+    b = 1 if spec.odd_denominators else 0
+    sign = -1 if spec.alternating else 1
+    one_minus = abs(1.0 - sign * cmath.exp(1j * a * x))
+    if one_minus < 1e-8:
+        raise ConvergenceError(
+            f"series phase too close to resonance at x={x}; no tail bound available"
+        )
+    m = int(200.0 / one_minus)
+    if m > DIRECT_TERM_CAP:
+        raise ConvergenceError(f"term cap {DIRECT_TERM_CAP} exceeded for x={x}")
+    partial, partial_err = _ref_partial_sum_complex(a, b, sign, spec.alpha, x, m)
+    tail, tail_err, j_used = _ref_tail_by_parts(a, b, sign, spec.alpha, x, m + 1)
+    total = partial + tail
+    value = total.imag if spec.kind == "sin" else total.real
+    err = partial_err + tail_err + 0.5 * _REF_EPS * abs(total)
+    report = OracleReport(value, method, m + j_used, err)
+    if err > tol:
+        raise ConvergenceError(
+            f"direct summation reached error estimate {err:.3e} > tol {tol:.3e}",
+            best_value=value,
+            report=report,
+        )
+    return report
+
+
+def _ref_direct_sum(spec, x, tol):
+    lo, hi = spec.interval
+    margin = 1e-9 * (hi - lo)
+    if not (lo + margin <= x <= hi - margin):
+        raise DomainError(f"x={x} outside open interval ({lo}, {hi}) for family {spec.family}")
+    fold = 1.0
+    if x < 0.0:
+        x = -x
+        if spec.kind == "sin":
+            fold = -1.0
+    if x == 0.0 and spec.kind == "sin":
+        return OracleReport(0.0, "direct", 1, 1e-18)
+    method = "euler_accelerated" if spec.alternating else "direct"
+    rep = _ref_sum_by_parts(spec, x, tol, method)
+    return OracleReport(fold * rep.value, rep.method, rep.terms_used, rep.error_estimate)
+
+
+def _first_refusal(calls):
+    """The exception of the first call that raises, or None."""
+    for call in calls:
+        try:
+            call()
+        except ConvergenceError as exc:
+            return exc
+    return None
+
+
+def _same_refusal(got, want):
+    assert want is not None
+    assert type(got) is type(want)
+    assert str(got) == str(want)
+    assert got.best_value == want.best_value
+
+
+FAMILIES = tuple(f"T{i}" for i in range(1, 9))
+WEIGHTS = tuple(range(1, 9))
+
+
+def _fixture_xs(family):
+    """Every x of both frozen fixtures for ``family``, in a fixed order."""
+    here = Path(__file__).parent
+    xs = json.loads((here / "reference.json").read_text())["closed_form"][family]["x"]
+    grids = json.loads((here.parent / "benchmarks" / "reference.json").read_text())["grids"]
+    for key in sorted(grids):
+        if key.split("/")[0] == family:
+            xs = xs + grids[key]["x"]
+    return xs
+
+
+class TestGridOracle:
+    TOL = 1e-8  # answers the weight-one points 1e-3 from an end
+
+    def _check_grid(self, family, xs):
+        grid = direct_sum_grid(family, WEIGHTS, xs, self.TOL)
+        assert len(grid) == len(WEIGHTS)
+        for m, row in zip(WEIGHTS, grid):
+            spec = SeriesSpec.from_family(family, m)
+            assert len(row) == len(xs)
+            for x, got in zip(xs, row):
+                want = _ref_direct_sum(spec, x, self.TOL)
+                assert got.value == want.value, (family, m, x)
+                assert got.terms_used == want.terms_used, (family, m, x)
+                assert got.method == want.method, (family, m, x)
+                assert got.error_estimate == pytest.approx(want.error_estimate, rel=1e-12)
+
+    def _answered(self, family, xs):
+        spec = SeriesSpec.from_family(family, 1)
+        answered = []
+        for x in xs:  # the term cap and resonance do not depend on the weight
+            try:
+                _ref_direct_sum(spec, x, 1.0)
+            except ConvergenceError:
+                continue
+            answered.append(x)
+        return answered
+
+    @pytest.mark.parametrize("chunk", [None, 97])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_grid_equals_per_point_reference(self, family, chunk, monkeypatch):
+        if chunk is not None:  # heads of 100 to 650 terms split into chunks
+            monkeypatch.setattr(oracles, "_CHUNK", chunk)
+            monkeypatch.setitem(globals(), "_REF_CHUNK", chunk)
+        self._check_grid(family, grid_points(family, 9))
+        xs = self._answered(family, _fixture_xs(family))
+        if chunk is not None:
+            xs = xs[::4]
+        self._check_grid(family, xs)
+
+    @pytest.mark.parametrize("chunk", [None, 97])
+    def test_scalar_call_is_its_grid_entry(self, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(oracles, "_CHUNK", chunk)
+        for family in FAMILIES:
+            xs = grid_points(family, 9)
+            grid = direct_sum_grid(family, WEIGHTS, xs, 1e-10)
+            for m, row in zip(WEIGHTS, grid):
+                spec = SeriesSpec.from_family(family, m)
+                for x, entry in zip(xs, row):
+                    assert direct_sum(spec, x, 1e-10) == entry, (family, m, x)
+
+    def test_long_head_is_split(self, monkeypatch):
+        # a head of 50,000 terms in chunks of 97, next to a short one; then
+        # a head longer than the default chunk of 2^16 terms, which the
+        # reference sums in one chunk of 10^6, so they agree to rounding
+        monkeypatch.setattr(oracles, "_CHUNK", 97)
+        monkeypatch.setitem(globals(), "_REF_CHUNK", 97)
+        xs = [200.0 / 50_000, 2.0]
+        grid = direct_sum_grid("T2", (3, 2), xs, 1e-10)
+        for m, row in zip((3, 2), grid):
+            for x, got in zip(xs, row):
+                want = _ref_direct_sum(SeriesSpec.from_family("T2", m), x, 1e-10)
+                assert (got.value, got.terms_used) == (want.value, want.terms_used)
+                assert got.error_estimate == pytest.approx(want.error_estimate, rel=1e-12)
+        monkeypatch.undo()
+        x = 200.0 / 100_000
+        got = direct_sum(SeriesSpec.from_family("T2", 2), x, 1e-10)
+        want = _ref_direct_sum(SeriesSpec.from_family("T2", 2), x, 1e-10)
+        assert got.terms_used == want.terms_used > oracles._CHUNK
+        assert got.value == pytest.approx(want.value, rel=1e-14)
+
+    def test_empty_grid(self):
+        assert direct_sum_grid("T1", (1, 2), [], 1e-10) == [[], []]
+        assert direct_sum_grid("T1", (), [1.0], 1e-10) == []
+
+    def test_domain_errors(self):
+        with pytest.raises(DomainError):
+            direct_sum_grid("T1", (1,), [1.0], 1e-13)
+        with pytest.raises(DomainError):
+            direct_sum_grid("T9", (1,), [1.0], 1e-10)
+        with pytest.raises(DomainError):
+            direct_sum_grid("T1", (9,), [1.0], 1e-10)
+        with pytest.raises(DomainError):
+            direct_sum_grid("T1", (1,), [1.0, 7.0], 1e-10)
+
+
+class TestGridRefusalOrder:
+    # x a fraction t of the interval from its lower end: 1e-6 from an end
+    # exceeds the term cap at every weight; the weight-one cosine points
+    # 1e-3 from an end exceed tol 1e-10 at m = 1 only
+    CASES = [
+        ("T2", (1, 2), (0.5, 1e-3, 1 - 1e-6)),
+        ("T2", (1, 2), (0.5, 1 - 1e-6, 1e-3)),
+        ("T2", (2, 3), (0.3, 1e-3, 0.7, 1e-6)),
+        ("T2", (2, 1), (0.3, 1 - 1e-3, 0.7)),
+        ("T4", (1, 4), (0.5, 1 - 1e-3, 1e-3, 0.2)),
+        ("T6", (5, 1, 2), (1e-3, 0.4, 1 - 1e-6)),
+        ("T7", (1,), (1e-3 + 0.0, 0.5, 1 - 1e-3)),
+        ("T7", (3, 1), (0.5, 1 - 1e-6, 1e-3)),
+        ("T3", (1, 8), (0.25, 1e-6, 0.75)),
+        ("T8", (2, 6), (0.9, 1 - 1e-6, 1e-6)),
+    ]
+
+    @staticmethod
+    def _xs(family, fractions):
+        lo, hi = SeriesSpec.from_family(family, 1).interval
+        return [lo + t * (hi - lo) for t in fractions]
+
+    @pytest.mark.parametrize("family, weights, fractions", CASES)
+    def test_grid_raises_the_first_scalar_refusal(self, family, weights, fractions):
+        xs = self._xs(family, fractions)
+        want = _first_refusal(
+            lambda spec=SeriesSpec.from_family(family, m), x=x: _ref_direct_sum(spec, x, 1e-10)
+            for m in weights
+            for x in xs
+        )
+        with pytest.raises(ConvergenceError) as got:
+            direct_sum_grid(family, weights, xs, 1e-10)
+        _same_refusal(got.value, want)
+
+    @pytest.mark.parametrize("family, weights, fractions", CASES)
+    def test_make_records_raises_the_first_refusal(self, family, weights, fractions):
+        xs = self._xs(family, fractions)
+        tol = 1e-8  # the oracle runs at 0.01 tol
+
+        def record(spec, x):
+            closed_form_eval(spec, x)
+            _ref_direct_sum(spec, x, 0.01 * tol)
+
+        want = _first_refusal(
+            lambda spec=SeriesSpec.from_family(family, m), x=x: record(spec, x)
+            for m in weights
+            for x in xs
+        )
+        with pytest.raises(ConvergenceError) as got:
+            make_records(family, list(weights), xs, tol)
+        _same_refusal(got.value, want)
+
+    def test_answered_rows_before_a_refusal_match(self):
+        # a grid whose refusals all lie in weights it does not ask for
+        xs = self._xs("T2", (0.3, 1e-3, 0.7))
+        grid = direct_sum_grid("T2", (2, 3), xs, 1e-10)
+        for m, row in zip((2, 3), grid):
+            for x, got in zip(xs, row):
+                want = _ref_direct_sum(SeriesSpec.from_family("T2", m), x, 1e-10)
+                assert (got.value, got.terms_used) == (want.value, want.terms_used)
 
 
 class TestPowerSeries:
