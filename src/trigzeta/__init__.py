@@ -12,6 +12,7 @@ from .closedforms import (
     SeriesSpec,
     TABLE2_ROWS,
     closed_form_eval,
+    closed_form_grid,
     general_closed_form,
     singular_limit_term,
 )
@@ -39,6 +40,7 @@ from .hurwitz import (
     hurwitz_formula_partial,
     hurwitz_zeta,
     hurwitz_zeta_sderiv,
+    hurwitz_zeta_sderiv_grid,
     plan_for,
 )
 from .oracles import (
@@ -72,6 +74,7 @@ __all__ = [
     "beta_prime_neg_odd",
     "choi_srivastava_check",
     "closed_form_eval",
+    "closed_form_grid",
     "dirichlet_lambda",
     "direct_sum",
     "direct_sum_grid",
@@ -80,6 +83,7 @@ __all__ = [
     "hurwitz_formula_partial",
     "hurwitz_zeta",
     "hurwitz_zeta_sderiv",
+    "hurwitz_zeta_sderiv_grid",
     "lambda_series_path",
     "limit_probe_eta_and_lambda",
     "plan_for",

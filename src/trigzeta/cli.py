@@ -29,6 +29,7 @@ from .closedforms import (
     SeriesSpec,
     TABLE2_ROWS,
     closed_form_eval,
+    closed_form_grid,
     general_closed_form,
 )
 from .dirichlet import (
@@ -148,16 +149,16 @@ def grid_points(family: str, count: int) -> list[float]:
 def make_records(family: str, weights, xs, tol: float) -> list[RunRecord]:
     """Closed form vs oracle for every weight and x, in weight-major order.
 
-    The oracle runs once over the whole grid, so the phases it shares
-    across weights are computed once per x.
+    The oracle and the closed forms each run once over the whole grid, so
+    what they share across weights (the oracle's phases, the closed forms'
+    zeta' offsets) is computed once per x.
     """
     oracle_tol = max(1e-12, 0.01 * tol)
     reports = direct_sum_grid(family, weights, xs, oracle_tol)
+    closed_forms = closed_form_grid(family, weights, xs)
     records = []
-    for m, row in zip(weights, reports):
-        spec = SeriesSpec.from_family(family, m)
-        for x, report in zip(xs, row):
-            closed = closed_form_eval(spec, x).value
+    for m, row, closed_row in zip(weights, reports, closed_forms):
+        for x, report, closed in zip(xs, row, closed_row):
             abs_err = abs(closed - report.value)
             rel_err = abs_err / (1.0 + abs(report.value))
             records.append(RunRecord(
@@ -347,24 +348,21 @@ def _suite_table2(out):
     deviations = []
     for row in TABLE2_ROWS:
         family = row.family
-        points = [
-            (SeriesSpec.from_family(family, m), x)
-            for m in range(1, _MAX_WEIGHT + 1)
-            for x in grid_points(family, 9)
-        ]
-        theorems = [closed_form_eval(spec, x).value for spec, x in points]
+        weights = range(1, _MAX_WEIGHT + 1)
+        xs = grid_points(family, 9)
+        points = [(m, x) for m in weights for x in xs]
+        # one closed-form pass over the grid, in the weight-major order of points
+        theorems = [v for values in closed_form_grid(family, weights, xs) for v in values]
         worst_vs_theorem = max(
-            abs(general_closed_form(family, spec.m, x) - theorem) / (1.0 + abs(theorem))
-            for (spec, x), theorem in zip(points, theorems)
+            abs(general_closed_form(family, m, x) - theorem) / (1.0 + abs(theorem))
+            for (m, x), theorem in zip(points, theorems)
         )
         if worst_vs_theorem <= 1e-8:
             checks.append((f"table2.{family}.literal", True,
                            f"max rel gap {worst_vs_theorem:.3e}"))
             continue
         # one oracle pass over the grid, in the weight-major order of points
-        reports = direct_sum_grid(
-            family, range(1, _MAX_WEIGHT + 1), grid_points(family, 9), 1e-10
-        )
+        reports = direct_sum_grid(family, weights, xs, 1e-10)
         worst_vs_oracle = 0.0
         for report, theorem in zip((r for row in reports for r in row), theorems):
             oracle = report.value

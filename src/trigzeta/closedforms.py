@@ -14,6 +14,13 @@ evaluators here return both the numeric value and the exact combination
 (prefactor and (coefficient, s, a) terms) so callers can audit the
 reconstruction.
 
+``closed_form_grid`` gives the same values for a grid of weights and
+points.  The offsets of the zeta' terms depend on x alone, so it forms
+each once for all weights and evaluates every zeta' of the grid in one
+``hurwitz_zeta_sderiv_grid`` call.  ``closed_form_eval`` stays the
+one-point route: it returns the decomposition, and costs less than a
+one-point grid.
+
 A single parameterised master formula reproducing the eight families
 from one table of row constants is also provided; its literal T8 row
 disagrees with the per-family evaluators (see ``general_closed_form``),
@@ -28,12 +35,13 @@ from typing import Optional
 
 from .errors import DomainError
 from .foundations import harmonic
-from .hurwitz import hurwitz_zeta_sderiv
+from .hurwitz import hurwitz_zeta_sderiv, hurwitz_zeta_sderiv_grid
 
 __all__ = [
     "SeriesSpec",
     "ClosedFormResult",
     "closed_form_eval",
+    "closed_form_grid",
     "GeneralFormulaParams",
     "TABLE2_ROWS",
     "general_closed_form",
@@ -237,6 +245,38 @@ def closed_form_eval(spec: SeriesSpec, x: float) -> ClosedFormResult:
     pref, terms = _bracket_terms(spec, x)
     value = pref * math.fsum(c * hurwitz_zeta_sderiv(s, a) for c, s, a in terms)
     return ClosedFormResult(sign * value, sign * pref, terms)
+
+
+def closed_form_grid(family: str, weights, xs) -> list[list[float]]:
+    """Closed-form values of ``family`` for every weight and x.
+
+    Returns one list per weight, in the order of ``xs``; each value is, bit
+    for bit, ``closed_form_eval(spec, x).value``.  Every weight and x is
+    validated first.  The offsets a0 + a_y x / 2pi do not depend on the
+    weight, so each is formed once, and one kernel call evaluates zeta' at
+    every (order, offset) pair.
+    """
+    specs = [SeriesSpec.from_family(family, m) for m in weights]
+    spec = SeriesSpec.from_family(family, 1)
+    folds = [_fold(spec, x) for x in xs]
+    # x = 0 of a sine family (value 0) or of T4 (_t4_at_zero) has no bracket
+    own_zero = spec.kind == "sin" or family == "T4"
+    bracketed = [j for j, (_, x) in enumerate(folds) if x != 0.0 or not own_zero]
+    terms = _BRACKETS[family][4]
+    offsets = [_offset(a0, a_y, folds[j][1]) for j in bracketed for _, a0, a_y in terms]
+    zetas = hurwitz_zeta_sderiv_grid([s.alpha - 1 for s in specs], offsets)
+    values = []
+    for s, row in zip(specs, zetas):
+        pref, _, coefficients = _BRACKET_CONSTANTS[family, s.m]
+        products = row.reshape(-1, len(terms)) * [c for c, _, _ in coefficients]
+        at_zero = 0.0
+        if family == "T4" and len(bracketed) < len(folds):
+            at_zero = _t4_at_zero(s.m).value
+        row_values = [at_zero] * len(folds)
+        for j, point in zip(bracketed, products.tolist()):
+            row_values[j] = folds[j][0] * (pref * math.fsum(point))
+        values.append(row_values)
+    return values
 
 
 def singular_limit_term(m: int, x: float, even_exponent: bool = True) -> float:

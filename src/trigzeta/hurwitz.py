@@ -16,6 +16,16 @@ Two routes, chosen from the point (s, a):
       k = n+1   c_k = (-1)^n (gamma - H_n) / (n+1)
       k >= n+2  c_k = (-1)^n zeta(k-n) / (k C(k-1,n))
 
+  ``hurwitz_zeta_sderiv_grid(orders, offsets)`` takes the same route for
+  every order and offset of a grid and accepts nothing outside it.  Each
+  offset is recentred once for all orders, and one Horner pass runs over
+  the rows of all orders at once, zero-padded in front to one width.  Its
+  entries equal the scalar ones bit for bit: numpy's elementwise * and +
+  are single IEEE operations, and a leading zero keeps the accumulator at
+  +0.0 until a row's first coefficient.  The logarithm of each offset and
+  each power base**n stay scalar ``math.log`` and ``**`` calls, because
+  ``np.log`` and ``np.power`` do not always round as they do.
+
 * every other point, and ``hurwitz_zeta`` everywhere, use Euler-Maclaurin
   summation (N direct terms, M Bernoulli corrections):
 
@@ -44,6 +54,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, PoleError
 from .foundations import BERNOULLI, bernoulli_float, harmonic
 
@@ -52,6 +64,7 @@ __all__ = [
     "plan_for",
     "hurwitz_zeta",
     "hurwitz_zeta_sderiv",
+    "hurwitz_zeta_sderiv_grid",
     "hurwitz_formula_partial",
 ]
 
@@ -246,22 +259,70 @@ def _taylor_rows() -> tuple[tuple[float, ...], ...]:
 _TAYLOR = _taylor_rows()
 
 
-def _taylor(n: int, a: float) -> float:
-    """zeta'(-n, a) for 0 <= n <= 15 and 0 < a < 5/2, by one Horner pass.
+def _recentre(a: float) -> tuple[float, float, float]:
+    """(t, base, log term) with zeta'(-n, a) = P_n(t) + base**n * log term.
 
-    Recentres to b in [1/2, 3/2) so that t = 1 - b has |t| <= 1/2;
-    t is formed from a directly, without rounding b.
+    P_n is the Taylor row of n.  The offset is recentred to b in [1/2, 3/2)
+    so that t = 1 - b has |t| <= 1/2; t is formed from a directly, without
+    rounding b.  The log term is -log a below 1/2 (b = a + 1), log 1 = 0 in
+    the middle (b = a) and log(a - 1) from 3/2 (b = a - 1, exact there).
     """
-    if a < 0.5:  # b = a + 1
-        t, shift = -a, -(a**n) * math.log(a)
-    elif a < 1.5:  # b = a
-        t, shift = 1.0 - a, 0.0
-    else:  # b = a - 1, exact for a in [3/2, 5/2)
-        b = a - 1.0
-        t, shift = 2.0 - a, b**n * math.log(b)
+    if a < 0.5:
+        return -a, a, -math.log(a)
+    if a < 1.5:
+        return 1.0 - a, 1.0, 0.0
+    b = a - 1.0
+    return 2.0 - a, b, math.log(b)
+
+
+def _taylor(n: int, a: float) -> float:
+    """zeta'(-n, a) for 0 <= n <= 15 and 0 < a < 5/2, by one Horner pass."""
+    t, base, log_term = _recentre(a)
     acc = 0.0
     for c in _TAYLOR[n]:
         acc = acc * t + c
+    return acc + base**n * log_term
+
+
+# _TAYLOR with every row zero-padded in front to the longest row's length:
+# Horner steps over a leading zero keep the accumulator at +0.0
+_TAYLOR_WIDTH = max(len(row) for row in _TAYLOR)
+_TAYLOR_MATRIX = np.array([(0.0,) * (_TAYLOR_WIDTH - len(row)) + row for row in _TAYLOR])
+
+
+def hurwitz_zeta_sderiv_grid(orders, offsets) -> np.ndarray:
+    """zeta'(-n, a) for every n in ``orders`` and a in ``offsets``.
+
+    Returns a (len(orders), len(offsets)) array whose entries equal
+    ``hurwitz_zeta_sderiv(-n, a)`` bit for bit.  Only the Taylor domain is
+    accepted -- integer n in [0, 15] and 0 < a < 5/2 -- and anything else
+    raises ``DomainError``.  Each offset is recentred once for all orders,
+    and one Horner pass runs over the rows of every order at once.
+    """
+    orders = list(orders)
+    for n in orders:
+        if not (0 <= n <= _TAYLOR_MAX_N and n == int(n)):
+            raise DomainError(
+                f"Taylor grid order must be an integer in [0, {_TAYLOR_MAX_N}], got {n}"
+            )
+    points = []
+    for a in offsets:
+        if not 0.0 < a < _TAYLOR_MAX_A:
+            raise DomainError(
+                f"Taylor grid offset must lie in (0, {_TAYLOR_MAX_A}), got a={a}"
+            )
+        points.append(_recentre(a))
+    orders = [int(n) for n in orders]
+    if not orders or not points:
+        return np.zeros((len(orders), len(points)))
+    t = np.array([p[0] for p in points])
+    # log and ** stay scalar: np.log and np.power may round differently
+    shift = np.array([[base**n * log_term for _, base, log_term in points] for n in orders])
+    rows = _TAYLOR_MATRIX[orders]
+    acc = np.zeros((len(orders), len(points)))
+    for k in range(_TAYLOR_WIDTH - max(len(_TAYLOR[n]) for n in orders), _TAYLOR_WIDTH):
+        np.multiply(acc, t, out=acc)
+        np.add(acc, rows[:, k, None], out=acc)
     return acc + shift
 
 
@@ -278,8 +339,6 @@ def hurwitz_formula_partial(s: float, a: float, terms: int) -> float:
         raise DomainError("hurwitz_formula_partial requires 0 < a <= 1")
     if terms < 1:
         raise DomainError("terms must be positive")
-    import numpy as np
-
     n = np.arange(1, terms + 1, dtype=np.float64)
     phase = 0.5 * math.pi * s - 2.0 * math.pi * a * n
     total = float(np.sum(np.cos(phase) * n ** (-s)))

@@ -301,15 +301,16 @@ def direct_sum_grid(
             m = plan[0]
             tail, tail_err, j_used = _tail_by_parts(a, b, s.alpha, x, m + 1, *plan[1:])
             total = partial + tail
-            value = total.imag if sine else total.real
+            value = fold * (total.imag if sine else total.real)
             err = partial_err + tail_err + 0.5 * _EPS * abs(total)
+            report = OracleReport(value, method, m + j_used, err)
             if err > tol:
                 raise ConvergenceError(
                     f"direct summation reached error estimate {err:.3e} > tol {tol:.3e}",
                     best_value=value,
-                    report=OracleReport(value, method, m + j_used, err),
+                    report=report,
                 )
-            row.append(OracleReport(fold * value, method, m + j_used, err))
+            row.append(report)
         reports.append(row)
     return reports
 

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trigzeta import closedforms
-from trigzeta.cli import grid_points
+from trigzeta.cli import grid_points, make_records
 from trigzeta.closedforms import (
     SeriesSpec,
     TABLE2_ROWS,
     closed_form_eval,
+    closed_form_grid,
     general_closed_form,
     singular_limit_term,
 )
@@ -156,6 +157,76 @@ class TestAccuracyAgainstReference:
                 got = closed_form_eval(spec, x).value
                 rel = abs(got - ref) / (1.0 + abs(ref))
                 assert rel <= 1e-13, (family, m, x, rel)
+
+
+def same_float(got, want):
+    """Equal, with the same sign of zero."""
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def fixture_xs(family):
+    """Every x of both frozen fixtures for ``family``."""
+    grids = json.loads(
+        (Path(__file__).parent.parent / "benchmarks" / "reference.json").read_text()
+    )["grids"]
+    xs = list(REFERENCE["closed_form"][family]["x"])
+    for key in sorted(grids):
+        if key.split("/")[0] == family:
+            xs += grids[key]["x"]
+    return xs
+
+
+class TestClosedFormGrid:
+    WEIGHTS = (3, 1, 8, 2, 7, 4, 6, 5)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_equals_scalar_evaluator(self, family):
+        lo, hi = SeriesSpec.from_family(family, 1).interval
+        xs = grid_points(family, 9) + grid_points(family, 31) + grid_points(family, 35)
+        if lo < 0.0:  # odd counts hit x = 0 on the symmetric intervals
+            assert 0.0 in xs
+            xs += [-x for x in xs if x > 0.0]
+        xs += fixture_xs(family)
+        xs += [lo + t * (hi - lo) for t in (1e-6, 1e-3, 1.0 - 1e-3, 1.0 - 1e-6)]
+        grid = closed_form_grid(family, self.WEIGHTS, xs)
+        assert len(grid) == len(self.WEIGHTS)
+        for m, row in zip(self.WEIGHTS, grid):
+            spec = SeriesSpec.from_family(family, m)
+            assert len(row) == len(xs)
+            for x, got in zip(xs, row):
+                assert same_float(got, closed_form_eval(spec, x).value), (family, m, x)
+
+    def test_make_records_takes_the_grid_values(self):
+        for family in FAMILIES:
+            xs = grid_points(family, 9)
+            records = make_records(family, list(self.WEIGHTS), xs, 1e-8)
+            want = [
+                closed_form_eval(SeriesSpec.from_family(family, m), x).value
+                for m in self.WEIGHTS
+                for x in xs
+            ]
+            assert [r.closed_form for r in records] == want
+
+    def test_empty_grid(self):
+        assert closed_form_grid("T1", (1, 2), []) == [[], []]
+        assert closed_form_grid("T1", (), [1.0]) == []
+
+    def test_bad_input_raises_the_scalar_message(self):
+        for family in FAMILIES:
+            lo, hi = SeriesSpec.from_family(family, 1).interval
+            for bad in (lo, hi, lo - 0.1, hi + 0.1):
+                with pytest.raises(DomainError) as want:
+                    closed_form_eval(SeriesSpec.from_family(family, 2), bad)
+                xs = [0.5 * (lo + hi), bad]
+                with pytest.raises(DomainError) as got:
+                    closed_form_grid(family, (1, 2), xs)
+                assert str(got.value) == str(want.value)
+                with pytest.raises(DomainError) as got:
+                    make_records(family, [1, 2], xs, 1e-8)
+                assert str(got.value) == str(want.value)
+        for family, weights in (("T9", (1,)), ("T1", (9,)), ("T1", (1, 0))):
+            with pytest.raises(DomainError):
+                closed_form_grid(family, weights, [1.0])
 
 
 class TestDecompositionContract:

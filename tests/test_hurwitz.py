@@ -16,6 +16,7 @@ from trigzeta.hurwitz import (
     hurwitz_formula_partial,
     hurwitz_zeta,
     hurwitz_zeta_sderiv,
+    hurwitz_zeta_sderiv_grid,
     plan_for,
 )
 
@@ -234,6 +235,39 @@ class TestTaylorRoute:
             for a in (0.0, -0.5, -math.inf, math.inf, math.nan):
                 with pytest.raises(DomainError):
                     hurwitz_zeta_sderiv(s, a)
+
+
+def same_float(got, want):
+    """Equal, with the same sign of zero."""
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+class TestSderivGrid:
+    # each recentring branch (a < 1/2, a < 3/2, a < 5/2) and its edges
+    EDGES = [
+        1e-12, math.nextafter(0.5, 0.0), 0.5,
+        math.nextafter(1.5, 0.0), 1.5, math.nextafter(2.5, 0.0),
+    ]
+
+    def test_equals_scalar_kernel(self):
+        offsets = self.EDGES + [k / 64 for k in range(1, 160)]
+        for orders in (range(16), (15, 3, 0, 3)):
+            grid = hurwitz_zeta_sderiv_grid(orders, offsets)
+            assert grid.shape == (len(orders), len(offsets))
+            for n, row in zip(orders, grid.tolist()):
+                for a, got in zip(offsets, row):
+                    assert same_float(got, hurwitz_zeta_sderiv(-float(n), a)), (n, a)
+
+    def test_empty_grid(self):
+        assert hurwitz_zeta_sderiv_grid((0, 5), []).shape == (2, 0)
+        assert hurwitz_zeta_sderiv_grid((), [0.5]).shape == (0, 1)
+
+    def test_outside_the_taylor_domain(self):
+        cases = [([16], [0.5]), ([-1], [0.5]), ([1.5], [0.5]), ([0, 3], [0.5, math.nan])]
+        cases += [([3], [a]) for a in (0.0, -0.5, -1e-300, 2.5, 3.0, math.inf)]
+        for orders, offsets in cases:
+            with pytest.raises(DomainError):
+                hurwitz_zeta_sderiv_grid(orders, offsets)
 
 
 class TestHurwitzFormulaPartial:

@@ -249,7 +249,7 @@ def _ref_tail_by_parts(a, b, sign, alpha, x, m1):
     return tail, err, used
 
 
-def _ref_sum_by_parts(spec, x, tol, method):
+def _ref_sum_by_parts(spec, x, tol, method, fold):
     a = 2 if spec.odd_denominators else 1
     b = 1 if spec.odd_denominators else 0
     sign = -1 if spec.alternating else 1
@@ -264,7 +264,7 @@ def _ref_sum_by_parts(spec, x, tol, method):
     partial, partial_err = _ref_partial_sum_complex(a, b, sign, spec.alpha, x, m)
     tail, tail_err, j_used = _ref_tail_by_parts(a, b, sign, spec.alpha, x, m + 1)
     total = partial + tail
-    value = total.imag if spec.kind == "sin" else total.real
+    value = fold * (total.imag if spec.kind == "sin" else total.real)
     err = partial_err + tail_err + 0.5 * _REF_EPS * abs(total)
     report = OracleReport(value, method, m + j_used, err)
     if err > tol:
@@ -289,8 +289,7 @@ def _ref_direct_sum(spec, x, tol):
     if x == 0.0 and spec.kind == "sin":
         return OracleReport(0.0, "direct", 1, 1e-18)
     method = "euler_accelerated" if spec.alternating else "direct"
-    rep = _ref_sum_by_parts(spec, x, tol, method)
-    return OracleReport(fold * rep.value, rep.method, rep.terms_used, rep.error_estimate)
+    return _ref_sum_by_parts(spec, x, tol, method, fold)
 
 
 def _first_refusal(calls):
@@ -462,6 +461,18 @@ class TestGridRefusalOrder:
         with pytest.raises(ConvergenceError) as got:
             make_records(family, list(weights), xs, tol)
         _same_refusal(got.value, want)
+
+    def test_refused_point_keeps_the_sign_of_the_series(self):
+        # a sine series is odd in x, and so is the best value it refuses
+        spec = SeriesSpec.from_family("T7", 1)
+        x = -1.5676547341413067  # 1e-3 of the interval from its lower end
+        with pytest.raises(ConvergenceError) as got:
+            direct_sum(spec, x, 1e-10)
+        with pytest.raises(ConvergenceError) as mirror:
+            direct_sum(spec, -x, 1e-10)
+        assert got.value.best_value == pytest.approx(-3.2280858755777664, rel=1e-12)
+        assert got.value.best_value == -mirror.value.best_value
+        assert got.value.report.value == got.value.best_value
 
     def test_answered_rows_before_a_refusal_match(self):
         # a grid whose refusals all lie in weights it does not ask for
