@@ -14,7 +14,6 @@ from .closedforms import (
     closed_form_eval,
     closed_form_grid,
     general_closed_form,
-    singular_limit_term,
 )
 from .dirichlet import (
     SPECIAL_VALUES,
@@ -48,9 +47,8 @@ from .oracles import (
     choi_srivastava_check,
     direct_sum,
     direct_sum_grid,
-    lambda_series_path,
     limit_probe_eta_and_lambda,
-    power_series_eval,
+    limit_series_eval,
 )
 
 __version__ = "0.1.0"
@@ -84,12 +82,10 @@ __all__ = [
     "hurwitz_zeta",
     "hurwitz_zeta_sderiv",
     "hurwitz_zeta_sderiv_grid",
-    "lambda_series_path",
     "limit_probe_eta_and_lambda",
+    "limit_series_eval",
     "plan_for",
-    "power_series_eval",
     "riemann_zeta",
-    "singular_limit_term",
     "zeta_neg_odd",
     "zeta_prime_neg_even",
 ]

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import DomainError
-from .foundations import harmonic
 from .hurwitz import hurwitz_zeta_sderiv, hurwitz_zeta_sderiv_grid
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "GeneralFormulaParams",
     "TABLE2_ROWS",
     "general_closed_form",
-    "singular_limit_term",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -108,6 +106,8 @@ class SeriesSpec:
             raise DomainError(f"kind must be 'sin' or 'cos', got {self.kind!r}")
         if not (1 <= self.m <= _MAX_WEIGHT):
             raise DomainError(f"weight m must lie in [1, {_MAX_WEIGHT}], got {self.m}")
+        if self.m != int(self.m):
+            raise DomainError(f"weight m must be an integer, got {self.m}")
         family = _SWITCHES_TO_FAMILY[(self.alternating, self.kind, self.odd_denominators)]
         alpha = 2 * self.m if family in _EVEN_ALPHA else 2 * self.m - 1
         object.__setattr__(self, "family", family)
@@ -277,33 +277,6 @@ def closed_form_grid(family: str, weights, xs) -> list[list[float]]:
             row_values[j] = folds[j][0] * (pref * math.fsum(point))
         values.append(row_values)
     return values
-
-
-def singular_limit_term(m: int, x: float, even_exponent: bool = True) -> float:
-    """The logarithmic limit term absorbed by the closed forms.
-
-    With even_exponent (the sine odd-denominator family at alpha = 2m):
-
-        (-1)^m x^(2m-1) (log(x/2) - H_{2m-1}) / (2 (2m-1)!)
-
-    otherwise (the cosine odd-denominator family at alpha = 2m-1):
-
-        (-1)^m x^(2m-2) (log(x/2) - H_{2m-2}) / (2 (2m-2)!)
-    """
-    if m < 1:
-        raise DomainError("singular_limit_term requires m >= 1")
-    if x <= 0.0:
-        raise DomainError("singular_limit_term requires x > 0")
-    if even_exponent:
-        k = 2 * m - 1
-    else:
-        k = 2 * m - 2
-    return (
-        (-1.0) ** m
-        * x**k
-        * (math.log(0.5 * x) - harmonic(k))
-        / (2.0 * math.factorial(k))
-    )
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,16 @@
 """Independent evaluation paths used to cross-validate the closed forms.
 
-Four routes that share no code with the Hurwitz-derivative closed forms:
+Three routes that share no code with the Hurwitz-derivative closed forms:
 
 * ``direct_sum_grid`` -- literal summation of the defining series for a
                          grid of weights and points; ``direct_sum`` is its
                          one-point call;
-* ``power_series_eval`` -- the non-singular power-series representation
-                         over zeta/eta/lambda/beta values;
+* ``limit_series_eval`` -- the singular limit of the power series over
+                         zeta/eta/lambda/beta values at integers: a log
+                         term plus one Horner pass over a table per
+                         (family, m), for all eight families;
 * ``choi_srivastava_check`` -- both sides of the identity underpinning
-                         the closed forms, returned for comparison;
-* ``lambda_series_path``  -- the semi-expanded logarithmic-limit form of
-                         the odd-denominator families (third route).
+                         the closed forms, returned for comparison.
 
 ``direct_sum_grid`` sums the defining series in complex form,
 sum_n sign^(n-1) e^{idx} d^{-alpha} with d = an-b, as a head of
@@ -40,13 +40,15 @@ length, and a grid's heads are laid end to end in batches of that size.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .closedforms import SeriesSpec, _validate_x, singular_limit_term
+from .closedforms import SeriesSpec, _fold, _validate_x
 from .dirichlet import (
     _lambda_unguarded,
     beta_fn,
@@ -55,30 +57,21 @@ from .dirichlet import (
     riemann_zeta,
 )
 from .errors import ConvergenceError, DomainError
-from .foundations import (
-    cospi,
-    digamma,
-    harmonic,
-    pochhammer,
-    sinpi,
-)
+from .foundations import BERNOULLI, digamma, harmonic, pochhammer
 from .hurwitz import hurwitz_zeta, hurwitz_zeta_sderiv
 
 __all__ = [
     "OracleReport",
     "DIRECT_TERM_CAP",
-    "POWER_SERIES_TERM_CAP",
     "direct_sum",
     "direct_sum_grid",
-    "power_series_eval",
+    "limit_series_eval",
     "choi_srivastava_check",
-    "lambda_series_path",
     "limit_probe_eta_and_lambda",
     "lambda_probe_orders",
 ]
 
 DIRECT_TERM_CAP = 10**7
-POWER_SERIES_TERM_CAP = 200
 
 # terms held at once: the chunk length of a head and the batch size of a grid
 _CHUNK = 1 << 16
@@ -267,7 +260,7 @@ def direct_sum_grid(
     ``DIRECT_TERM_CAP`` terms, or an estimate above ``tol`` -- is that of
     the first failing point in weight-major, x-minor order.
     """
-    if tol < 1e-12:
+    if not tol >= 1e-12:
         raise DomainError("direct_sum tolerance must be >= 1e-12")
     specs = [SeriesSpec.from_family(family, m) for m in weights]
     spec = SeriesSpec.from_family(family, 1)
@@ -330,80 +323,96 @@ def direct_sum(spec: SeriesSpec, x: float, tol: float = 1e-10) -> OracleReport:
     return direct_sum_grid(spec.family, [spec.m], [x], tol)[0][0]
 
 
-# --- power-series route ------------------------------------------------
+# --- singular-limit series ----------------------------------------------
 
-# family id -> (a, b, sign, c, F, interval)
-_POWER_ROWS = {
-    "zeta": (1, 0, 1, 1.0, riemann_zeta, (0.0, 2.0 * math.pi)),
-    "eta": (1, 0, -1, 0.0, eta, (-math.pi, math.pi)),
-    "lambda": (2, 1, 1, 0.5, dirichlet_lambda, (0.0, math.pi)),
-    "beta": (2, 1, -1, 0.0, beta_fn, (-0.5 * math.pi, 0.5 * math.pi)),
+# last order -j whose exact value the tables use: B_64 gives zeta(-63)
+_LIMIT_ORDER = 63
+
+
+def _zeta_at_minus(j: int) -> Fraction:
+    """zeta(-j) = (-1)^j B_{j+1} / (j+1), exactly."""
+    return (-1) ** j * BERNOULLI[j + 1] / (j + 1)
+
+
+@functools.cache
+def _euler_numbers() -> tuple[int, ...]:
+    """E_0..E_63 from sum_{i even} C(n, i) E_i = 0 for even n >= 2."""
+    values = [1]
+    for n in range(1, _LIMIT_ORDER + 1):
+        values.append(0 if n % 2 else -sum(math.comb(n, i) * values[i] for i in range(0, n, 2)))
+    return tuple(values)
+
+
+# (alternating, odd denominators) -> (F, exact F(-j), log factor c, log
+# scale, radius R of the power series in x)
+_LIMIT_ROWS = {
+    (False, False): (riemann_zeta, _zeta_at_minus, 1.0, 1.0, 2.0 * math.pi),
+    (True, False): (eta, lambda j: (1 - 2 ** (j + 1)) * _zeta_at_minus(j), 0.0, 1.0, math.pi),
+    (False, True): (dirichlet_lambda, lambda j: (1 - 2**j) * _zeta_at_minus(j), 0.5, 0.5, math.pi),
+    (True, True): (beta_fn, lambda j: Fraction(_euler_numbers()[j], 2), 0.0, 1.0, 0.5 * math.pi),
 }
 
 
-def power_series_eval(family: str, kind: str, alpha: float, x: float,
-                      terms: int = POWER_SERIES_TERM_CAP) -> float:
-    """Power-series representation of the series over F-function values.
+@functools.cache
+def _limit_table(spec: SeriesSpec) -> tuple:
+    """Horner coefficients in x^2, highest first, and the log-term constants.
 
-    ``family`` picks the F row (zeta | eta | lambda | beta), ``kind`` the
-    numerator (sin | cos).  Rejects the singular alpha values where the
-    x^(alpha-1) prefactor blows up; those points belong to
-    ``closed_form_eval``.
+    The coefficient of x^(2k+delta) is (-1)^k F(alpha-2k-delta)/(2k+delta)!,
+    exact at order <= 0, from ``dirichlet`` above it, and 0 at the pole
+    index k = m-1 of the rows with a log term.
     """
-    row = _POWER_ROWS.get(family)
-    if row is None:
-        raise DomainError(f"unknown power-series family {family!r}")
-    if kind not in ("sin", "cos"):
-        raise DomainError(f"kind must be 'sin' or 'cos', got {kind!r}")
-    if alpha <= 0.0:
-        raise DomainError("power_series_eval requires alpha > 0")
-    if not (1 <= terms <= POWER_SERIES_TERM_CAP):
-        raise DomainError(f"terms must lie in [1, {POWER_SERIES_TERM_CAP}]")
-    a, b, sign, c, f_func, (lo, hi) = row
-    margin = 1e-12 * (hi - lo)
-    if not (lo + margin <= x <= hi - margin):
-        raise DomainError(f"x={x} outside region ({lo}, {hi}) for family {family!r}")
-    delta = 1 if kind == "sin" else 0
-    trig = sinpi if kind == "sin" else cospi
-    prefactor = 0.0
-    if c != 0.0:
-        denom = trig(0.5 * alpha)
-        if denom == 0.0:
-            raise DomainError(
-                f"alpha={alpha} is singular for the {family}/{kind} row; "
-                "use closed_form_eval"
-            )
-        prefactor = c * math.pi * x ** (alpha - 1.0) / (2.0 * math.gamma(alpha) * denom)
-    acc = prefactor
-    term_prev = math.inf
-    ratio = 0.0
-    weight = x if delta == 1 else 1.0  # x^(2k+delta) / (2k+delta)!
-    for k in range(terms):
-        try:
-            coeff = f_func(alpha - 2 * k - delta)
-        except OverflowError:
-            # F grows factorially while the x-weight shrinks factorially;
-            # once the coefficient route overflows the partial sum is the
-            # best attainable value at this x.
-            raise ConvergenceError(
-                f"power series coefficient overflow at k={k} (x={x})",
-                best_value=acc,
-            ) from None
-        term = (-1.0) ** k * coeff * weight
-        acc += term
-        weight *= x * x / ((2 * k + delta + 1) * (2 * k + delta + 2))
-        size = abs(term)
-        if size > 0.0 and term_prev not in (0.0, math.inf):
-            ratio = size / term_prev
-        if size < 1e-17 * (1.0 + abs(acc)) and k > 4:
-            return acc
-        term_prev = size if size > 0.0 else term_prev
-    if ratio >= 0.9:
+    f_func, f_exact, c, scale, radius = _LIMIT_ROWS[spec.alternating, spec.odd_denominators]
+    alpha = int(spec.alpha)
+    delta = 1 if spec.kind == "sin" else 0
+    coeffs = []
+    for k in range((_LIMIT_ORDER + alpha - delta) // 2 + 1):
+        order = alpha - 2 * k - delta
+        if c and k == spec.m - 1:
+            coeffs.append(0.0)
+        elif order > 0:
+            coeffs.append((-1) ** k * f_func(float(order)) / math.factorial(2 * k + delta))
+        else:
+            coeffs.append(float((-1) ** k * f_exact(-order) / math.factorial(2 * k + delta)))
+    k_log = alpha - 1
+    log_coeff = c * (-1) ** spec.m / math.factorial(k_log)
+    return tuple(reversed(coeffs)), delta, k_log, log_coeff, harmonic(k_log), scale, radius
+
+
+def limit_series_eval(spec: SeriesSpec, x: float) -> float:
+    """The series of ``spec`` at x as the limit of its power series.
+
+    At the singular alpha the power series over F = zeta, eta, lambda or
+    beta (by family) hits the pole of F at 1; its finite limit is
+
+        sum_{k != m-1} (-1)^k F(alpha-2k-delta) x^(2k+delta)/(2k+delta)!
+          + c (-1)^m x^K (log(scale x) - H_K)/K!,    K = alpha - 1,
+
+    with delta = 1 for sine and 0 for cosine families, and c, scale = 1, 1
+    (zeta), 1/2, 1/2 (lambda) or c = 0 with no skipped index (eta, beta).
+    The sum stops at F(-63), one Horner pass in x^2 over a table built on
+    first use per (family, m).  The omitted terms are bounded as a
+    geometric series of ratio q = (x/R)^2, R the radius of convergence;
+    where that bound exceeds eps (1 + |value|) it raises
+    ``ConvergenceError`` carrying the value as ``best_value``.
+    """
+    sign, t = _fold(spec, x)
+    coeffs, delta, k_log, log_coeff, h_k, scale, radius = _limit_table(spec)
+    y = t * t
+    acc = 0.0
+    for coeff in coeffs:
+        acc = acc * y + coeff
+    value = acc * t**delta
+    if log_coeff:
+        value += log_coeff * t**k_log * (math.log(scale * t) - h_k)
+    value *= sign
+    q = y / (radius * radius)
+    omitted = abs(coeffs[0]) * t ** (2 * len(coeffs) - 2 + delta) * q / (1.0 - q)
+    if omitted > _EPS * (1.0 + abs(value)):
         raise ConvergenceError(
-            f"power series term ratio {ratio:.3f} >= 0.9 at truncation (x={x})",
-            best_value=acc,
+            f"singular-limit series leaves terms up to {omitted:.3e} at x={x}",
+            best_value=value,
         )
-    return acc
+    return value
 
 
 # --- Choi-Srivastava identity ------------------------------------------
@@ -440,46 +449,6 @@ def choi_srivastava_check(n: int, a: float, t: float, terms: int = 400) -> tuple
     rhs = (-1.0) ** n / math.factorial(n) * inner
     rhs += (h_n + digamma(a)) * t ** (n + 1) / math.factorial(n + 1)
     return lhs, rhs
-
-
-# --- semi-expanded lambda route for the odd-denominator families --------
-
-
-def lambda_series_path(spec: SeriesSpec, x: float, terms: int = 120) -> float:
-    """Third route for T5/T6: logarithmic limit term + lambda series.
-
-    value = singular_limit_term
-          + sum_{k=0}^{m-2} (-1)^k lambda(2m-2k-1) x^(2k+delta)/(2k+delta)!
-          + sum_{k=m}^{...} the same summand continued past the pole index.
-    """
-    if spec.family not in ("T5", "T6"):
-        raise DomainError("lambda_series_path accepts only the T5/T6 families")
-    if not (0.0 < x < math.pi):
-        raise DomainError("lambda_series_path requires x in (0, pi)")
-    m = spec.m
-    delta = 1 if spec.kind == "sin" else 0
-    acc = singular_limit_term(m, x, even_exponent=(spec.kind == "sin"))
-    parts = []
-    ratio = 0.0
-    prev = math.inf
-    for k in range(terms):
-        if k == m - 1:
-            continue  # pole index absorbed into the limit term
-        lam = dirichlet_lambda(float(2 * m - 2 * k - 1))
-        term = (-1.0) ** k * lam * x ** (2 * k + delta) / math.factorial(2 * k + delta)
-        parts.append(term)
-        size = abs(term)
-        if size > 0.0 and prev not in (0.0, math.inf):
-            ratio = size / prev
-        if size < 1e-18 and k > m + 4:
-            break
-        prev = size if size > 0.0 else prev
-    if ratio >= 0.9:
-        raise ConvergenceError(
-            f"lambda series term ratio {ratio:.3f} >= 0.9 at truncation (x={x})",
-            best_value=acc + math.fsum(parts),
-        )
-    return acc + math.fsum(parts)
 
 
 # --- limit probes --------------------------------------------------------

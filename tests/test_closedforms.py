@@ -15,7 +15,6 @@ from trigzeta.closedforms import (
     closed_form_eval,
     closed_form_grid,
     general_closed_form,
-    singular_limit_term,
 )
 from trigzeta.dirichlet import beta_fn, eta
 from trigzeta.errors import DomainError
@@ -69,6 +68,8 @@ class TestSeriesSpec:
             SeriesSpec.from_family("T1", 0)
         with pytest.raises(DomainError):
             SeriesSpec.from_family("T1", 9)
+        with pytest.raises(DomainError):
+            SeriesSpec.from_family("T1", 1.5)
         with pytest.raises(DomainError):
             SeriesSpec.from_family("T9", 1)
         with pytest.raises(DomainError):
@@ -269,25 +270,6 @@ class TestDomainChecks:
         spec = SeriesSpec.from_family("T1", 1)
         with pytest.raises(DomainError):
             closed_form_eval(spec, 1e-12)
-
-
-class TestSingularLimitTerm:
-    def test_hand_value(self):
-        # [TRIVIAL] m=1, x=2: (-1)^1 * 2 * (ln 1 - 1) / 2 = 1
-        assert singular_limit_term(1, 2.0) == pytest.approx(1.0, abs=1e-15)
-
-    def test_cos_variant(self):
-        # [TRIVIAL] m=1 cosine variant: (-1) * x^0 (ln(x/2) - H_0) / 2
-        assert singular_limit_term(1, 2.0, even_exponent=False) == pytest.approx(
-            -0.5 * math.log(1.0), abs=1e-15)
-        assert singular_limit_term(1, 1.0, even_exponent=False) == pytest.approx(
-            -0.5 * math.log(0.5), abs=1e-15)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            singular_limit_term(0, 1.0)
-        with pytest.raises(DomainError):
-            singular_limit_term(1, 0.0)
 
 
 class TestMasterFormula:

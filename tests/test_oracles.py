@@ -21,9 +21,8 @@ from trigzeta.oracles import (
     direct_sum,
     direct_sum_grid,
     lambda_probe_orders,
-    lambda_series_path,
     limit_probe_eta_and_lambda,
-    power_series_eval,
+    limit_series_eval,
 )
 
 CATALAN = 0.915965594177219
@@ -81,6 +80,9 @@ class TestDirectSum:
     def test_tol_floor(self):
         with pytest.raises(DomainError):
             direct_sum(SeriesSpec.from_family("T1", 1), 1.0, 1e-13)
+        with pytest.raises(DomainError):
+            # NaN never fails the gate err > tol, so it must not get that far
+            direct_sum(SeriesSpec.from_family("T2", 1), 2.0 * math.pi * 1.0001e-3, math.nan)
 
     def test_report_invariants(self):
         with pytest.raises(DomainError):
@@ -484,66 +486,6 @@ class TestGridRefusalOrder:
                 assert (got.value, got.terms_used) == (want.value, want.terms_used)
 
 
-class TestPowerSeries:
-    def test_matches_direct_sum_nonsingular(self):
-        # zeta-family sin at alpha=2.5 vs the T1-like literal sum: compare
-        # against a high-order closed check via the direct engine at alpha=2.5
-        # is not available (integer alpha only), so brute-force partial sum:
-        import numpy as np
-
-        for family, kind, alpha, x in [
-            ("zeta", "sin", 2.5, 1.0),
-            ("zeta", "cos", 2.5, 0.5),
-            ("lambda", "sin", 2.5, 0.8),
-            ("beta", "cos", 2.0, 0.4),
-        ]:
-            a, b, sgn = {
-                "zeta": (1, 0, 1), "eta": (1, 0, -1),
-                "lambda": (2, 1, 1), "beta": (2, 1, -1),
-            }[family]
-            n = np.arange(1, 2_000_001, dtype=np.float64)
-            d = a * n - b
-            f = np.sin if kind == "sin" else np.cos
-            signs = np.where(n % 2 == 1, 1.0, float(sgn))
-            brute = float(np.sum(signs * f(d * x) / d**alpha))
-            got = power_series_eval(family, kind, alpha, x)
-            assert got == pytest.approx(brute, abs=1e-9), (family, kind)
-
-    def test_odd_series_at_zero(self):
-        # [TRIVIAL] beta-family sin at x=0
-        assert power_series_eval("beta", "sin", 3.0, 0.0) == 0.0
-
-    def test_singular_alpha_rejected(self):
-        for family, kind, alpha in [
-            ("zeta", "sin", 4.0), ("zeta", "cos", 3.0),
-            ("lambda", "sin", 2.0), ("lambda", "cos", 5.0),
-        ]:
-            with pytest.raises(DomainError):
-                power_series_eval(family, kind, alpha, 0.5)
-
-    def test_eta_beta_integer_alpha_fine(self):
-        assert math.isfinite(power_series_eval("eta", "cos", 3.0, 0.4))
-        assert math.isfinite(power_series_eval("beta", "sin", 3.0, 0.6))
-
-    @given(st.floats(0.05, 1.2))
-    @settings(max_examples=20, deadline=None)
-    def test_parity(self, x):
-        # delta=1 rows odd in x, delta=0 rows even (symmetric intervals)
-        assert power_series_eval("eta", "sin", 2.0, -x) == -power_series_eval(
-            "eta", "sin", 2.0, x)
-        assert power_series_eval("beta", "cos", 2.0, -x) == power_series_eval(
-            "beta", "cos", 2.0, x)
-
-    def test_divergent_truncation(self):
-        with pytest.raises(ConvergenceError) as exc:
-            power_series_eval("zeta", "sin", 2.5, 6.1)
-        assert exc.value.best_value is not None
-
-    def test_region_enforced(self):
-        with pytest.raises(DomainError):
-            power_series_eval("lambda", "sin", 2.5, 3.5)
-
-
 class TestChoiSrivastava:
     def test_closed_value_example(self):
         # n=0, a=1, t=1/2: both sides equal (1/2) ln pi - gamma/2
@@ -575,28 +517,94 @@ class TestChoiSrivastava:
             choi_srivastava_check(1, -1.0, 0.1)
 
 
-class TestLambdaSeriesPath:
-    def test_catalan(self):
-        got = lambda_series_path(SeriesSpec.from_family("T5", 1), math.pi / 2.0)
-        assert got == pytest.approx(CATALAN, abs=1e-8)
+FAMILIES = [f"T{i}" for i in range(1, 9)]
+PAIRS = [(family, m) for family in FAMILIES for m in range(1, 9)]
+TEST_REFERENCE = json.loads(Path(__file__).with_name("reference.json").read_text())["closed_form"]
+# radius of convergence in x of each family's power series: zeta, eta,
+# lambda and beta rows
+LIMIT_RADIUS = {
+    "T1": 2.0 * math.pi, "T2": 2.0 * math.pi, "T3": math.pi, "T4": math.pi,
+    "T5": math.pi, "T6": math.pi, "T7": 0.5 * math.pi, "T8": 0.5 * math.pi,
+}
+# refusals of limit_series_eval on the 13 points of tests/reference.json,
+# for m = 1..8: 249 of 832 (91 of the 576 points of the 9-point grids)
+LIMIT_REFUSALS = {
+    "T1": (5, 5, 4, 4, 3, 3, 2, 2),
+    "T2": (6, 5, 5, 4, 4, 3, 3, 2),
+    "T3": (8, 6, 6, 6, 4, 4, 2, 0),
+    "T4": (8, 8, 6, 6, 6, 4, 2, 2),
+    "T5": (5, 5, 4, 3, 3, 2, 1, 0),
+    "T6": (5, 5, 4, 4, 3, 2, 2, 1),
+    "T7": (8, 6, 6, 6, 4, 2, 0, 0),
+    "T8": (8, 6, 6, 4, 4, 2, 0, 0),
+}
 
-    def test_matches_direct_sum(self):
-        spec = SeriesSpec.from_family("T6", 2)
-        got = lambda_series_path(spec, 1.0)
-        want = direct_sum(spec, 1.0, 1e-10).value
-        assert got == pytest.approx(want, abs=1e-8)
 
-    def test_matches_closed_form(self):
-        spec = SeriesSpec.from_family("T5", 2)
-        got = lambda_series_path(spec, math.pi / 2.0)
-        want = closed_form_eval(spec, math.pi / 2.0).value
-        assert got == pytest.approx(want, abs=1e-8)
+class TestLimitSeries:
+    @pytest.mark.parametrize("family, m", PAIRS)
+    def test_matches_reference_and_closed_form(self, family, m):
+        # 30-digit mpmath values on the 9-point grid plus points 1e-6 and
+        # 1e-3 of the interval from each end
+        entry = TEST_REFERENCE[family]
+        assert set(grid_points(family, 9)) <= set(entry["x"])
+        spec = SeriesSpec.from_family(family, m)
+        refused = 0
+        for x, ref in zip(entry["x"], entry[str(m)]):
+            try:
+                got = limit_series_eval(spec, x)
+            except ConvergenceError as exc:
+                assert math.isfinite(exc.best_value), x
+                refused += 1
+                continue
+            closed = closed_form_eval(spec, x).value
+            assert abs(got - ref) <= 1e-13 * (1.0 + abs(ref)), (x, got, ref)
+            assert abs(got - closed) <= 1e-13 * (1.0 + abs(ref)), (x, got, closed)
+        assert refused == LIMIT_REFUSALS[family][m - 1]
 
-    def test_family_restriction(self):
-        with pytest.raises(DomainError):
-            lambda_series_path(SeriesSpec.from_family("T1", 1), 0.5)
-        with pytest.raises(DomainError):
-            lambda_series_path(SeriesSpec.from_family("T5", 1), 3.5)
+    @pytest.mark.parametrize("family, m", PAIRS)
+    def test_answers_within_half_radius(self, family, m):
+        spec = SeriesSpec.from_family(family, m)
+        half = 0.5 * LIMIT_RADIUS[family]
+        xs = [half * i / 16 for i in range(1, 17)]
+        xs += [x for x in TEST_REFERENCE[family]["x"] if abs(x) <= half]
+        if spec.interval[0] < 0.0:
+            xs += [-x for x in xs]
+        for x in xs:
+            got = limit_series_eval(spec, x)
+            closed = closed_form_eval(spec, x).value
+            assert abs(got - closed) <= 1e-13 * (1.0 + abs(closed)), (x, got, closed)
+
+    @pytest.mark.parametrize("family, m", PAIRS)
+    def test_parity(self, family, m):
+        # sine families odd in x, cosine families even; the intervals of the
+        # zeta and lambda rows hold no negative x
+        spec = SeriesSpec.from_family(family, m)
+        lo, hi = spec.interval
+        if lo == 0.0:
+            with pytest.raises(DomainError):
+                limit_series_eval(spec, -0.5)
+            return
+        parity = -1.0 if spec.kind == "sin" else 1.0
+        for t in (0.05, 0.3, 0.5):
+            assert limit_series_eval(spec, -t * hi) == parity * limit_series_eval(spec, t * hi)
+        at_zero = limit_series_eval(spec, 0.0)
+        if spec.kind == "sin":
+            assert at_zero == 0.0
+        else:
+            assert at_zero == pytest.approx(closed_form_eval(spec, 0.0).value, rel=1e-13)
+
+    @pytest.mark.parametrize("family, m", PAIRS)
+    def test_domain(self, family, m):
+        spec = SeriesSpec.from_family(family, m)
+        lo, hi = spec.interval
+        for bad in (lo, hi, lo - 0.1, hi + 0.1, math.nan):
+            with pytest.raises(DomainError):
+                limit_series_eval(spec, bad)
+
+    def test_catalan_anchor(self):
+        # [DERIVED] sum sin((2n-1) pi/2)/(2n-1)^2 = Catalan's constant
+        got = limit_series_eval(SeriesSpec.from_family("T5", 1), math.pi / 2.0)
+        assert got == pytest.approx(CATALAN, abs=1e-15)
 
 
 class TestLimitProbes:
