@@ -19,11 +19,9 @@ from .dirichlet import (
     SPECIAL_VALUES,
     SpecialValue,
     beta_fn,
-    beta_prime_neg_odd,
     dirichlet_lambda,
     eta,
     riemann_zeta,
-    zeta_neg_odd,
     zeta_prime_neg_even,
 )
 from .errors import (
@@ -69,7 +67,6 @@ __all__ = [
     "TrigZetaError",
     "VerificationError",
     "beta_fn",
-    "beta_prime_neg_odd",
     "choi_srivastava_check",
     "closed_form_eval",
     "closed_form_grid",
@@ -86,6 +83,5 @@ __all__ = [
     "limit_series_eval",
     "plan_for",
     "riemann_zeta",
-    "zeta_neg_odd",
     "zeta_prime_neg_even",
 ]

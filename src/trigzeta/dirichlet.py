@@ -2,11 +2,11 @@
 
 Continuation strategy: for s > 0 everything routes through the
 Euler-Maclaurin Hurwitz engine; for s < 0 zeta goes through its
-functional equation (one Gamma, one cosine, one zeta at 1-s > 1), which
-is far better conditioned than Euler-Maclaurin at deeply negative
-order.  beta likewise uses its functional equation below s = -1/2 so
-that beta(1-2n) comes out exactly zero; elsewhere it uses the Hurwitz
-decomposition 4^-s (zeta(s,1/4) - zeta(s,3/4)).
+functional equation (one Gamma, one cosine, one zeta at 1-s > 1), since
+Euler-Maclaurin serves only s > -2.  beta likewise uses its functional
+equation below s = -1/2 so that beta(1-2n) comes out exactly zero;
+elsewhere it uses the Hurwitz decomposition 4^-s (zeta(s,1/4) -
+zeta(s,3/4)).
 """
 
 from __future__ import annotations
@@ -22,12 +22,10 @@ __all__ = [
     "SpecialValue",
     "SPECIAL_VALUES",
     "riemann_zeta",
-    "zeta_neg_odd",
     "zeta_prime_neg_even",
     "eta",
     "dirichlet_lambda",
     "beta_fn",
-    "beta_prime_neg_odd",
 ]
 
 _POLE_BAND = 1e-3
@@ -53,19 +51,6 @@ def riemann_zeta(s: float) -> float:
     if abs(s - 1.0) < _POLE_BAND:
         raise PoleError(f"zeta rejected within {_POLE_BAND} of the pole at s=1")
     return _zeta_unguarded(s)
-
-
-def zeta_neg_odd(n: int) -> float:
-    """zeta(1-2n) = (-1)^n 2 (2n-1)! zeta(2n) / (2 pi)^(2n)."""
-    if n < 1:
-        raise DomainError("zeta_neg_odd requires n >= 1")
-    sign = -1.0 if n % 2 else 1.0
-    log_mag = (
-        math.log(2.0)
-        + math.lgamma(2.0 * n)
-        - 2.0 * n * math.log(2.0 * math.pi)
-    )
-    return sign * hurwitz_zeta(2.0 * n, 1.0) * math.exp(log_mag)
 
 
 def zeta_prime_neg_even(n: int) -> float:
@@ -131,18 +116,6 @@ def beta_fn(s: float) -> float:
             return 0.0
         return (2.0 / math.pi) ** u * sin_term * math.gamma(u) * _beta_hurwitz(u)
     return _beta_hurwitz(s)
-
-
-def beta_prime_neg_odd(m: int, k: int) -> float:
-    """beta'(2k-2m+1) = -(pi/2)^(2k-2m+1) (-1)^(k-m) Gamma(2m-2k) beta(2m-2k)."""
-    if m < 2 or not (1 <= k <= m - 1):
-        raise DomainError("beta_prime_neg_odd requires m >= 2 and 1 <= k <= m-1")
-    exponent = 2 * k - 2 * m + 1
-    sign = -1.0 if (k - m) % 2 else 1.0
-    order = 2 * m - 2 * k
-    return -((0.5 * math.pi) ** exponent) * sign * math.gamma(float(order)) * beta_fn(
-        float(order)
-    )
 
 
 @dataclass(frozen=True)

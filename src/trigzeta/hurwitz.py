@@ -1,6 +1,4 @@
-"""Hurwitz zeta and its order-derivative: Euler-Maclaurin and a Taylor table.
-
-Two routes, chosen from the point (s, a):
+"""Hurwitz zeta and its order-derivative: three routes, one per order regime.
 
 * ``hurwitz_zeta_sderiv(s, a)`` at integer order s = -n, 0 <= n <= 15,
   and 0 < a < 5/2 -- every point the closed forms ask for -- sums the
@@ -26,27 +24,29 @@ Two routes, chosen from the point (s, a):
   each power base**n stay scalar ``math.log`` and ``**`` calls, because
   ``np.log`` and ``np.power`` do not always round as they do.
 
-* every other point, and ``hurwitz_zeta`` everywhere, use Euler-Maclaurin
-  summation (N direct terms, M Bernoulli corrections):
+* ``hurwitz_zeta(s, a)`` at integer order s = -j, 2 <= j <= 15, and any
+  finite a > 0 is the Bernoulli polynomial
+
+      zeta(-j, a) = -B_{j+1}(a) / (j+1)        (DLMF 25.11.14),
+
+  one Horner pass in a over float coefficients -C(j+1, k) B_k / (j+1),
+  built once at import from the exact Bernoulli numbers.
+
+* every other point with s > -2 uses Euler-Maclaurin summation (N direct
+  terms, M Bernoulli corrections):
 
     zeta(s,a) ~ sum_{k=0}^{N-1} (k+a)^-s
               + (N+a)^{1-s}/(s-1) + (N+a)^-s / 2
               + sum_{j=1}^{M} B_{2j}/(2j)! * (s)_{2j-1} * (N+a)^{-s-2j+1}
 
-The s-derivative is the term-by-term analytic derivative of the same
-expansion (never an internal finite difference): the closed forms built
-on top of it are differences of nearly equal derivative values and a
-finite-difference route would lose half the working digits.
+  with the correction depth cut where the term magnitudes are least.
+  Its s-derivative is the term-by-term analytic derivative of the same
+  expansion (never an internal finite difference): the closed forms
+  built on top of it are differences of nearly equal derivative values
+  and a finite-difference route would lose half the working digits.
 
-Plan selection trades two float64 error sources against each other: the
-asymptotic truncation error (first omitted Bernoulli term) shrinks as N
-grows, while the rounding error grows like eps*(N+a)^(|s|+1) for
-negative s because the large direct terms cancel against the integral
-term.  Deeply negative s therefore gets a small direct sum sized from a
-cancellation budget, and a correction depth chosen by scanning the term
-magnitudes until they stop decreasing, in the same pass that sums them.
-That rounding floor is why integer orders take the Taylor route: at
-s = -15 Euler-Maclaurin keeps only about six digits.
+Every other point -- non-integer s <= -2, integer s < -15, and the
+derivative at s <= -2 outside the Taylor domain -- raises ``DomainError``.
 """
 
 from __future__ import annotations
@@ -75,10 +75,18 @@ _EM_COEFFS = tuple(
     for j in range(1, _MAX_CORRECTION + 1)
 )
 
-_TAYLOR_MAX_N = 15  # s = 1 - alpha for weights m <= 8
+_MAX_N = 15  # s = 1 - alpha for weights m <= 8; both integer-order tables stop here
 _TAYLOR_MAX_A = 2.5  # one recentring step keeps |t| <= 1/2
 _EULER_GAMMA = 0.5772156649015329
 _LOG_2PI = math.log(2.0 * math.pi)
+
+
+# Row j - 2: the coefficients -C(j+1, k) B_k / (j+1) of zeta(-j, a) =
+# -B_{j+1}(a) / (j+1) for j = 2.._MAX_N, highest power of a first
+_BERNOULLI_ROWS = tuple(
+    tuple(float(-math.comb(j + 1, k) * BERNOULLI[k] / (j + 1)) for k in range(j + 2))
+    for j in range(2, _MAX_N + 1)
+)
 
 
 @dataclass(frozen=True)
@@ -111,23 +119,9 @@ def _em(s: float, a: float) -> tuple[float, float, EulerMaclaurinPlan]:
         raise PoleError("Hurwitz zeta has a pole at s=1")
     if not (math.isfinite(s) and math.isfinite(a)):
         raise DomainError(f"Hurwitz zeta needs finite s and a, got s={s}, a={a}")
-    if s > -2.0:
-        shift_n = max(16, math.ceil(abs(s)) + 12)
-    else:
-        # Negative s: the direct terms grow like (k+a)^|s| and cancel
-        # against the integral term; size the direct sum so that
-        # eps*(N+a)^(|s|+1) stays ~1e3*eps below the expected magnitude
-        # of the result (Bernoulli-number growth).
-        sigma = -s
-        scale = max(
-            1.0,
-            2.0
-            * math.exp(math.lgamma(sigma + 2.0) - (sigma + 1.0) * math.log(2.0 * math.pi))
-            / (sigma + 1.0),
-        )
-        log_budget = (4.0 + math.log10(scale)) / (sigma + 1.0)
-        base_target = max(2.25, 10.0 ** log_budget)
-        shift_n = min(16, max(1, round(base_target - a)))
+    if s <= -2.0:
+        raise DomainError(f"no route serves s={s} at a={a}: Euler-Maclaurin needs s > -2")
+    shift_n = max(16, math.ceil(abs(s)) + 12)
     log_base = math.log(shift_n + a)
     parts, dparts = [], []
     for k in range(shift_n):
@@ -171,28 +165,36 @@ def _em(s: float, a: float) -> tuple[float, float, EulerMaclaurinPlan]:
 
 
 def plan_for(s: float, a: float) -> EulerMaclaurinPlan:
-    """The Euler-Maclaurin plan at the point (s, a).
+    """The Euler-Maclaurin plan at (s, a), for real s > -2, s != 1 and a > 0.
 
-    This is the plan of the Euler-Maclaurin pass, which the derivative at
-    integer order s in [-15, 0] with 0 < a < 5/2 no longer uses (see
-    ``hurwitz_zeta_sderiv``).
+    Neither integer-order table uses it (see ``hurwitz_zeta`` and
+    ``hurwitz_zeta_sderiv``); s <= -2 raises ``DomainError``.
     """
     return _em(s, a)[2]
 
 
 def hurwitz_zeta(s: float, a: float) -> float:
-    """zeta(s, a) for real s != 1 and a > 0."""
+    """zeta(s, a) for finite a > 0 and s > -2 (s != 1) or integer s in [-15, -2].
+
+    Integer s <= -2 takes the Bernoulli rows, s > -2 Euler-Maclaurin; any
+    other s raises ``DomainError``.
+    """
+    if -_MAX_N <= s <= -2.0 and s == int(s) and 0.0 < a < math.inf:
+        acc = 0.0
+        for c in _BERNOULLI_ROWS[int(-s) - 2]:
+            acc = acc * a + c
+        return acc
     return _em(s, a)[0]
 
 
 def hurwitz_zeta_sderiv(s: float, a: float) -> float:
-    """d/ds zeta(s, a) for real s != 1 and a > 0.
+    """d/ds zeta(s, a) for finite a > 0 and s > -2 (s != 1), or on the Taylor domain.
 
     Integer s in [-15, 0] with 0 < a < 5/2 takes the Taylor table; every
-    other point takes the analytic derivative of the Euler-Maclaurin
-    expansion.
+    other point with s > -2 takes the analytic derivative of the
+    Euler-Maclaurin expansion.  Any other point raises ``DomainError``.
     """
-    if -_TAYLOR_MAX_N <= s <= 0.0 and 0.0 < a < _TAYLOR_MAX_A and s == int(s):
+    if -_MAX_N <= s <= 0.0 and 0.0 < a < _TAYLOR_MAX_A and s == int(s):
         return _taylor(int(-s), a)
     return _em(s, a)[1]
 
@@ -227,7 +229,7 @@ def _taylor_rows() -> tuple[tuple[float, ...], ...]:
     A row stops at the first k >= n+2 with |c_k| 2^-k < 1e-18; past n+1
     the |c_k| only decrease, so the dropped tail is below about 2e-18.
     """
-    orders = range(_TAYLOR_MAX_N + 1)
+    orders = range(_MAX_N + 1)
     zeta_prime = [_zeta_prime_nonpositive(j) for j in orders]
     # zeta(-j) = (-1)^j B_{j+1} / (j+1), with B_1 = -1/2
     zeta_neg = [float((-1) ** j * BERNOULLI[j + 1] / (j + 1)) for j in orders]
@@ -301,9 +303,9 @@ def hurwitz_zeta_sderiv_grid(orders, offsets) -> np.ndarray:
     """
     orders = list(orders)
     for n in orders:
-        if not (0 <= n <= _TAYLOR_MAX_N and n == int(n)):
+        if not (0 <= n <= _MAX_N and n == int(n)):
             raise DomainError(
-                f"Taylor grid order must be an integer in [0, {_TAYLOR_MAX_N}], got {n}"
+                f"Taylor grid order must be an integer in [0, {_MAX_N}], got {n}"
             )
     points = []
     for a in offsets:

@@ -424,6 +424,10 @@ def choi_srivastava_check(n: int, a: float, t: float, terms: int = 400) -> tuple
     lhs = sum_{k=2}^{terms} zeta(k, a) t^(n+k) / (k)_{n+1}
     rhs = the closed form over zeta'(-n, a-t), zeta'(-n, a), the binomial
           sum with harmonic-number weights, and (H_n + psi(a)) t^(n+1)/(n+1)!.
+
+    Domain: 0 <= n <= 8, a > 0 and |t| < a.  For n >= 2 the rhs needs
+    zeta'(-n, .) from the Taylor table, so a and a - t must also lie
+    below 5/2; ``DomainError`` otherwise.
     """
     if n < 0 or n > 8:
         raise DomainError("choi_srivastava_check requires 0 <= n <= 8")

@@ -7,14 +7,12 @@ import pytest
 from trigzeta.dirichlet import (
     SPECIAL_VALUES,
     beta_fn,
-    beta_prime_neg_odd,
     dirichlet_lambda,
     eta,
     riemann_zeta,
-    zeta_neg_odd,
     zeta_prime_neg_even,
 )
-from trigzeta.errors import DomainError, PoleError
+from trigzeta.errors import PoleError
 from trigzeta.hurwitz import hurwitz_zeta
 
 
@@ -59,14 +57,6 @@ class TestZeta:
             riemann_zeta(1.0005)
         # just outside the band is fine
         assert math.isfinite(riemann_zeta(1.0011))
-
-    def test_zeta_neg_odd_formula(self):
-        for n in range(1, 9):
-            assert zeta_neg_odd(n) == pytest.approx(
-                riemann_zeta(float(1 - 2 * n)), rel=1e-12, abs=1e-18
-            )
-        with pytest.raises(DomainError):
-            zeta_neg_odd(0)
 
     def test_zeta_prime_neg_even_vs_finite_difference(self):
         # [DERIVED] central difference of the functional-equation route
@@ -129,15 +119,3 @@ class TestBeta:
         inside = beta_fn(1.0 + 9e-4)
         outside = beta_fn(1.0 + 1.1e-3)
         assert abs(inside - outside) < 1e-3
-
-    def test_beta_prime_neg_odd(self):
-        # [DERIVED] central difference of beta_fn
-        for m, k in [(2, 1), (3, 1), (3, 2), (4, 2)]:
-            s0 = float(2 * k - 2 * m + 1)
-            h = 1e-6
-            fd = (beta_fn(s0 + h) - beta_fn(s0 - h)) / (2 * h)
-            assert beta_prime_neg_odd(m, k) == pytest.approx(fd, rel=1e-7)
-        with pytest.raises(DomainError):
-            beta_prime_neg_odd(1, 1)
-        with pytest.raises(DomainError):
-            beta_prime_neg_odd(3, 3)

@@ -1,14 +1,15 @@
-"""Tests for the Hurwitz zeta kernels (Euler-Maclaurin and Taylor table)."""
+"""Tests for the Hurwitz zeta kernels (Euler-Maclaurin, Taylor table, Bernoulli rows)."""
 
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trigzeta.errors import DomainError, PoleError
-from trigzeta.foundations import bernoulli_float, pochhammer
+from trigzeta.foundations import BERNOULLI, bernoulli_float, pochhammer
 from trigzeta.hurwitz import (
     _MAX_CORRECTION,
     _corrections,
@@ -37,11 +38,25 @@ class TestDomain:
                     fn(s, a)
 
     def test_plan_for_is_valid_plan(self):
-        for s in (-25.0, -5.0, -0.5, 0.0, 3.0, 20.0):
+        for s in (-1.5, -0.5, 0.0, 3.0, 20.0):
             plan = plan_for(s, 0.3)
             assert plan.shift_n >= 1
             assert 1 <= plan.correction_m <= 32
             assert plan.est_error > 0.0
+
+    def test_no_route_below_minus_two(self):
+        # Euler-Maclaurin serves s > -2 only; below that just the integer
+        # orders of the Bernoulli rows (value) and Taylor table (derivative)
+        cases = [
+            (hurwitz_zeta, -3.3, 0.5), (hurwitz_zeta, -2.0 - 1e-9, 0.5),
+            (hurwitz_zeta, -16.0, 0.5), (hurwitz_zeta_sderiv, -4.0, 3.0),
+            (hurwitz_zeta_sderiv, -2.0, 2.5), (hurwitz_zeta_sderiv, -16.0, 0.5),
+            (plan_for, -5.0, 0.3), (plan_for, -2.0, 0.3),
+        ]
+        cases += [(hurwitz_zeta, -3.0, a) for a in (0.0, -0.5, -math.inf, math.inf, math.nan)]
+        for fn, s, a in cases:
+            with pytest.raises(DomainError):
+                fn(s, a)
 
 
 class TestValues:
@@ -64,7 +79,11 @@ class TestValues:
             want = -(a * a - a + 1.0 / 6.0) / 2.0
             assert hurwitz_zeta(-1.0, a) == pytest.approx(want, abs=1e-13)
 
-    @given(st.floats(-5.0, 4.0), st.floats(0.1, 3.0))
+    @given(st.floats(-2.0, 4.0, exclude_min=True), st.floats(0.1, 3.0))
+    @example(-5.0, 0.1)
+    @example(-4.0, 1.3)
+    @example(-3.0, 2.9)
+    @example(-2.0, 0.7)
     @settings(max_examples=60)
     def test_offset_recurrence(self, s, a):
         # zeta(s, a) = a^-s + zeta(s, a+1)
@@ -86,13 +105,13 @@ class TestDerivative:
         # [DERIVED] the spec'd independent oracle: symmetric finite difference
         # h large enough that ~1e-12 evaluation jitter divided by 2h stays
         # well under the h^2 truncation budget
-        for s, a in [(-1.5, 0.4), (-3.0, 1.2), (0.5, 0.9), (2.5, 0.3)]:
+        for s, a in [(-1.5, 0.4), (0.5, 0.9), (2.5, 0.3)]:
             h = 1e-4
             fd = (hurwitz_zeta(s + h, a) - hurwitz_zeta(s - h, a)) / (2 * h)
             exact = hurwitz_zeta_sderiv(s, a)
             assert abs(fd - exact) <= 1e-6 * (1.0 + abs(exact))
 
-    @given(st.floats(-4.5, 3.5), st.floats(0.1, 2.5))
+    @given(st.floats(-2.0, 3.5, exclude_min=True), st.floats(0.1, 2.5))
     @settings(max_examples=60)
     def test_derivative_offset_recurrence(self, s, a):
         # zeta'(s, a) = -a^-s ln a + zeta'(s, a+1)
@@ -135,19 +154,7 @@ class TestCorrections:
 
 def two_pass_plan(s, a):
     """Reference plan: the truncation scan as a separate pass over the weights."""
-    if s > -2.0:
-        shift_n = max(16, math.ceil(abs(s)) + 12)
-    else:
-        sigma = -s
-        scale = max(
-            1.0,
-            2.0
-            * math.exp(math.lgamma(sigma + 2.0) - (sigma + 1.0) * math.log(2.0 * math.pi))
-            / (sigma + 1.0),
-        )
-        log_budget = (4.0 + math.log10(scale)) / (sigma + 1.0)
-        base_target = max(2.25, 10.0 ** log_budget)
-        shift_n = min(16, max(1, round(base_target - a)))
+    shift_n = max(16, math.ceil(abs(s)) + 12)
     log_base = math.log(shift_n + a)
     m_used = 1
     est = math.inf
@@ -187,8 +194,8 @@ def two_pass_kernel(s, a):
 
 
 class TestSinglePassKernel:
-    @pytest.mark.parametrize("s", [float(-k) for k in range(16)] + [
-        -14.7, -7.5, -3.3, -1.5, -0.25, 0.5, 2.0, 2.5, 3.0, 7.7, 20.0])
+    @pytest.mark.parametrize("s", [
+        0.0, -1.0, -1.5, -0.25, 0.5, 2.0, 2.5, 3.0, 7.7, 20.0])
     def test_matches_two_pass_reference(self, s):
         for a in (1e-3, 0.05, 0.25, 0.5, 0.75, 1.0, 1.7, 3.0):
             plan = plan_for(s, a)
@@ -200,6 +207,29 @@ class TestSinglePassKernel:
             em_only = s <= 0.0 and s == int(s)
             got = _em(s, a)[1] if em_only else hurwitz_zeta_sderiv(s, a)
             assert got == deriv, (s, a)
+
+
+def bernoulli_zeta(j, a):
+    """zeta(-j, a) = -B_{j+1}(a) / (j+1) as an exact Fraction at the float a."""
+    n = j + 1
+    a = Fraction(a)
+    return -sum(math.comb(n, k) * BERNOULLI[k] * a ** (n - k) for k in range(n + 1)) / n
+
+
+class TestBernoulliRoute:
+    OFFSETS = [k / 64 for k in range(1, 160)] + [
+        1e-9, 1e-3, math.nextafter(2.5, 0.0), 2.5, 3.0, 7.25, 40.0]
+
+    @pytest.mark.parametrize("s", [float(-j) for j in range(2, 16)])
+    def test_matches_exact_rationals(self, s):
+        # a float is an exact Fraction, so the error is measured exactly;
+        # the Horner pass cancels more as the order grows
+        j = int(-s)
+        gate = 32 * 2.0**-52 if j <= 7 else 2e-12
+        for a in self.OFFSETS:
+            want = bernoulli_zeta(j, a)
+            got = hurwitz_zeta(s, a)
+            assert abs(Fraction(got) - want) <= gate * (1 + abs(want)), (j, a, got)
 
 
 REFERENCE = json.loads(Path(__file__).with_name("reference.json").read_text())
@@ -215,20 +245,23 @@ class TestTaylorRoute:
                 assert abs(got - ref) / (1.0 + abs(ref)) <= 1e-14, (n, a, got, ref)
 
     def test_points_outside_the_route_use_euler_maclaurin(self):
-        points = [(-3.0 + 1e-9, a) for a in (0.3, 1.0, 2.4)]
-        points += [(-3.0 - 1e-9, a) for a in (0.3, 1.0, 2.4)]
-        points += [(-16.0, a) for a in (0.3, 1.0, 2.4)]
-        points += [(-4.0, 2.5), (-4.0, 3.0), (-0.5, 0.3), (1.5, 0.3)]
+        # s > -2 only: TestDomain pins DomainError below
+        points = [(-1.0 + 1e-9, a) for a in (0.3, 1.0, 2.4)]
+        points += [(-2.0 + 1e-9, a) for a in (0.3, 1.0, 2.4)]
+        points += [(-1.0, 2.5), (-1.0, 3.0), (0.0, 2.5), (-0.5, 0.3), (1.5, 0.3)]
         for s, a in points:
             assert hurwitz_zeta_sderiv(s, a) == _em(s, a)[1], (s, a)
 
     def test_routes_agree_across_the_boundaries(self):
         for a in (1e-3, 0.05, 0.3, 0.5, 0.9, 1.0, 1.49, 1.6, 2.4):
-            inside = hurwitz_zeta_sderiv(-3.0, a)
-            for s in (-3.0 + 1e-9, -3.0 - 1e-9):
+            # Taylor table against Euler-Maclaurin in s
+            inside = hurwitz_zeta_sderiv(-1.0, a)
+            for s in (-1.0 + 1e-9, -1.0 - 1e-9):
                 assert abs(hurwitz_zeta_sderiv(s, a) - inside) <= 1e-9, (s, a)
-        below = hurwitz_zeta_sderiv(-4.0, math.nextafter(2.5, 0.0))
-        assert abs(below - hurwitz_zeta_sderiv(-4.0, 2.5)) <= 1e-9
+            # Bernoulli rows against Euler-Maclaurin at the edge s = -2
+            assert abs(hurwitz_zeta(-2.0 + 1e-9, a) - hurwitz_zeta(-2.0, a)) <= 1e-9, a
+        below = hurwitz_zeta_sderiv(-1.0, math.nextafter(2.5, 0.0))
+        assert abs(below - hurwitz_zeta_sderiv(-1.0, 2.5)) <= 1e-9
 
     def test_bad_offsets_raise_domain_error(self):
         for s in (0.0, -3.0, -15.0):

@@ -504,7 +504,7 @@ class TestChoiSrivastava:
             for a in (1.0, 0.25, 0.75):
                 for t in (0.05, -0.05, 0.2 * a, -0.2 * a):
                     lhs, rhs = choi_srivastava_check(n, a, t)
-                    assert abs(lhs - rhs) <= 1e-9, (n, a, t)
+                    assert abs(lhs - rhs) <= 1e-14, (n, a, t)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -515,6 +515,9 @@ class TestChoiSrivastava:
             choi_srivastava_check(1, 1.0, 1.0)
         with pytest.raises(DomainError):
             choi_srivastava_check(1, -1.0, 0.1)
+        # n >= 2 needs zeta'(-n, .) on the Taylor domain, a and a - t < 5/2
+        with pytest.raises(DomainError):
+            choi_srivastava_check(5, 3.0, 0.1)
 
 
 FAMILIES = [f"T{i}" for i in range(1, 9)]
