@@ -14,24 +14,27 @@ evaluators here return both the numeric value and the exact combination
 (prefactor and (coefficient, s, a) terms) so callers can audit the
 reconstruction.
 
+One table describes all eight brackets: the paper's master formula with
+the row constants of its Table II (``TABLE2_ROWS``), corrected by
+``ERRATA``.  The one erratum is row T8, which read literally gives a
+bracket that vanishes at x = 0 where the series does not; it needs
+j = +1 and the opposite overall sign.  ``closed_form_eval`` reads the
+corrected table; ``general_closed_form`` reads the same rows literally,
+through the same evaluator, which is what the ``table2`` verification
+suite reports.
+
 ``closed_form_grid`` gives the same values for a grid of weights and
 points.  The offsets of the zeta' terms depend on x alone, so it forms
 each once for all weights and evaluates every zeta' of the grid in one
 ``hurwitz_zeta_sderiv_grid`` call.  ``closed_form_eval`` stays the
 one-point route: it returns the decomposition, and costs less than a
 one-point grid.
-
-A single parameterised master formula reproducing the eight families
-from one table of row constants is also provided; its literal T8 row
-disagrees with the per-family evaluators (see ``general_closed_form``),
-which is precisely what the ``table2`` verification suite reports.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .errors import DomainError
 from .hurwitz import hurwitz_zeta_sderiv, hurwitz_zeta_sderiv_grid
@@ -50,32 +53,51 @@ _TWO_PI = 2.0 * math.pi
 _TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - _TWO_PI
 _MAX_WEIGHT = 8
 
-# family id -> (alternating, kind, odd_denoms)
-_FAMILY_SWITCHES = {
-    "T1": (False, "sin", False),
-    "T2": (False, "cos", False),
-    "T3": (True, "sin", False),
-    "T4": (True, "cos", False),
-    "T5": (False, "sin", True),
-    "T6": (False, "cos", True),
-    "T7": (True, "sin", True),
-    "T8": (True, "cos", True),
-}
-_SWITCHES_TO_FAMILY = {v: k for k, v in _FAMILY_SWITCHES.items()}
 
-# Families where the singular weight has even exponent alpha = 2m; the
-# remaining four have alpha = 2m-1.
-_EVEN_ALPHA = {"T1", "T3", "T5", "T8"}
+@dataclass(frozen=True)
+class GeneralFormulaParams:
+    """Row constants of the parameterised master formula.
 
-_INTERVALS = {
-    "T1": (0.0, _TWO_PI),
-    "T2": (0.0, _TWO_PI),
-    "T3": (-math.pi, math.pi),
-    "T4": (-math.pi, math.pi),
-    "T5": (0.0, math.pi),
-    "T6": (0.0, math.pi),
-    "T7": (-0.5 * math.pi, 0.5 * math.pi),
-    "T8": (-0.5 * math.pi, 0.5 * math.pi),
+    The series is sum_n sign^(n-1) f((an-b)x)/(an-b)^alpha with f = sin or
+    cos (``kind``) and alpha = 2m + p - 1.  ``r`` and ``k`` are affine in m
+    and stored as (constant, m-coefficient) pairs; ``c`` is None on the two
+    rows whose j = 0 drops the terms that would use it.
+    """
+
+    family: str
+    a: int
+    b: int
+    sign: int  # +1 non-alternating, -1 alternating
+    kind: str
+    p: int
+    r: tuple[float, float]
+    c: float | None
+    delta: int
+    q: float
+    k: tuple[float, float]
+    j: int
+
+
+TABLE2_ROWS: tuple[GeneralFormulaParams, ...] = (
+    GeneralFormulaParams("T1", 1, 0, 1, "sin", 1, (1.0, 0.0), None, -1, 1.0, (1.0, 0.0), 0),
+    GeneralFormulaParams("T2", 1, 0, 1, "cos", 0, (0.0, 0.0), None, 1, 1.0, (1.0, 0.0), 0),
+    GeneralFormulaParams("T3", 1, 0, -1, "sin", 1, (2.0, -2.0), -0.5, -1, 1.0, (0.5, 1.0), -1),
+    GeneralFormulaParams("T4", 1, 0, -1, "cos", 0, (2.0, -2.0), -0.5, 1, 1.0, (0.0, 1.0), 1),
+    GeneralFormulaParams("T5", 2, 1, 1, "sin", 1, (1.0, -2.0), -0.5, -1, 1.0, (1.0, 1.0), -1),
+    GeneralFormulaParams("T6", 2, 1, 1, "cos", 0, (1.0, -2.0), -0.5, 1, 1.0, (0.5, 1.0), 1),
+    GeneralFormulaParams("T7", 2, 1, -1, "sin", 0, (-1.0, 0.0), 1.0, 1, 0.25, (1.0, 0.0), 1),
+    GeneralFormulaParams("T8", 2, 1, -1, "cos", 1, (0.0, 0.0), 1.0, -1, 0.25, (1.0, 0.0), -1),
+)
+
+# family -> the Table II fields that reconcile its row with the series, and
+# their values; the overall ``sign`` multiplies the prefactor
+ERRATA = {"T8": {"j": 1, "sign": -1}}
+
+_ROW_BY_FAMILY = {row.family: row for row in TABLE2_ROWS}
+
+# (alternating, kind, odd_denoms) -> family id
+_SWITCHES_TO_FAMILY = {
+    (row.sign < 0, row.kind, row.a == 2): row.family for row in TABLE2_ROWS
 }
 
 
@@ -109,18 +131,19 @@ class SeriesSpec:
         if self.m != int(self.m):
             raise DomainError(f"weight m must be an integer, got {self.m}")
         family = _SWITCHES_TO_FAMILY[(self.alternating, self.kind, self.odd_denominators)]
-        alpha = 2 * self.m if family in _EVEN_ALPHA else 2 * self.m - 1
+        row = _ROW_BY_FAMILY[family]
+        # between consecutive zeros of 1 - sign e^{iax}, where the series is singular
+        hi = _TWO_PI / (row.a * (2 if self.alternating else 1))
         object.__setattr__(self, "family", family)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "interval", _INTERVALS[family])
+        object.__setattr__(self, "alpha", 2 * self.m + row.p - 1)
+        object.__setattr__(self, "interval", (-hi if self.alternating else 0.0, hi))
 
     @classmethod
     def from_family(cls, family: str, m: int) -> "SeriesSpec":
-        try:
-            alternating, kind, odd = _FAMILY_SWITCHES[family]
-        except KeyError:
-            raise DomainError(f"unknown family {family!r}") from None
-        return cls(alternating, kind, odd, m)
+        row = _ROW_BY_FAMILY.get(family)
+        if row is None:
+            raise DomainError(f"unknown family {family!r}")
+        return cls(row.sign < 0, row.kind, row.a == 2, m)
 
 
 @dataclass(frozen=True)
@@ -159,23 +182,6 @@ def _fold(spec: SeriesSpec, x: float) -> tuple[float, float]:
     return 1.0, x
 
 
-# family -> (prefactor base, sign offset, halving, g exponent offset or None,
-#            (coefficient sign, a0, a_y) per zeta' term).  With k = alpha - 1
-# the prefactor is (-1)^(alpha//2 + sign offset) base^k / (halving * k!),
-# g = 2^(k + g offset) multiplies the terms with |a_y| = 1, and each term
-# is evaluated at s = 1 - alpha, a = a0 + a_y * x / 2pi.
-_BRACKETS = {
-    "T1": (_TWO_PI, 0, 1, None, ((1, 1.0, -1), (-1, 0.0, 1))),
-    "T2": (_TWO_PI, 0, 1, None, ((1, 1.0, -1), (1, 0.0, 1))),
-    "T3": (math.pi, 0, 1, 0, ((1, 1.0, -1), (-1, 0.0, 1), (-1, 1.0, -2), (1, 0.0, 2))),
-    "T4": (math.pi, 0, 1, 0, ((1, 1.0, -1), (1, 0.0, 1), (-1, 1.0, -2), (-1, 0.0, 2))),
-    "T5": (math.pi, 0, 2, 1, ((1, 1.0, -1), (-1, 0.0, 1), (-1, 1.0, -2), (1, 0.0, 2))),
-    "T6": (math.pi, 0, 2, 1, ((1, 1.0, -1), (1, 0.0, 1), (-1, 1.0, -2), (-1, 0.0, 2))),
-    "T7": (_TWO_PI, 0, 2, None, ((1, 0.25, -1), (-1, 0.75, -1), (-1, 0.25, 1), (1, 0.75, 1))),
-    "T8": (_TWO_PI, 1, 2, None, ((1, 0.25, -1), (-1, 0.75, -1), (1, 0.25, 1), (-1, 0.75, 1))),
-}
-
-
 def _offset(a0: float, a_y: float, x: float) -> float:
     """The zeta' offset a0 + a_y x / 2pi, for a_y a power of two.
 
@@ -187,32 +193,49 @@ def _offset(a0: float, a_y: float, x: float) -> float:
     return (a0 * _TWO_PI + a_y * x + a0 * _TWO_PI_LO) / _TWO_PI
 
 
-def _bracket_constants(family: str, m: int) -> tuple[float, float, tuple]:
-    """(prefactor, s, ((coefficient, a0, a_y) per zeta' term)) of one bracket."""
-    base, sign_offset, halving, g_offset, offsets = _BRACKETS[family]
-    alpha = SeriesSpec.from_family(family, m).alpha
-    k = alpha - 1
-    parity = (-1.0) ** (alpha // 2 + sign_offset)
-    pref = parity * base**k / (halving * math.factorial(k))
-    g = 1.0 if g_offset is None else 2.0 ** (k + g_offset)
-    coefficients = tuple(
-        (sign * (g if abs(a_y) == 1 else 1.0), a0, a_y) for sign, a0, a_y in offsets
+def _bracket_constants(row: GeneralFormulaParams, m: int, j: int, sign: int) -> tuple:
+    """(prefactor, s, ((coefficient, a0, a_y) per zeta' term)) of one row at m.
+
+    The master formula, with K = 2m + p - 2, r and k read at m, and
+    g = 2^(2k-2), is
+
+        sign (-1)^(m+p-1) pi^K 2^(2m+r-2) / K!
+          * [g zeta'(s, q - y) + g delta zeta'(s, 1 - q + y)
+             - j (zeta'(s, 1 - q - y/c) + delta zeta'(s, q + y/c))]
+
+    at s = 2 - p - 2m and y = x/2pi; j = 0 drops the last two terms.  Each
+    offset is a0 + a_y y, and the terms are ordered by (|a_y|, a_y, a0).
+    """
+    p = row.p
+    order = 2 * m + p - 2
+    r = row.r[0] + row.r[1] * m
+    g = 2.0 ** (2.0 * (row.k[0] + row.k[1] * m) - 2.0)
+    pref = (
+        sign * (-1.0) ** (m + p - 1) * math.pi**order * 2.0 ** (2 * m + r - 2)
+        / math.factorial(order)
     )
-    return pref, 1.0 - alpha, coefficients
+    terms = [(g, row.q, -1.0), (g * row.delta, 1.0 - row.q, 1.0)]
+    if j:
+        u = 1.0 / row.c
+        terms += [(float(-j), 1.0 - row.q, -u), (float(-j * row.delta), row.q, u)]
+    terms.sort(key=lambda term: (abs(term[2]), term[2], term[1]))
+    return pref, 2.0 - p - 2 * m, tuple(terms)
 
 
-# (family, m) -> the x-independent part of its bracket
-_BRACKET_CONSTANTS = {
-    (family, m): _bracket_constants(family, m)
-    for family in _BRACKETS
-    for m in range(1, _MAX_WEIGHT + 1)
-}
+def _constants_table(errata: dict) -> dict:
+    """(family, m) -> the x-independent part of its bracket, errata applied."""
+    table = {}
+    for row in TABLE2_ROWS:
+        fix = errata.get(row.family, {})
+        for m in range(1, _MAX_WEIGHT + 1):
+            table[row.family, m] = _bracket_constants(
+                row, m, fix.get("j", row.j), fix.get("sign", 1)
+            )
+    return table
 
 
-def _bracket_terms(spec: SeriesSpec, x: float) -> tuple[float, tuple]:
-    """Prefactor and zeta'-term list for x in the positive part of the domain."""
-    pref, s, coefficients = _BRACKET_CONSTANTS[spec.family, spec.m]
-    return pref, tuple((c, s, _offset(a0, a_y, x)) for c, a0, a_y in coefficients)
+_BRACKET_CONSTANTS = _constants_table(ERRATA)
+_LITERAL_CONSTANTS = _constants_table({})
 
 
 def _t4_at_zero(m: int) -> ClosedFormResult:
@@ -232,8 +255,8 @@ def _t4_at_zero(m: int) -> ClosedFormResult:
     return ClosedFormResult(value, pref, terms)
 
 
-def closed_form_eval(spec: SeriesSpec, x: float) -> ClosedFormResult:
-    """Evaluate the closed form of ``spec`` at x inside its open interval."""
+def _bracket_eval(constants: dict, spec: SeriesSpec, x: float) -> ClosedFormResult:
+    """The bracket of ``spec`` read from ``constants``, at x inside its interval."""
     sign, x = _fold(spec, x)
     if x == 0.0:
         # Only the symmetric-interval families reach 0 in the interior.
@@ -242,32 +265,31 @@ def closed_form_eval(spec: SeriesSpec, x: float) -> ClosedFormResult:
         if spec.family == "T4":
             return _t4_at_zero(spec.m)
         # T8 falls through: its zeta'-offsets stay positive at x = 0.
-    pref, terms = _bracket_terms(spec, x)
+    pref, s, coefficients = constants[spec.family, spec.m]
+    terms = tuple((c, s, _offset(a0, a_y, x)) for c, a0, a_y in coefficients)
     value = pref * math.fsum(c * hurwitz_zeta_sderiv(s, a) for c, s, a in terms)
     return ClosedFormResult(sign * value, sign * pref, terms)
 
 
-def closed_form_grid(family: str, weights, xs) -> list[list[float]]:
-    """Closed-form values of ``family`` for every weight and x.
+def closed_form_eval(spec: SeriesSpec, x: float) -> ClosedFormResult:
+    """Evaluate the closed form of ``spec`` at x inside its open interval."""
+    return _bracket_eval(_BRACKET_CONSTANTS, spec, x)
 
-    Returns one list per weight, in the order of ``xs``; each value is, bit
-    for bit, ``closed_form_eval(spec, x).value``.  Every weight and x is
-    validated first.  The offsets a0 + a_y x / 2pi do not depend on the
-    weight, so each is formed once, and one kernel call evaluates zeta' at
-    every (order, offset) pair.
-    """
+
+def _bracket_grid(constants: dict, family: str, weights, xs) -> list[list[float]]:
+    """``closed_form_grid`` with the brackets read from ``constants``."""
     specs = [SeriesSpec.from_family(family, m) for m in weights]
     spec = SeriesSpec.from_family(family, 1)
     folds = [_fold(spec, x) for x in xs]
     # x = 0 of a sine family (value 0) or of T4 (_t4_at_zero) has no bracket
     own_zero = spec.kind == "sin" or family == "T4"
     bracketed = [j for j, (_, x) in enumerate(folds) if x != 0.0 or not own_zero]
-    terms = _BRACKETS[family][4]
+    terms = constants[family, 1][2]  # (a0, a_y) do not depend on the weight
     offsets = [_offset(a0, a_y, folds[j][1]) for j in bracketed for _, a0, a_y in terms]
     zetas = hurwitz_zeta_sderiv_grid([s.alpha - 1 for s in specs], offsets)
     values = []
     for s, row in zip(specs, zetas):
-        pref, _, coefficients = _BRACKET_CONSTANTS[family, s.m]
+        pref, _, coefficients = constants[family, s.m]
         products = row.reshape(-1, len(terms)) * [c for c, _, _ in coefficients]
         at_zero = 0.0
         if family == "T4" and len(bracketed) < len(folds):
@@ -279,76 +301,26 @@ def closed_form_grid(family: str, weights, xs) -> list[list[float]]:
     return values
 
 
-@dataclass(frozen=True)
-class GeneralFormulaParams:
-    """Row constants of the parameterised master formula.
+def closed_form_grid(family: str, weights, xs) -> list[list[float]]:
+    """Closed-form values of ``family`` for every weight and x.
 
-    ``r`` and ``k`` are affine in m and stored as (constant, m-coefficient)
-    pairs; ``c`` is None on the two rows whose j = 0 drops the terms that
-    would use it.
+    Returns one list per weight, in the order of ``xs``; each value is, bit
+    for bit, ``closed_form_eval(spec, x).value``.  Every weight and x is
+    validated first.  The offsets a0 + a_y x / 2pi do not depend on the
+    weight, so each is formed once, and one kernel call evaluates zeta' at
+    every (order, offset) pair.
     """
-
-    family: str
-    a: int
-    b: int
-    sign: int  # +1 non-alternating, -1 alternating
-    kind: str
-    p: int
-    r: tuple[float, float]
-    c: Optional[float]
-    delta: int
-    q: float
-    k: tuple[float, float]
-    j: int
-
-
-TABLE2_ROWS: tuple[GeneralFormulaParams, ...] = (
-    GeneralFormulaParams("T1", 1, 0, 1, "sin", 1, (1.0, 0.0), None, -1, 1.0, (1.0, 0.0), 0),
-    GeneralFormulaParams("T2", 1, 0, 1, "cos", 0, (0.0, 0.0), None, 1, 1.0, (1.0, 0.0), 0),
-    GeneralFormulaParams("T3", 1, 0, -1, "sin", 1, (2.0, -2.0), -0.5, -1, 1.0, (0.5, 1.0), -1),
-    GeneralFormulaParams("T4", 1, 0, -1, "cos", 0, (2.0, -2.0), -0.5, 1, 1.0, (0.0, 1.0), 1),
-    GeneralFormulaParams("T5", 2, 1, 1, "sin", 1, (1.0, -2.0), -0.5, -1, 1.0, (1.0, 1.0), -1),
-    GeneralFormulaParams("T6", 2, 1, 1, "cos", 0, (1.0, -2.0), -0.5, 1, 1.0, (0.5, 1.0), 1),
-    GeneralFormulaParams("T7", 2, 1, -1, "sin", 0, (-1.0, 0.0), 1.0, 1, 0.25, (1.0, 0.0), 1),
-    GeneralFormulaParams("T8", 2, 1, -1, "cos", 1, (0.0, 0.0), 1.0, -1, 0.25, (1.0, 0.0), -1),
-)
-
-_ROW_BY_FAMILY = {row.family: row for row in TABLE2_ROWS}
+    return _bracket_grid(_BRACKET_CONSTANTS, family, weights, xs)
 
 
 def general_closed_form(family: str, m: int, x: float) -> float:
     """Literal evaluation of the parameterised master formula.
 
-    For seven of the eight rows this agrees with ``closed_form_eval`` to
-    rounding.  Row T8, read literally, does not: its sign/offset
-    combination makes its bracket vanish identically at x = 0 where the
-    series does not.  The verification CLI reports it as a deviation.
+    The Table II rows read without ``ERRATA``, through the evaluator of
+    ``closed_form_eval``: rows T1..T7 give its values bit for bit.  Row
+    T8, read literally, does not: its sign/offset combination makes its
+    bracket vanish identically at x = 0 where the series does not.  The
+    verification CLI reports it as a deviation, with the erratum fields
+    that reconcile it.
     """
-    row = _ROW_BY_FAMILY.get(family)
-    if row is None:
-        raise DomainError(f"unknown family {family!r}")
-    sign, x = _fold(SeriesSpec.from_family(family, m), x)
-    if x == 0.0 and row.kind == "sin":
-        return 0.0
-    if x == 0.0 and family == "T4":
-        return _t4_at_zero(m).value
-    p = row.p
-    r = row.r[0] + row.r[1] * m
-    k = row.k[0] + row.k[1] * m
-    s = 2.0 - p - 2.0 * m
-    pref = (
-        (-1.0) ** (m + p - 1)
-        * math.pi ** (2 * m + p - 2)
-        * 2.0 ** (2 * m + r - 2)
-        / math.factorial(2 * m + p - 2)
-    )
-    g = 2.0 ** (2.0 * k - 2.0)
-    # offsets q - y, 1 - q + y, 1 - q - u, q + u with y = x/2pi and
-    # u = x/(2c pi) = (x/c)/2pi; every c is a power of two
-    bracket = g * hurwitz_zeta_sderiv(s, _offset(row.q, -1.0, x))
-    bracket += g * row.delta * hurwitz_zeta_sderiv(s, _offset(1.0 - row.q, 1.0, x))
-    if row.j != 0:
-        extra = hurwitz_zeta_sderiv(s, _offset(1.0 - row.q, -1.0 / row.c, x))
-        extra += row.delta * hurwitz_zeta_sderiv(s, _offset(row.q, 1.0 / row.c, x))
-        bracket -= row.j * extra
-    return sign * pref * bracket
+    return _bracket_eval(_LITERAL_CONSTANTS, SeriesSpec.from_family(family, m), x).value

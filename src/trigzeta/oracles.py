@@ -8,7 +8,8 @@ Three routes that share no code with the Hurwitz-derivative closed forms:
 * ``limit_series_eval`` -- the singular limit of the power series over
                          zeta/eta/lambda/beta values at integers: a log
                          term plus one Horner pass over a table per
-                         (family, m), for all eight families;
+                         (family, m), about 0 or, through a symmetry of
+                         the series, about the far end of the interval;
 * ``choi_srivastava_check`` -- both sides of the identity underpinning
                          the closed forms, returned for comparison.
 
@@ -353,28 +354,39 @@ _LIMIT_ROWS = {
 }
 
 
+# family -> (target, sign): at y = E - |x|, E the upper end of the
+# interval, the series is sign times the target's series at y, by the sine
+# or cosine of d(n)(E - y); the weight and so alpha are the same
+_END_SYMMETRIES = {
+    "T1": ("T1", -1.0), "T2": ("T2", 1.0), "T3": ("T1", 1.0), "T4": ("T2", -1.0),
+    "T5": ("T5", 1.0), "T6": ("T6", -1.0), "T7": ("T6", 1.0), "T8": ("T5", 1.0),
+}
+_PI_LO = 1.2246467991473532e-16  # pi - math.pi
+
+
 @functools.cache
-def _limit_table(spec: SeriesSpec) -> tuple:
+def _limit_table(family: str, m: int) -> tuple:
     """Horner coefficients in x^2, highest first, and the log-term constants.
 
     The coefficient of x^(2k+delta) is (-1)^k F(alpha-2k-delta)/(2k+delta)!,
     exact at order <= 0, from ``dirichlet`` above it, and 0 at the pole
     index k = m-1 of the rows with a log term.
     """
+    spec = SeriesSpec.from_family(family, m)
     f_func, f_exact, c, scale, radius = _LIMIT_ROWS[spec.alternating, spec.odd_denominators]
     alpha = int(spec.alpha)
     delta = 1 if spec.kind == "sin" else 0
     coeffs = []
     for k in range((_LIMIT_ORDER + alpha - delta) // 2 + 1):
         order = alpha - 2 * k - delta
-        if c and k == spec.m - 1:
+        if c and k == m - 1:
             coeffs.append(0.0)
         elif order > 0:
             coeffs.append((-1) ** k * f_func(float(order)) / math.factorial(2 * k + delta))
         else:
             coeffs.append(float((-1) ** k * f_exact(-order) / math.factorial(2 * k + delta)))
     k_log = alpha - 1
-    log_coeff = c * (-1) ** spec.m / math.factorial(k_log)
+    log_coeff = c * (-1) ** m / math.factorial(k_log)
     return tuple(reversed(coeffs)), delta, k_log, log_coeff, harmonic(k_log), scale, radius
 
 
@@ -390,13 +402,26 @@ def limit_series_eval(spec: SeriesSpec, x: float) -> float:
     with delta = 1 for sine and 0 for cosine families, and c, scale = 1, 1
     (zeta), 1/2, 1/2 (lambda) or c = 0 with no skipped index (eta, beta).
     The sum stops at F(-63), one Horner pass in x^2 over a table built on
-    first use per (family, m).  The omitted terms are bounded as a
-    geometric series of ratio q = (x/R)^2, R the radius of convergence;
-    where that bound exceeds eps (1 + |value|) it raises
-    ``ConvergenceError`` carrying the value as ``best_value``.
+    first use per (family, m).  Of the expansion at 0 and that of the
+    ``_END_SYMMETRIES`` target at y = E - |x|, with y formed from pi in two
+    parts so that it keeps its relative accuracy, the one with the smaller
+    ratio |x|/R or y/R' to its radius of convergence is summed.  That ratio
+    never exceeds 1/2 on the open interval.  The omitted terms are bounded
+    as a geometric series of ratio q = (x/R)^2; where that bound exceeds
+    eps (1 + |value|) it raises ``ConvergenceError`` carrying the value as
+    ``best_value``.  It shares with the closed forms only the Bernoulli
+    numbers (``BERNOULLI``, for F at order <= 0) and, through
+    ``dirichlet``, the Euler-Maclaurin sum at positive order.
     """
     sign, t = _fold(spec, x)
-    coeffs, delta, k_log, log_coeff, h_k, scale, radius = _limit_table(spec)
+    target, end_sign = _END_SYMMETRIES[spec.family]
+    table = _limit_table(spec.family, spec.m)
+    far = _limit_table(target, spec.m)
+    end = spec.interval[1]
+    y = (end - t) + end / math.pi * _PI_LO
+    if y * table[-1] < t * far[-1]:  # y/R' < |x|/R
+        table, t, sign = far, y, sign * end_sign
+    coeffs, delta, k_log, log_coeff, h_k, scale, radius = table
     y = t * t
     acc = 0.0
     for coeff in coeffs:
@@ -458,10 +483,6 @@ def choi_srivastava_check(n: int, a: float, t: float, terms: int = 400) -> tuple
 # --- limit probes --------------------------------------------------------
 
 
-def _lambda_scaled(s: float) -> float:
-    return s * _lambda_unguarded(1.0 + s)
-
-
 def lambda_probe_orders() -> tuple[float, float]:
     """(order-1, order-2) Richardson extrapolations of s*lambda(1+s) -> 1/2.
 
@@ -469,7 +490,7 @@ def lambda_probe_orders() -> tuple[float, float]:
     smallest nodes, order 2 all three (Neville to s = 0).
     """
     nodes = (1e-4, 1e-5, 1e-6)
-    h = [_lambda_scaled(s) for s in nodes]
+    h = [s * _lambda_unguarded(1.0 + s) for s in nodes]  # s lambda(1 + s)
     # eliminate the O(s) error term between consecutive nodes
     r1_ab = (10.0 * h[1] - h[0]) / 9.0
     r1_bc = (10.0 * h[2] - h[1]) / 9.0

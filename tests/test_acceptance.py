@@ -119,7 +119,7 @@ def test_criterion_6_zeta_series_identity():
     count = 0
     for n in range(5):
         for a in (1.0, 0.25, 0.75):
-            for t in (0.05, -0.05, 0.2 * a, -0.2 * a):
+            for t in (0.04, -0.04, 0.2 * a, -0.2 * a):
                 lhs, rhs = choi_srivastava_check(n, a, t)
                 worst = max(worst, abs(lhs - rhs))
                 count += 1

@@ -11,6 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trigzeta import closedforms
 from trigzeta.cli import (
     CSV_HEADER,
     FAMILIES,
@@ -223,6 +224,24 @@ class TestVerify:
         assert rows == ["T8"]
         assert report["deviations"][0]["theorem_evaluator_passes"] is True
         assert report["deviations"][0]["interpretation"]
+        assert report["deviations"][0]["erratum"] == {"j": 1, "sign": -1}
+
+    def test_table2_fails_on_the_literal_t8_row(self, capsys, monkeypatch):
+        # the theorem values of T8 read literally leave the limit series
+        for m in range(1, 9):
+            monkeypatch.setitem(closedforms._BRACKET_CONSTANTS, ("T8", m),
+                                closedforms._LITERAL_CONSTANTS["T8", m])
+        code, out, _ = run_cli(["verify", "--suite", "table2"], capsys)
+        assert code == 4
+        assert "FAIL table2.T8." in out
+
+    def test_table2_fails_on_a_prefactor_off_by_1e12(self, capsys, monkeypatch):
+        pref, s, terms = closedforms._BRACKET_CONSTANTS["T3", 2]
+        monkeypatch.setitem(closedforms._BRACKET_CONSTANTS, ("T3", 2),
+                            (pref * (1.0 + 1e-12), s, terms))
+        code, out, _ = run_cli(["verify", "--suite", "table2"], capsys)
+        assert code == 4
+        assert "FAIL table2.T3.literal" in out
 
     def test_all_suites(self, capsys):
         code, out, _ = run_cli(["verify", "--suite", "all"], capsys)
@@ -230,6 +249,13 @@ class TestVerify:
         assert "FAIL" not in out
         summary = [ln for ln in out.splitlines() if "checks passed" in ln]
         assert summary
+
+    def test_all_suite_check_names_are_unique(self, capsys):
+        code, out, _ = run_cli(["verify", "--suite", "all", "--format", "json"], capsys)
+        assert code == 0
+        names = [c["check"] for c in json.loads(out.split("\n", 1)[1])]
+        assert len(names) == 131
+        assert len(set(names)) == len(names)
 
 
 # digit-free text: float() reads none of it as a finite number, and

@@ -307,6 +307,17 @@ class TestMasterFormula:
                     rel = abs(literal - ref) / (1.0 + abs(ref))
                     assert rel <= 1e-13, (row.family, m, x, rel)
 
+    def test_literal_rows_t1_to_t7_are_the_evaluator(self):
+        # the literal reading goes through closed_form_eval's evaluator, and
+        # only T8 carries an erratum
+        for family in FAMILIES[:7]:
+            xs = REFERENCE["closed_form"][family]["x"] + grid_points(family, 33)
+            for m in range(1, 9):
+                spec = SeriesSpec.from_family(family, m)
+                for x in xs:
+                    want = closed_form_eval(spec, x).value
+                    assert same_float(general_closed_form(family, m, x), want), (family, m, x)
+
     def test_unknown_row(self):
         with pytest.raises(DomainError):
             general_closed_form("T9", 1, 0.5)

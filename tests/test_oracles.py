@@ -529,17 +529,11 @@ LIMIT_RADIUS = {
     "T1": 2.0 * math.pi, "T2": 2.0 * math.pi, "T3": math.pi, "T4": math.pi,
     "T5": math.pi, "T6": math.pi, "T7": 0.5 * math.pi, "T8": 0.5 * math.pi,
 }
-# refusals of limit_series_eval on the 13 points of tests/reference.json,
-# for m = 1..8: 249 of 832 (91 of the 576 points of the 9-point grids)
-LIMIT_REFUSALS = {
-    "T1": (5, 5, 4, 4, 3, 3, 2, 2),
-    "T2": (6, 5, 5, 4, 4, 3, 3, 2),
-    "T3": (8, 6, 6, 6, 4, 4, 2, 0),
-    "T4": (8, 8, 6, 6, 6, 4, 2, 2),
-    "T5": (5, 5, 4, 3, 3, 2, 1, 0),
-    "T6": (5, 5, 4, 4, 3, 2, 2, 1),
-    "T7": (8, 6, 6, 6, 4, 2, 0, 0),
-    "T8": (8, 6, 6, 4, 4, 2, 0, 0),
+# the far end E of each interval, as a multiple of pi, and the family whose
+# series at y = E - |x| equals +-1 times the family's series at x
+LIMIT_FAR_END = {
+    "T1": (2.0, "T1"), "T2": (2.0, "T2"), "T3": (1.0, "T1"), "T4": (1.0, "T2"),
+    "T5": (1.0, "T5"), "T6": (1.0, "T6"), "T7": (0.5, "T6"), "T8": (0.5, "T5"),
 }
 
 
@@ -547,32 +541,30 @@ class TestLimitSeries:
     @pytest.mark.parametrize("family, m", PAIRS)
     def test_matches_reference_and_closed_form(self, family, m):
         # 30-digit mpmath values on the 9-point grid plus points 1e-6 and
-        # 1e-3 of the interval from each end
+        # 1e-3 of the interval from each end; no point is refused
         entry = TEST_REFERENCE[family]
         assert set(grid_points(family, 9)) <= set(entry["x"])
         spec = SeriesSpec.from_family(family, m)
-        refused = 0
         for x, ref in zip(entry["x"], entry[str(m)]):
-            try:
-                got = limit_series_eval(spec, x)
-            except ConvergenceError as exc:
-                assert math.isfinite(exc.best_value), x
-                refused += 1
-                continue
+            got = limit_series_eval(spec, x)
             closed = closed_form_eval(spec, x).value
             assert abs(got - ref) <= 1e-13 * (1.0 + abs(ref)), (x, got, ref)
             assert abs(got - closed) <= 1e-13 * (1.0 + abs(ref)), (x, got, closed)
-        assert refused == LIMIT_REFUSALS[family][m - 1]
 
     @pytest.mark.parametrize("family, m", PAIRS)
     def test_answers_within_half_radius(self, family, m):
+        # every point of the interval lies within half the radius of the
+        # expansion at 0 or of the one at the far end, so the whole interval
+        # is scanned: 199 even points plus points 1e-6 and 1e-3 of the
+        # interval from each end
         spec = SeriesSpec.from_family(family, m)
-        half = 0.5 * LIMIT_RADIUS[family]
-        xs = [half * i / 16 for i in range(1, 17)]
-        xs += [x for x in TEST_REFERENCE[family]["x"] if abs(x) <= half]
-        if spec.interval[0] < 0.0:
-            xs += [-x for x in xs]
-        for x in xs:
+        lo, hi = spec.interval
+        end, target = LIMIT_FAR_END[family]
+        fractions = [i / 200 for i in range(1, 200)] + [1e-6, 1e-3, 1.0 - 1e-3, 1.0 - 1e-6]
+        for x in (lo + t * (hi - lo) for t in fractions):
+            near = abs(x) / LIMIT_RADIUS[family]
+            far = (end * math.pi - abs(x)) / LIMIT_RADIUS[target]
+            assert min(near, far) <= 0.5, x
             got = limit_series_eval(spec, x)
             closed = closed_form_eval(spec, x).value
             assert abs(got - closed) <= 1e-13 * (1.0 + abs(closed)), (x, got, closed)
