@@ -16,13 +16,12 @@ digits in machine formats (12 in human format).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .closedforms import (
     _LITERAL_CONSTANTS,
@@ -71,8 +70,7 @@ CSV_HEADER = [
 ]
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     family: str
     m: int
     x: float
@@ -173,24 +171,15 @@ def make_records(family: str, weights, xs, tol: float) -> list[RunRecord]:
 
 def _emit_records(records: list[RunRecord], fmt: str, out) -> None:
     if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in records:
-            writer.writerow(
-                [
-                    r.family,
-                    r.m,
-                    _fmt(r.x, True),
-                    _fmt(r.closed_form, True),
-                    _fmt(r.oracle, True),
-                    _fmt(r.abs_err, True),
-                    _fmt(r.rel_err, True),
-                    r.oracle_method,
-                    r.terms_used,
-                ]
-            )
+        # no field needs quoting: names of families and methods, and numbers
+        out.write(",".join(CSV_HEADER) + "\n")
+        out.write("".join(
+            f"{r.family},{r.m},{r.x:.17g},{r.closed_form:.17g},{r.oracle:.17g},"
+            f"{r.abs_err:.17g},{r.rel_err:.17g},{r.oracle_method},{r.terms_used}\n"
+            for r in records
+        ))
     elif fmt == "json":
-        json.dump([asdict(r) for r in records], out, indent=2)
+        json.dump([r._asdict() for r in records], out, indent=2)
         out.write("\n")
     else:
         for r in records:

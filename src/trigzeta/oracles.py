@@ -30,12 +30,20 @@ exponent 1 near the singular endpoints.  Alternating series report
 ``euler_accelerated``, the rest ``direct``.
 
 Only d^{-alpha} depends on the weight.  The head length, the phases with
-their cosines and sines, and the tail's z, ratio and first phase depend
-on (family, x) alone, so a grid computes them once per x and reuses them
-for every weight; per weight it computes one table of d^{-alpha} and, per
-point, the sums and the tail's difference loop.  At most 2^16 terms
-(``_CHUNK``) are held at once: longer heads are summed in chunks of that
-length, and a grid's heads are laid end to end in batches of that size.
+their cosines and sines, and the tail's z, ratio and factors depend on
+(family, x) alone, so a grid computes them once per x and reuses them for
+every weight.  The heads take one table of d^{-alpha} with a row per
+weight and, per point, one product with the point's cosines and sines,
+reduced along the terms for all weights at once.  The tails run in
+lockstep over the (weight, point) grid, one array step per order of the
+transformation, each lane freezing at its own stopping order.  At most
+2^16 terms (``_CHUNK``) per weight are held at once: longer heads are
+summed in chunks of that length, and a grid's heads are laid end to end
+in batches of that size.  Each array step costs about a microsecond
+whatever the grid, so a lone point pays for a few hundred of them:
+``direct_sum`` takes 0.3 to 0.5 ms, about five times what scalar loops
+took, while one call for a sweep's 264 points of a family takes about
+2 ms.
 """
 
 from __future__ import annotations
@@ -134,31 +142,36 @@ def _batches(parts: list[tuple[int, int]]):
 
 def _head_sums(
     a: int, b: int, sign: int, alphas: list[int], xs: list[float], heads: list[int]
-) -> tuple[list[list[complex]], list[list[float]]]:
-    """S and R per weight and point: S = sum_{n=1}^{m} sign^(n-1) e^{idx} d^{-alpha}.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per weight and point, S = sum_{n=1}^{m} sign^(n-1) e^{idx} d^{-alpha} and R.
 
-    S is the defining series in complex form, summed in chunks of _CHUNK
-    values of n.  The parts of all heads in one chunk are laid end to end,
-    at most _CHUNK terms at a time, and d x, its cosine and its sine are
-    computed once for all weights.  Per weight, one table g = d^{-alpha}
-    serves every point: a point's S is the ndarray sum of g times its
-    contiguous slice of cosines and sines, the same value a lone partial
-    sum gives.  A head of 0 marks a point with nothing to sum.  The sign
-    is exact, carried on the coefficients, and each phase d x is rounded
-    once, by at most eps/2 * d x, independently of the other terms.  R
-    bounds the rounding of S: those phase errors, weighted by d^{-alpha},
-    plus 5/2 eps d^{-alpha} per term for the power, the cosine or sine
-    and their product, plus the summation.  ndarray.sum adds pairwise over
-    blocks of 128 held in 8 running sums, so a term meets at most
-    log2(m) + 12 additions there, and one more per chunk total.
+    Returns the real and imaginary parts of S and the bound R on its
+    rounding, each of shape (weights, points).  S is the defining series
+    in complex form, summed in chunks of _CHUNK values of n.  The parts of
+    all heads in one chunk are laid end to end, at most _CHUNK terms at a
+    time, and d x, its cosine and its sine are computed once for all
+    weights.  One table g = d^{-alpha}, a row per weight, serves every
+    point: a point's S for all weights is one product of g with its
+    contiguous slice of cosines and sines, reduced along the terms, the
+    same value a lone partial sum gives.  A head of 0 marks a point with
+    nothing to sum.  The sign is exact, carried on the coefficients, and
+    each phase d x is rounded once, by at most eps/2 * d x, independently
+    of the other terms.  R bounds the rounding of S: those phase errors,
+    weighted by d^{-alpha}, plus 5/2 eps d^{-alpha} per term for the
+    power, the cosine or sine and their product, plus the summation.
+    ndarray.sum adds pairwise over blocks of 128 held in 8 running sums,
+    so a term meets at most log2(m) + 12 additions there, and one more per
+    chunk total.
     """
-    totals = [[0.0 + 0.0j] * len(xs) for _ in alphas]
-    masses = [[0.0] * len(xs) for _ in alphas]  # sum of d^{-alpha}
-    moments = [[0.0] * len(xs) for _ in alphas]  # sum of d^{1-alpha}
+    shape = (len(alphas), len(xs))
+    totals = np.zeros((len(alphas), 2, len(xs)))  # cosine and sine sums
+    masses = np.zeros(shape)  # sum of d^{-alpha}
+    moments = np.zeros(shape)  # sum of d^{1-alpha}
     for first in range(1, max(heads, default=0) + 1, _CHUNK):
         # the part of each head in this chunk runs from n = first
         parts = [(j, min(m - first + 1, _CHUNK)) for j, m in enumerate(heads) if m >= first]
         for batch in _batches(parts):
+            points = np.array([j for j, _ in batch])
             lengths = [length for _, length in batch]
             top = a * (first + max(lengths) - 1) - b
             d = np.arange(a * first - b, top + 1, a, dtype=np.float64)
@@ -169,80 +182,105 @@ def _head_sums(
                 start += length
             np.cos(trig[1], out=trig[0])
             np.sin(trig[1], out=trig[1])
-            ends = np.array(lengths) - 1
+            # a scalar exponent per row: an array exponent takes another pow
+            g = np.empty((len(alphas), len(d)))
             for w, alpha in enumerate(alphas):
-                g = d ** (-float(alpha))
-                mass = g.cumsum()[ends].tolist()
-                moment = (d * g).cumsum()[ends].tolist()
-                if sign < 0:
-                    g[first % 2::2] *= -1.0  # even n
-                start = 0
-                for (j, length), part_mass, part_moment in zip(batch, mass, moment):
-                    part = trig[:, start:start + length] * g[:length]
-                    cos_sum, sin_sum = part.sum(axis=1).tolist()
-                    totals[w][j] += complex(cos_sum, sin_sum)
-                    masses[w][j] += part_mass
-                    moments[w][j] += part_moment
-                    start += length
-    roundings = []
-    for mass, moment in zip(masses, moments):
-        row = [0.0] * len(xs)
-        for j, (x, m) in enumerate(zip(xs, heads)):
-            if m:
-                depth = math.log2(m) + 12 + math.ceil(m / _CHUNK)
-                row[j] = _EPS * (0.5 * x * moment[j] + (2.5 + 0.5 * depth) * mass[j])
-        roundings.append(row)
-    return totals, roundings
+                g[w] = d ** (-float(alpha))
+            ends = np.array(lengths) - 1
+            masses[:, points] += g.cumsum(axis=1)[:, ends]
+            moments[:, points] += (d * g).cumsum(axis=1)[:, ends]
+            if sign < 0:
+                g[:, first % 2::2] *= -1.0  # even n
+            sums = []
+            start = 0
+            for length in lengths:
+                sums.append((trig[:, start:start + length] * g[:, None, :length]).sum(axis=2))
+                start += length
+            totals[:, :, points] += np.stack(sums, axis=2)
+    depth = [math.log2(m) + 12 + math.ceil(m / _CHUNK) if m else 0.0 for m in heads]
+    roundings = _EPS * (0.5 * np.array(xs) * moments + (2.5 + 0.5 * np.array(depth)) * masses)
+    return totals[:, 0], totals[:, 1], roundings
 
 
-def _tail_by_parts(
-    a: int, b: int, alpha: int, x: float, m1: int,
-    ratio: float, step: complex, factor: complex,
-) -> tuple[complex, float, int]:
-    """Tail sum_{n>=m1} sign^(n-1) e^{idx} d^{-alpha}, d = an-b, by parts.
+def _tails(
+    a: int, b: int, alphas: list[int], xs: list[float], plans: list[tuple]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Tails sum_{n>m} sign^(n-1) e^{idx} d^{-alpha}, d = an-b, by parts.
 
-    With z = sign e^{iax} and g(n) = (an-b)^{-alpha} the tail is
+    One lockstep pass over every weight (rows) and planned point
+    (columns); ``plans`` holds (m, ratio, step, factor) from
+    ``_plan_point``.  Returns the real and imaginary parts of the tails,
+    their error bounds and the difference orders used.  With
+    z = sign e^{iax}, m1 = m + 1 and g(n) = (an-b)^{-alpha} the tail is
     sign^(m1-1) e^{i d(m1) x} sum_k z^k g(m1+k), transformed by iterated
-    summation by parts; ``ratio``, ``step`` and the first ``factor`` come
-    from ``_plan_point``.  Returns (tail value, error bound, difference
-    order used).  g is completely monotone in n, so the iterated forward
-    differences are positive and decreasing, giving the telescoping
-    remainder bound |z/(1-z)|^(J+1) Delta^J g(m1) after orders 0..J.  The
-    differences come from one pass that keeps the last diagonal of the
-    difference table, diag[k] = Delta^k g(m1+j-k); their rounding is
-    2^j eps g(m1) on Delta^j g(m1), carried with the same weights.  That
-    rounding grows with the order while the remainder shrinks, so the pass
-    stops where their sum is least, or once the remainder is below 1e-18.
-    The bound also covers the rounding of the phase d(m1) x, at most
-    eps/2 * d(m1) x, and of the factors 1/(1-z) and -z/(1-z).
+    summation by parts.  g is completely monotone in n, so the iterated
+    forward differences are positive and decreasing, giving the
+    telescoping remainder bound |z/(1-z)|^(J+1) Delta^J g(m1) after orders
+    0..J.  The differences come from one pass that keeps the last diagonal
+    of the difference table, diag[k] = Delta^k g(m1+j-k); their rounding
+    is 2^j eps g(m1) on Delta^j g(m1), carried with the same weights.
+    That rounding grows with the order while the remainder shrinks, so a
+    lane freezes where their sum is least, or once the remainder is below
+    1e-18; the pass ends when every lane has frozen.  The bound also
+    covers the rounding of the phase d(m1) x, at most eps/2 * d(m1) x, and
+    of the factors 1/(1-z) and -z/(1-z).
+
+    The factor recurrence does not depend on the weight, so it runs once
+    per point, in real and imaginary parts.  The powers g(m1+j) and
+    ratio^(j+1) stay Python floats, computed by the C library's pow for
+    the points with a live lane: numpy's vectorised power rounds some of
+    them differently.  Frozen lanes keep computing, and may overflow.
     """
-    d_m1 = a * m1 - b
-    power = -float(alpha)
-    eps_g = _EPS * d_m1**power
-    diag: list[float] = []
-    tail = 0.0 + 0.0j
-    best = (tail, math.inf, 0, 0.0)
-    rounding = size = 0.0
-    for j in range(60):
-        cur = (a * (m1 + j) - b) ** power
-        for k in range(j):
-            diag[k], cur = cur, diag[k] - cur
-        diag.append(cur)  # Delta^j g(m1)
-        tail += factor * cur
-        factor *= step
-        weight = ratio ** (j + 1)
-        rounding += weight * 2.0**j * eps_g
-        bound = weight * cur  # also the size of the order-j term
-        size += bound
-        err = max(bound, 1e-18) + rounding
-        if err > best[1]:
-            break  # past the optimal truncation point
-        best = (tail, err, j + 1, size)
-        if bound < 1e-18:
-            break
-    tail, err, used, size = best
-    err += _EPS * (0.5 * d_m1 * x + (used + 2) * (ratio + 2.0)) * size
-    return tail, err, used
+    ends = [a * (plan[0] + 1) - b for plan in plans]  # d(m1)
+    ratios = [plan[1] for plan in plans]
+    powers = [-float(alpha) for alpha in alphas]
+    shape = (len(alphas), len(plans))
+    eps_g = _EPS * np.array([[d ** power for d in ends] for power in powers]).reshape(shape)
+    # factor (real, imaginary) times step is factor * step.real plus the
+    # swapped parts times (-step.imag, step.imag): the two products and sums
+    # of the complex product, each rounded once
+    factor = np.array([[plan[3].real for plan in plans], [plan[3].imag for plan in plans]])
+    step_re = np.array([plan[2].real for plan in plans])
+    step_im = np.array([plan[2].imag for plan in plans]) * np.array([[-1.0], [1.0]])
+    diag: list[np.ndarray] = []
+    # per lane, the running tail (real, imaginary), error bound and size of
+    # the terms, and the same at the lane's best order
+    run, best = np.zeros((4,) + shape), np.zeros((4,) + shape)
+    best[2] = math.inf
+    tail, err, size = run[:2], run[2], run[3]
+    used = np.zeros(shape, dtype=np.int64)
+    rounding, weight = np.zeros(shape), np.zeros(len(plans))
+    live = np.ones(shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(60):
+            rows, columns = (index.tolist() for index in np.nonzero(live))
+            if not rows:
+                break
+            cur = np.zeros(shape)
+            cur[live] = [(ends[p] + a * j) ** powers[w] for w, p in zip(rows, columns)]
+            points = live.any(axis=0)
+            weight[points] = [ratios[p] ** (j + 1) for p in np.flatnonzero(points).tolist()]
+            for k in range(j):
+                diag[k], cur = cur, diag[k] - cur
+            diag.append(cur)  # Delta^j g(m1)
+            # Python's complex times float also adds -imag * 0.0 and
+            # real * 0.0, which can only change the sign of a zero
+            tail += factor[:, None] * cur
+            factor = factor * step_re + factor[::-1] * step_im
+            rounding += weight * 2.0**j * eps_g
+            bound = weight * cur  # also the size of the order-j term
+            size += bound
+            np.add(np.maximum(bound, 1e-18), rounding, out=err)
+            live &= err <= best[2]  # else past the optimal truncation point
+            np.copyto(best, run, where=live)
+            used += live
+            live &= bound >= 1e-18
+    tail_re, tail_im, err, size = best
+    err += _EPS * (
+        0.5 * np.array(ends, dtype=np.float64) * np.array(xs)
+        + (used + 2) * (np.array(ratios) + 2.0)
+    ) * size
+    return tail_re, tail_im, err, used
 
 
 def direct_sum_grid(
@@ -280,24 +318,30 @@ def direct_sum_grid(
         abs_xs.append(x)
         plans.append(None if x == 0.0 and sine else _plan_point(a, b, sign, x))
     heads = [plan[0] if isinstance(plan, tuple) else 0 for plan in plans]
-    sums, roundings = _head_sums(a, b, sign, [s.alpha for s in specs], abs_xs, heads)
+    alphas = [s.alpha for s in specs]
+    head_re, head_im, head_err = _head_sums(a, b, sign, alphas, abs_xs, heads)
+    planned = [j for j, plan in enumerate(plans) if isinstance(plan, tuple)]
+    tail_re, tail_im, tail_err, used = _tails(
+        a, b, alphas, [abs_xs[j] for j in planned], [plans[j] for j in planned]
+    )
+    total_re = head_re[:, planned] + tail_re
+    total_im = head_im[:, planned] + tail_im
+    values = np.array(folds)[planned] * (total_im if sine else total_re)
+    # np.hypot is the C library's hypot, which abs() of a complex calls
+    errs = head_err[:, planned] + tail_err + 0.5 * _EPS * np.hypot(total_re, total_im)
+    terms = np.array(heads)[planned] + used
     reports = []
-    for s, row_sums, row_roundings in zip(specs, sums, roundings):
+    for per_weight in zip(values.tolist(), errs.tolist(), terms.tolist()):
+        answers = zip(*per_weight)  # (value, err, terms) of each planned point
         row = []
-        for fold, x, plan, partial, partial_err in zip(
-            folds, abs_xs, plans, row_sums, row_roundings
-        ):
+        for plan in plans:
             if plan is None:
                 row.append(OracleReport(0.0, "direct", 1, 1e-18))
                 continue
             if isinstance(plan, str):
                 raise ConvergenceError(plan)
-            m = plan[0]
-            tail, tail_err, j_used = _tail_by_parts(a, b, s.alpha, x, m + 1, *plan[1:])
-            total = partial + tail
-            value = fold * (total.imag if sine else total.real)
-            err = partial_err + tail_err + 0.5 * _EPS * abs(total)
-            report = OracleReport(value, method, m + j_used, err)
+            value, err, terms_used = next(answers)
+            report = OracleReport(value, method, terms_used, err)
             if err > tol:
                 raise ConvergenceError(
                     f"direct summation reached error estimate {err:.3e} > tol {tol:.3e}",
@@ -318,8 +362,10 @@ def direct_sum(spec: SeriesSpec, x: float, tol: float = 1e-10) -> OracleReport:
     raising ``ConvergenceError`` when the estimate exceeds it or the head
     would exceed ``DIRECT_TERM_CAP`` terms.  A head longer than ``_CHUNK``
     (2^16) terms is summed in chunks of that many, so memory stays bounded
-    near the ends of the interval.  Computing many weights or points, a
-    single ``direct_sum_grid`` call shares the phases between them.
+    near the ends of the interval.  It runs the grid's array steps on a
+    1 x 1 grid, 0.3 to 0.5 ms a point: computing many weights or points,
+    a single ``direct_sum_grid`` call shares the phases, the head products
+    and the tail's steps between them.
     """
     return direct_sum_grid(spec.family, [spec.m], [x], tol)[0][0]
 

@@ -17,8 +17,11 @@ from trigzeta.cli import (
     FAMILIES,
     MAX_GRID,
     TOL_ENV_VAR,
+    RunRecord,
+    _emit_records,
     grid_points,
     main,
+    make_records,
     parse_m_range,
     parse_x,
 )
@@ -193,6 +196,46 @@ class TestSweep:
         assert code2 == 0
         assert piped == ""
         assert target.read_text() == out
+
+
+def _csv_writer_reference(records):
+    """The csv bytes as the standard library's writer gives them."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for r in records:
+        writer.writerow([
+            r.family, r.m, format(r.x, ".17g"), format(r.closed_form, ".17g"),
+            format(r.oracle, ".17g"), format(r.abs_err, ".17g"), format(r.rel_err, ".17g"),
+            r.oracle_method, r.terms_used,
+        ])
+    return buffer.getvalue()
+
+
+class TestEmitRecords:
+    # every record a sweep m = 1..8 on a 33-point grid gives, plus numbers
+    # whose formats are easy to get wrong
+    @pytest.fixture(scope="class")
+    def records(self):
+        records = [r for family in FAMILIES
+                   for r in make_records(family, list(range(1, 9)), grid_points(family, 33), 1e-8)]
+        records.append(RunRecord("T1", 1, -0.0, 5e-324, 1e300, 0.0, -0.0, "direct", 1))
+        records.append(RunRecord("T8", 8, 1e-300, -1e300, -5e-324, math.inf, 1e16,
+                                 "euler_accelerated", 10**7))
+        return records
+
+    def test_csv_matches_the_csv_writer(self, records):
+        out = io.StringIO()
+        _emit_records(records, "csv", out)
+        assert out.getvalue() == _csv_writer_reference(records)
+
+    def test_json_keys_follow_the_header(self, records):
+        out = io.StringIO()
+        _emit_records(records, "json", out)
+        want = io.StringIO()
+        json.dump([{name: getattr(r, name) for name in CSV_HEADER} for r in records],
+                  want, indent=2)
+        assert out.getvalue() == want.getvalue() + "\n"
 
 
 class TestVerify:

@@ -1,6 +1,7 @@
 """Tests for the independent oracle evaluation paths."""
 
 import cmath
+import functools
 import json
 import math
 import sys
@@ -27,6 +28,10 @@ from trigzeta.oracles import (
 
 CATALAN = 0.915965594177219
 EULER_GAMMA = 0.5772156649015329
+# the two frozen mpmath fixtures: 30-digit values per family and weight
+HERE = Path(__file__).parent
+TEST_REFERENCE = json.loads((HERE / "reference.json").read_text())["closed_form"]
+BENCH_GRIDS = json.loads((HERE.parent / "benchmarks" / "reference.json").read_text())["grids"]
 
 
 class TestDirectSum:
@@ -130,16 +135,12 @@ class TestByPartsErrorEstimate:
         assert answered >= 6
 
 
-def _reference_points():
-    """(family, m, x, 30-digit value) of both frozen mpmath fixtures."""
-    here = Path(__file__).parent
-    tables = list(json.loads((here / "reference.json").read_text())["closed_form"].items())
-    grids = json.loads((here.parent / "benchmarks" / "reference.json").read_text())["grids"]
-    tables += [(key.split("/")[0], entry) for key, entry in grids.items()]
+def _reference_grids():
+    """(family, xs, {weight: 30-digit values}) of both frozen mpmath fixtures."""
+    tables = list(TEST_REFERENCE.items())
+    tables += [(key.split("/")[0], entry) for key, entry in BENCH_GRIDS.items()]
     for family, entry in tables:
-        for m in range(1, 9):
-            for x, ref in zip(entry["x"], entry.get(str(m), ())):
-                yield family, m, x, ref
+        yield family, entry["x"], {m: entry[str(m)] for m in WEIGHTS if str(m) in entry}
 
 
 class TestErrorEstimateIsHonest:
@@ -149,16 +150,22 @@ class TestErrorEstimateIsHonest:
     REFUSED = 136
 
     def test_estimate_bounds_the_error_on_both_fixtures(self):
+        # one grid call per fixture grid, without the points refused at
+        # every weight; an estimate above 1e-10 is a refusal at tol 1e-10
         refused = answered = 0
-        for family, m, x, ref in _reference_points():
-            try:
-                rep = direct_sum(SeriesSpec.from_family(family, m), x, 1e-10)
-            except ConvergenceError:
-                refused += 1
-                continue
-            answered += 1
-            err = abs(rep.value - ref)
-            assert err <= rep.error_estimate, (family, m, x, err, rep.error_estimate)
+        for family, xs, refs in _reference_grids():
+            kept = _answered(family, xs)
+            refused += len(refs) * (len(xs) - len(kept))
+            grid = direct_sum_grid(family, list(refs), kept, math.inf)
+            for (m, values), row in zip(refs.items(), grid):
+                ref_at = dict(zip(xs, values))
+                for x, rep in zip(kept, row):
+                    if rep.error_estimate > 1e-10:
+                        refused += 1
+                        continue
+                    answered += 1
+                    err = abs(rep.value - ref_at[x])
+                    assert err <= rep.error_estimate, (family, m, x, err, rep.error_estimate)
         assert answered == 7120 - self.REFUSED
         assert refused == self.REFUSED
 
@@ -217,6 +224,7 @@ def _ref_partial_sum_complex(a, b, sign, alpha, x, m):
     return total, rounding
 
 
+@functools.cache  # a pure function: the grid and tail tests share many lanes
 def _ref_tail_by_parts(a, b, sign, alpha, x, m1):
     z = sign * cmath.exp(1j * a * x)
     one_minus = 1.0 - z
@@ -251,9 +259,9 @@ def _ref_tail_by_parts(a, b, sign, alpha, x, m1):
     return tail, err, used
 
 
-def _ref_sum_by_parts(spec, x, tol, method, fold):
+def _ref_head_length(spec, x):
+    """The head length at x >= 0, or the refusal at resonance or the term cap."""
     a = 2 if spec.odd_denominators else 1
-    b = 1 if spec.odd_denominators else 0
     sign = -1 if spec.alternating else 1
     one_minus = abs(1.0 - sign * cmath.exp(1j * a * x))
     if one_minus < 1e-8:
@@ -263,6 +271,14 @@ def _ref_sum_by_parts(spec, x, tol, method, fold):
     m = int(200.0 / one_minus)
     if m > DIRECT_TERM_CAP:
         raise ConvergenceError(f"term cap {DIRECT_TERM_CAP} exceeded for x={x}")
+    return m
+
+
+def _ref_sum_by_parts(spec, x, tol, method, fold):
+    a = 2 if spec.odd_denominators else 1
+    b = 1 if spec.odd_denominators else 0
+    sign = -1 if spec.alternating else 1
+    m = _ref_head_length(spec, x)
     partial, partial_err = _ref_partial_sum_complex(a, b, sign, spec.alpha, x, m)
     tail, tail_err, j_used = _ref_tail_by_parts(a, b, sign, spec.alpha, x, m + 1)
     total = partial + tail
@@ -317,13 +333,46 @@ WEIGHTS = tuple(range(1, 9))
 
 def _fixture_xs(family):
     """Every x of both frozen fixtures for ``family``, in a fixed order."""
-    here = Path(__file__).parent
-    xs = json.loads((here / "reference.json").read_text())["closed_form"][family]["x"]
-    grids = json.loads((here.parent / "benchmarks" / "reference.json").read_text())["grids"]
-    for key in sorted(grids):
+    xs = TEST_REFERENCE[family]["x"]
+    for key in sorted(BENCH_GRIDS):
         if key.split("/")[0] == family:
-            xs = xs + grids[key]["x"]
+            xs = xs + BENCH_GRIDS[key]["x"]
     return xs
+
+
+def _answered(family, xs):
+    """The xs where the oracle meets neither resonance nor the term cap."""
+    spec = SeriesSpec.from_family(family, 1)
+    answered = []
+    for x in xs:  # the term cap and resonance do not depend on the weight
+        if x != 0.0 or spec.kind != "sin":  # a sine series vanishes at 0
+            try:
+                _ref_head_length(spec, abs(x))
+            except ConvergenceError:
+                continue
+        answered.append(x)
+    return answered
+
+
+class TestLockstepTail:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_tail_equals_the_scalar_reference(self, family):
+        # every planned point of the 33-point CLI grid and of both fixtures,
+        # at every weight: value, error bound and order, bit for bit
+        a, b, sign = oracles._series_params(SeriesSpec.from_family(family, 1))
+        xs, plans = [], []
+        for x in grid_points(family, 33) + _fixture_xs(family):
+            plan = oracles._plan_point(a, b, sign, abs(x))
+            if isinstance(plan, tuple):
+                xs.append(abs(x))
+                plans.append(plan)
+        alphas = [SeriesSpec.from_family(family, m).alpha for m in WEIGHTS]
+        tail_re, tail_im, err, used = (t.tolist() for t in oracles._tails(a, b, alphas, xs, plans))
+        for w, alpha in enumerate(alphas):
+            for p, (x, plan) in enumerate(zip(xs, plans)):
+                want = _ref_tail_by_parts(a, b, sign, alpha, x, plan[0] + 1)
+                got = (complex(tail_re[w][p], tail_im[w][p]), err[w][p], used[w][p])
+                assert got == want, (family, alpha, x)
 
 
 class TestGridOracle:
@@ -342,17 +391,6 @@ class TestGridOracle:
                 assert got.method == want.method, (family, m, x)
                 assert got.error_estimate == pytest.approx(want.error_estimate, rel=1e-12)
 
-    def _answered(self, family, xs):
-        spec = SeriesSpec.from_family(family, 1)
-        answered = []
-        for x in xs:  # the term cap and resonance do not depend on the weight
-            try:
-                _ref_direct_sum(spec, x, 1.0)
-            except ConvergenceError:
-                continue
-            answered.append(x)
-        return answered
-
     @pytest.mark.parametrize("chunk", [None, 97])
     @pytest.mark.parametrize("family", FAMILIES)
     def test_grid_equals_per_point_reference(self, family, chunk, monkeypatch):
@@ -360,7 +398,7 @@ class TestGridOracle:
             monkeypatch.setattr(oracles, "_CHUNK", chunk)
             monkeypatch.setitem(globals(), "_REF_CHUNK", chunk)
         self._check_grid(family, grid_points(family, 9))
-        xs = self._answered(family, _fixture_xs(family))
+        xs = _answered(family, _fixture_xs(family))
         if chunk is not None:
             xs = xs[::4]
         self._check_grid(family, xs)
@@ -522,7 +560,6 @@ class TestChoiSrivastava:
 
 FAMILIES = [f"T{i}" for i in range(1, 9)]
 PAIRS = [(family, m) for family in FAMILIES for m in range(1, 9)]
-TEST_REFERENCE = json.loads(Path(__file__).with_name("reference.json").read_text())["closed_form"]
 # radius of convergence in x of each family's power series: zeta, eta,
 # lambda and beta rows
 LIMIT_RADIUS = {
