@@ -32,15 +32,16 @@ exponent 1 near the singular endpoints.  Alternating series report
 Only d^{-alpha} depends on the weight.  The head length, the phases with
 their cosines and sines, and the tail's z, ratio and factors depend on
 (family, x) alone, so a grid computes them once per x and reuses them for
-every weight.  The heads take one table of d^{-alpha} with a row per
-weight and, per point, one product with the point's cosines and sines,
-reduced along the terms for all weights at once.  The tails run in
-lockstep over the (weight, point) grid, one array step per order of the
-transformation, each lane freezing at its own stopping order.  At most
-2^16 terms (``_CHUNK``) per weight are held at once: longer heads are
-summed in chunks of that length, and a grid's heads are laid end to end
-in batches of that size.  Each array step costs about a microsecond
-whatever the grid, so a lone point pays for a few hundred of them:
+every weight.  The points run in batches of heads that total at most
+2^16 terms (``_CHUNK``), a longer head alone, summed in chunks of that
+length.  Per batch, the heads take one table of d^{-alpha} with a row
+per weight and, per point, one product with its cosines and sines,
+reduced along the terms for all weights at once; the tails run in
+lockstep over the (weight, point) lanes, one array step per order of
+the transformation, each lane freezing at its own stopping order.  Every
+head is at least 100 terms, so a batch holds at most 655 points, and
+memory is bounded by the batch, not the grid.  Each array step costs
+about a microsecond, so a lone point pays for a few hundred of them:
 ``direct_sum`` takes 0.3 to 0.5 ms, about five times what scalar loops
 took, while one call for a sweep's 264 points of a family takes about
 2 ms.
@@ -57,7 +58,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .closedforms import SeriesSpec, _fold, _validate_x
+from .closedforms import SeriesSpec, _fold
 from .dirichlet import (
     _lambda_unguarded,
     beta_fn,
@@ -82,7 +83,7 @@ __all__ = [
 
 DIRECT_TERM_CAP = 10**7
 
-# terms held at once: the chunk length of a head and the batch size of a grid
+# terms held at once: the chunk length of a long head and the most in a batch
 _CHUNK = 1 << 16
 _HEAD_SCALE = 200.0
 _EPS = sys.float_info.epsilon
@@ -127,17 +128,16 @@ def _plan_point(a: int, b: int, sign: int, x: float):
     return m, abs(z / one_minus), -z / one_minus, factor
 
 
-def _batches(parts: list[tuple[int, int]]):
-    """Group consecutive (point, length) parts into runs of <= _CHUNK terms."""
-    batch, size = [], 0
-    for part in parts:
-        if batch and size + part[1] > _CHUNK:
-            yield batch
-            batch, size = [], 0
-        batch.append(part)
-        size += part[1]
-    if batch:
-        yield batch
+def _batches(heads: list[int]):
+    """Slices of consecutive heads of <= _CHUNK terms in all; a longer head alone."""
+    start, size = 0, 0
+    for end, head in enumerate(heads):
+        if end > start and size + head > _CHUNK:
+            yield slice(start, end)
+            start, size = end, 0
+        size += head
+    if heads:
+        yield slice(start, len(heads))
 
 
 def _head_sums(
@@ -146,58 +146,54 @@ def _head_sums(
     """Per weight and point, S = sum_{n=1}^{m} sign^(n-1) e^{idx} d^{-alpha} and R.
 
     Returns the real and imaginary parts of S and the bound R on its
-    rounding, each of shape (weights, points).  S is the defining series
-    in complex form, summed in chunks of _CHUNK values of n.  The parts of
-    all heads in one chunk are laid end to end, at most _CHUNK terms at a
-    time, and d x, its cosine and its sine are computed once for all
-    weights.  One table g = d^{-alpha}, a row per weight, serves every
-    point: a point's S for all weights is one product of g with its
-    contiguous slice of cosines and sines, reduced along the terms, the
-    same value a lone partial sum gives.  A head of 0 marks a point with
-    nothing to sum.  The sign is exact, carried on the coefficients, and
-    each phase d x is rounded once, by at most eps/2 * d x, independently
-    of the other terms.  R bounds the rounding of S: those phase errors,
-    weighted by d^{-alpha}, plus 5/2 eps d^{-alpha} per term for the
-    power, the cosine or sine and their product, plus the summation.
-    ndarray.sum adds pairwise over blocks of 128 held in 8 running sums,
-    so a term meets at most log2(m) + 12 additions there, and one more per
-    chunk total.
+    rounding, each of shape (weights, points), for one batch of
+    ``_batches``: heads that total at most _CHUNK terms, or one longer
+    head, which is summed in chunks of _CHUNK values of n.  The heads of
+    the batch are laid end to end, and d x, its cosine and its sine are
+    computed once for all weights.  One table g = d^{-alpha}, a row per
+    weight, serves every point: a point's S for all weights is one
+    product of g with its contiguous slice of cosines and sines, reduced
+    along the terms, the same value a lone partial sum gives.  The sign is
+    exact, carried on the coefficients, and each phase d x is rounded
+    once, by at most eps/2 * d x, independently of the other terms.  R
+    bounds the rounding of S: those phase errors, weighted by d^{-alpha},
+    plus 5/2 eps d^{-alpha} per term for the power, the cosine or sine and
+    their product, plus the summation.  ndarray.sum adds pairwise over
+    blocks of 128 held in 8 running sums, so a term meets at most
+    log2(m) + 12 additions there, and one more per chunk total.
     """
     shape = (len(alphas), len(xs))
     totals = np.zeros((len(alphas), 2, len(xs)))  # cosine and sine sums
     masses = np.zeros(shape)  # sum of d^{-alpha}
     moments = np.zeros(shape)  # sum of d^{1-alpha}
-    for first in range(1, max(heads, default=0) + 1, _CHUNK):
+    for first in range(1, max(heads) + 1, _CHUNK):
         # the part of each head in this chunk runs from n = first
-        parts = [(j, min(m - first + 1, _CHUNK)) for j, m in enumerate(heads) if m >= first]
-        for batch in _batches(parts):
-            points = np.array([j for j, _ in batch])
-            lengths = [length for _, length in batch]
-            top = a * (first + max(lengths) - 1) - b
-            d = np.arange(a * first - b, top + 1, a, dtype=np.float64)
-            trig = np.empty((2, sum(lengths)))
-            start = 0
-            for j, length in batch:
-                np.multiply(d[:length], xs[j], out=trig[1, start:start + length])
-                start += length
-            np.cos(trig[1], out=trig[0])
-            np.sin(trig[1], out=trig[1])
-            # a scalar exponent per row: an array exponent takes another pow
-            g = np.empty((len(alphas), len(d)))
-            for w, alpha in enumerate(alphas):
-                g[w] = d ** (-float(alpha))
-            ends = np.array(lengths) - 1
-            masses[:, points] += g.cumsum(axis=1)[:, ends]
-            moments[:, points] += (d * g).cumsum(axis=1)[:, ends]
-            if sign < 0:
-                g[:, first % 2::2] *= -1.0  # even n
-            sums = []
-            start = 0
-            for length in lengths:
-                sums.append((trig[:, start:start + length] * g[:, None, :length]).sum(axis=2))
-                start += length
-            totals[:, :, points] += np.stack(sums, axis=2)
-    depth = [math.log2(m) + 12 + math.ceil(m / _CHUNK) if m else 0.0 for m in heads]
+        lengths = [min(m - first + 1, _CHUNK) for m in heads]
+        top = a * (first + max(lengths) - 1) - b
+        d = np.arange(a * first - b, top + 1, a, dtype=np.float64)
+        trig = np.empty((2, sum(lengths)))
+        start = 0
+        for x, length in zip(xs, lengths):
+            np.multiply(d[:length], x, out=trig[1, start:start + length])
+            start += length
+        np.cos(trig[1], out=trig[0])
+        np.sin(trig[1], out=trig[1])
+        # a scalar exponent per row: an array exponent takes another pow
+        g = np.empty((len(alphas), len(d)))
+        for w, alpha in enumerate(alphas):
+            g[w] = d ** (-float(alpha))
+        ends = np.array(lengths) - 1
+        masses += g.cumsum(axis=1)[:, ends]
+        moments += (d * g).cumsum(axis=1)[:, ends]
+        if sign < 0:
+            g[:, first % 2::2] *= -1.0  # even n
+        sums = []
+        start = 0
+        for length in lengths:
+            sums.append((trig[:, start:start + length] * g[:, None, :length]).sum(axis=2))
+            start += length
+        totals += np.stack(sums, axis=2)
+    depth = [math.log2(m) + 12 + math.ceil(m / _CHUNK) for m in heads]
     roundings = _EPS * (0.5 * np.array(xs) * moments + (2.5 + 0.5 * np.array(depth)) * masses)
     return totals[:, 0], totals[:, 1], roundings
 
@@ -207,8 +203,8 @@ def _tails(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Tails sum_{n>m} sign^(n-1) e^{idx} d^{-alpha}, d = an-b, by parts.
 
-    One lockstep pass over every weight (rows) and planned point
-    (columns); ``plans`` holds (m, ratio, step, factor) from
+    One lockstep pass over every weight (rows) and point (columns) of a
+    batch; ``plans`` holds (m, ratio, step, factor) from
     ``_plan_point``.  Returns the real and imaginary parts of the tails,
     their error bounds and the difference orders used.  With
     z = sign e^{iax}, m1 = m + 1 and g(n) = (an-b)^{-alpha} the tail is
@@ -290,9 +286,12 @@ def direct_sum_grid(
 
     Returns one list of reports per weight, in the order of ``xs``.  A
     point's report does not depend on the rest of the grid: it is, bit for
-    bit, what ``direct_sum`` gives there.  Every x is validated first.
-    Each report's ``error_estimate`` bounds both the truncation and the
-    rounding (see the module docstring).
+    bit, what ``direct_sum`` gives there.  Every x is validated and folded
+    first.  Each report's ``error_estimate`` bounds both the truncation
+    and the rounding (see the module docstring).
+
+    Heads, tails and totals run per batch of ``_batches``, so the arrays
+    hold at most ``_CHUNK // 100`` points whatever the grid.
 
     ``tol`` does not change the values: it only gates them.  The
     ``ConvergenceError`` raised -- the phase at resonance, a head beyond
@@ -306,30 +305,25 @@ def direct_sum_grid(
     a, b, sign = _series_params(spec)
     sine = spec.kind == "sin"
     method = "euler_accelerated" if spec.alternating else "direct"
-    folds, abs_xs, plans = [], [], []  # plan None where a sine series vanishes
-    for x in xs:
-        _validate_x(spec, x)
-        fold = 1.0
-        if x < 0.0:
-            x = -x
-            if sine:
-                fold = -1.0
-        folds.append(fold)
-        abs_xs.append(x)
-        plans.append(None if x == 0.0 and sine else _plan_point(a, b, sign, x))
-    heads = [plan[0] if isinstance(plan, tuple) else 0 for plan in plans]
-    alphas = [s.alpha for s in specs]
-    head_re, head_im, head_err = _head_sums(a, b, sign, alphas, abs_xs, heads)
+    folds = [_fold(spec, x) for x in xs]
+    # plan None where a sine series vanishes
+    plans = [None if x == 0.0 and sine else _plan_point(a, b, sign, x) for _, x in folds]
     planned = [j for j, plan in enumerate(plans) if isinstance(plan, tuple)]
-    tail_re, tail_im, tail_err, used = _tails(
-        a, b, alphas, [abs_xs[j] for j in planned], [plans[j] for j in planned]
-    )
-    total_re = head_re[:, planned] + tail_re
-    total_im = head_im[:, planned] + tail_im
-    values = np.array(folds)[planned] * (total_im if sine else total_re)
-    # np.hypot is the C library's hypot, which abs() of a complex calls
-    errs = head_err[:, planned] + tail_err + 0.5 * _EPS * np.hypot(total_re, total_im)
-    terms = np.array(heads)[planned] + used
+    heads = [plans[j][0] for j in planned]
+    alphas = [s.alpha for s in specs]
+    shape = (len(alphas), len(planned))
+    values, errs, terms = np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.int64)
+    for batch in _batches(heads):
+        points = planned[batch]
+        ts = [folds[j][1] for j in points]
+        head_re, head_im, head_err = _head_sums(a, b, sign, alphas, ts, heads[batch])
+        tail_re, tail_im, tail_err, used = _tails(a, b, alphas, ts, [plans[j] for j in points])
+        total_re = head_re + tail_re
+        total_im = head_im + tail_im
+        values[:, batch] = (total_im if sine else total_re) * [folds[j][0] for j in points]
+        # np.hypot is the C library's hypot, which abs() of a complex calls
+        errs[:, batch] = head_err + tail_err + 0.5 * _EPS * np.hypot(total_re, total_im)
+        terms[:, batch] = np.array(heads[batch]) + used
     reports = []
     for per_weight in zip(values.tolist(), errs.tolist(), terms.tolist()):
         answers = zip(*per_weight)  # (value, err, terms) of each planned point
@@ -488,11 +482,14 @@ def limit_series_eval(spec: SeriesSpec, x: float) -> float:
 
 # --- Choi-Srivastava identity ------------------------------------------
 
+_CHOI_TERMS = 400  # last k of the lhs series
 
-def choi_srivastava_check(n: int, a: float, t: float, terms: int = 400) -> tuple[float, float]:
+
+def choi_srivastava_check(n: int, a: float, t: float) -> tuple[float, float]:
     """Both sides of the zeta-series identity; returned for comparison.
 
-    lhs = sum_{k=2}^{terms} zeta(k, a) t^(n+k) / (k)_{n+1}
+    lhs = sum_{k=2}^{400} zeta(k, a) t^(n+k) / (k)_{n+1}, cut at the first
+          k > 8 whose term is below 1e-19
     rhs = the closed form over zeta'(-n, a-t), zeta'(-n, a), the binomial
           sum with harmonic-number weights, and (H_n + psi(a)) t^(n+1)/(n+1)!.
 
@@ -506,10 +503,8 @@ def choi_srivastava_check(n: int, a: float, t: float, terms: int = 400) -> tuple
         raise DomainError("choi_srivastava_check requires a > 0")
     if abs(t) >= a:
         raise DomainError("choi_srivastava_check requires |t| < a")
-    if terms < 2:
-        raise DomainError("terms must be >= 2")
     lhs_parts = []
-    for k in range(2, terms + 1):
+    for k in range(2, _CHOI_TERMS + 1):
         term = hurwitz_zeta(float(k), a) * t ** (n + k) / pochhammer(float(k), n + 1)
         lhs_parts.append(term)
         if abs(term) < 1e-19 and k > 8:

@@ -2,6 +2,7 @@
 
 import cmath
 import functools
+import itertools
 import json
 import math
 import sys
@@ -450,6 +451,46 @@ class TestGridOracle:
             direct_sum_grid("T1", (1,), [1.0, 7.0], 1e-10)
 
 
+def _spy_on_tails(monkeypatch):
+    """Record the number of points of each ``_tails`` call, one per batch."""
+    calls = []
+    tails = oracles._tails
+
+    def spy(a, b, alphas, xs, plans):
+        calls.append(len(xs))
+        return tails(a, b, alphas, xs, plans)
+
+    monkeypatch.setattr(oracles, "_tails", spy)
+    return calls
+
+
+class TestBatches:
+    # heads of 100 to 638 terms: about 380,000 in all, several batches
+    XS = grid_points("T6", 2000)
+    WEIGHTS = (1, 2, 8)
+    SLICE = 97  # at most 97 * 638 terms, so every slice is one batch
+
+    def test_reports_do_not_depend_on_the_batches(self, monkeypatch):
+        calls = _spy_on_tails(monkeypatch)
+        grid = direct_sum_grid("T6", self.WEIGHTS, self.XS, 1e-10)
+        ends = list(itertools.accumulate(calls))[:-1]
+        assert ends and any(end % self.SLICE for end in ends)  # a slice straddles a batch
+        for start in range(0, len(self.XS), self.SLICE):
+            calls.clear()
+            part = direct_sum_grid("T6", self.WEIGHTS, self.XS[start:start + self.SLICE], 1e-10)
+            assert len(calls) == 1
+            for row, part_row in zip(grid, part):
+                assert row[start:start + self.SLICE] == part_row, start
+
+    def test_tails_hold_at_most_one_batch(self, monkeypatch):
+        # every head is at least 100 terms, so a batch of at most _CHUNK
+        # terms holds at most _CHUNK // 100 points
+        calls = _spy_on_tails(monkeypatch)
+        direct_sum_grid("T6", self.WEIGHTS, self.XS, 1e-10)
+        assert sum(calls) == len(self.XS)
+        assert max(calls) <= oracles._CHUNK // 100
+
+
 class TestGridRefusalOrder:
     # x a fraction t of the interval from its lower end: 1e-6 from an end
     # exceeds the term cap at every weight; the weight-one cosine points
@@ -500,6 +541,32 @@ class TestGridRefusalOrder:
         )
         with pytest.raises(ConvergenceError) as got:
             make_records(family, list(weights), xs, tol)
+        _same_refusal(got.value, want)
+
+    # failing points in different batches: heads of 31,831 (1e-3 from an
+    # end) and 106,103 terms (3e-4 from an end) fail tol at m = 1 only, a
+    # point 1e-6 from an end fails the term cap at every weight and is in
+    # no batch
+    CROSS_BATCH = [
+        ("T2", (2, 1), (1e-3, 3e-4, 0.5, 1 - 1e-6)),
+        ("T4", (3, 1), (3e-4, 0.5, 1 - 3e-4)),
+        ("T6", (2, 1), (3e-4, 0.5, 1e-3, 1 - 1e-6, 0.7)),
+        ("T7", (1,), (0.5, 1 - 3e-4, 3e-4)),
+    ]
+
+    @pytest.mark.parametrize("family, weights, fractions", CROSS_BATCH)
+    def test_refusal_order_spans_the_batches(self, family, weights, fractions, monkeypatch):
+        monkeypatch.setitem(globals(), "_REF_CHUNK", oracles._CHUNK)  # heads beyond 2^16
+        xs = self._xs(family, fractions)
+        want = _first_refusal(
+            lambda spec=SeriesSpec.from_family(family, m), x=x: _ref_direct_sum(spec, x, 1e-10)
+            for m in weights
+            for x in xs
+        )
+        calls = _spy_on_tails(monkeypatch)
+        with pytest.raises(ConvergenceError) as got:
+            direct_sum_grid(family, weights, xs, 1e-10)
+        assert len(calls) >= 2
         _same_refusal(got.value, want)
 
     def test_refused_point_keeps_the_sign_of_the_series(self):
