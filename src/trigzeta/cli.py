@@ -21,7 +21,8 @@ import json
 import math
 import os
 import sys
-from typing import NamedTuple
+
+import numpy as np
 
 from .closedforms import (
     _LITERAL_CONSTANTS,
@@ -68,18 +69,6 @@ CSV_HEADER = [
     "oracle_method",
     "terms_used",
 ]
-
-
-class RunRecord(NamedTuple):
-    family: str
-    m: int
-    x: float
-    closed_form: float
-    oracle: float
-    abs_err: float
-    rel_err: float
-    oracle_method: str
-    terms_used: int
 
 
 def _fmt(value: float, machine: bool) -> str:
@@ -147,47 +136,54 @@ def grid_points(family: str, count: int) -> list[float]:
     return [lo + (0.05 + 0.9 * i / (count - 1)) * (hi - lo) for i in range(count)]
 
 
-def make_records(family: str, weights, xs, tol: float) -> list[RunRecord]:
-    """Closed form vs oracle for every weight and x, in weight-major order.
+def make_records(family: str, weights, xs, tol: float) -> dict[str, list]:
+    """Closed form vs oracle for every weight and x, as columns.
 
-    The oracle and the closed forms each run once over the whole grid, so
-    what they share across weights (the oracle's phases, the closed forms'
-    zeta' offsets) is computed once per x.
+    Returns one list per name of ``CSV_HEADER``, in that order, each in
+    weight-major, x-minor order: ascending (m, x) for the sorted weights
+    of ``parse_m_range`` and the ascending ``grid_points``.  The oracle
+    and the closed forms each run once over the whole grid, so what they
+    share across weights (the oracle's phases, the closed forms' zeta'
+    offsets) is computed once per x.
     """
     oracle_tol = max(1e-12, 0.01 * tol)
-    reports = direct_sum_grid(family, weights, xs, oracle_tol)
+    oracles, errs, terms, methods = direct_sum_grid(family, weights, xs, oracle_tol)
     closed_forms = closed_form_grid(family, weights, xs)
-    records = []
-    for m, row, closed_row in zip(weights, reports, closed_forms):
-        for x, report, closed in zip(xs, row, closed_row):
-            abs_err = abs(closed - report.value)
-            rel_err = abs_err / (1.0 + abs(report.value))
-            records.append(RunRecord(
-                family, m, x, closed, report.value, abs_err, rel_err,
-                report.method, report.terms_used,
-            ))
-    return records
+    abs_errs = np.abs(closed_forms - oracles)
+    columns = (
+        [family] * oracles.size,
+        [m for m in weights for _ in xs],
+        list(xs) * len(weights),
+        closed_forms.ravel().tolist(),
+        oracles.ravel().tolist(),
+        abs_errs.ravel().tolist(),
+        (abs_errs / (1.0 + np.abs(oracles))).ravel().tolist(),
+        methods * len(weights),
+        terms.ravel().tolist(),
+    )
+    return dict(zip(CSV_HEADER, columns))
 
 
-def _emit_records(records: list[RunRecord], fmt: str, out) -> None:
+def _emit_records(records: dict[str, list], fmt: str, out) -> None:
+    rows = zip(*(records[name] for name in CSV_HEADER))
     if fmt == "csv":
         # no field needs quoting: names of families and methods, and numbers
         out.write(",".join(CSV_HEADER) + "\n")
         out.write("".join(
-            f"{r.family},{r.m},{r.x:.17g},{r.closed_form:.17g},{r.oracle:.17g},"
-            f"{r.abs_err:.17g},{r.rel_err:.17g},{r.oracle_method},{r.terms_used}\n"
-            for r in records
+            f"{family},{m},{x:.17g},{closed:.17g},{oracle:.17g},"
+            f"{abs_err:.17g},{rel_err:.17g},{method},{terms}\n"
+            for family, m, x, closed, oracle, abs_err, rel_err, method, terms in rows
         ))
     elif fmt == "json":
-        json.dump([r._asdict() for r in records], out, indent=2)
+        json.dump([dict(zip(CSV_HEADER, row)) for row in rows], out, indent=2)
         out.write("\n")
     else:
-        for r in records:
+        for family, m, x, closed, oracle, _, rel_err, method, terms in rows:
             out.write(
-                f"{r.family} m={r.m} x={_fmt(r.x, False)} "
-                f"closed={_fmt(r.closed_form, False)} oracle={_fmt(r.oracle, False)} "
-                f"rel_err={_fmt(r.rel_err, False)} method={r.oracle_method} "
-                f"terms={r.terms_used}\n"
+                f"{family} m={m} x={_fmt(x, False)} "
+                f"closed={_fmt(closed, False)} oracle={_fmt(oracle, False)} "
+                f"rel_err={_fmt(rel_err, False)} method={method} "
+                f"terms={terms}\n"
             )
 
 
@@ -225,9 +221,8 @@ def cmd_eval(args, out) -> int:
 def cmd_compare(args, out) -> int:
     tol = default_tol() if args.tol is None else parse_tol(args.tol, "--tol")
     records = make_records(args.family, [args.m], grid_points(args.family, args.grid), tol)
-    records.sort(key=lambda r: (r.family, r.m, r.x))
     _emit_records(records, args.format, out)
-    max_rel = max(r.rel_err for r in records)
+    max_rel = max(records["rel_err"])
     if args.format != "json":
         out.write(f"max_rel_err = {_fmt(max_rel, True)}\n")
     if max_rel > tol:
@@ -241,7 +236,6 @@ def cmd_sweep(args, out) -> int:
     tol = default_tol() if args.tol is None else parse_tol(args.tol, "--tol")
     weights = parse_m_range(args.m)
     records = make_records(args.family, weights, grid_points(args.family, args.grid), tol)
-    records.sort(key=lambda r: (r.family, r.m, r.x))
     _emit_records(records, args.format if args.format != "text" else "csv", out)
     return 0
 
@@ -324,8 +318,8 @@ def _suite_choi_srivastava():
 
 
 def _worst_gap(values, refs) -> float:
-    """max |value - ref| / (1 + |ref|) over the pairs of two lists."""
-    return max(abs(value - ref) / (1.0 + abs(ref)) for value, ref in zip(values, refs))
+    """max |value - ref| / (1 + |ref|) over two (weights, points) arrays."""
+    return float((np.abs(values - refs) / (1.0 + np.abs(refs))).max())
 
 
 def _suite_table2(out):
@@ -347,21 +341,19 @@ def _suite_table2(out):
     for row in TABLE2_ROWS:
         family = row.family
         xs = grid_points(family, 9)
-        # grid passes over the corrected and the literal row; every list of
-        # values is in weight-major order
-        theorems = [v for values in closed_form_grid(family, weights, xs) for v in values]
+        # grid passes over the corrected and the literal row
+        theorems = closed_form_grid(family, weights, xs)
         literals = _bracket_grid(_LITERAL_CONSTANTS, family, weights, xs)
-        worst_vs_theorem = _worst_gap([v for values in literals for v in values], theorems)
+        worst_vs_theorem = _worst_gap(literals, theorems)
         specs = [SeriesSpec.from_family(family, m) for m in weights]
-        limits = [limit_series_eval(spec, x) for spec in specs for x in xs]
+        limits = np.array([[limit_series_eval(spec, x) for x in xs] for spec in specs])
         worst_vs_limit = _worst_gap(limits, theorems)
         if worst_vs_theorem <= 1e-8:
             checks.append((f"table2.{family}.literal", worst_vs_limit <= 1e-13,
                            f"max rel gap {worst_vs_theorem:.3e}, theorem-vs-limit "
                            f"{worst_vs_limit:.3e}"))
             continue
-        reports = direct_sum_grid(family, weights, xs, 1e-10)
-        worst_vs_oracle = _worst_gap(theorems, [r.value for rs in reports for r in rs])
+        worst_vs_oracle = _worst_gap(theorems, direct_sum_grid(family, weights, xs, 1e-10)[0])
         theorem_ok = worst_vs_oracle <= 1e-8 and worst_vs_limit <= 1e-13
         deviations.append(
             {
@@ -386,9 +378,9 @@ def _suite_table2(out):
 
 def cmd_verify(args, out) -> int:
     suites = {
-        "special-values": lambda: _suite_special_values(),
-        "identities": lambda: _suite_identities(),
-        "choi-srivastava": lambda: _suite_choi_srivastava(),
+        "special-values": _suite_special_values,
+        "identities": _suite_identities,
+        "choi-srivastava": _suite_choi_srivastava,
         "table2": lambda: _suite_table2(out),
     }
     names = list(suites) if args.suite == "all" else [args.suite]

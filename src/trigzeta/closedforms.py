@@ -24,17 +24,19 @@ through the same evaluator, which is what the ``table2`` verification
 suite reports.
 
 ``closed_form_grid`` gives the same values for a grid of weights and
-points.  The offsets of the zeta' terms depend on x alone, so it forms
-each once for all weights and evaluates every zeta' of the grid in one
-``hurwitz_zeta_sderiv_grid`` call.  ``closed_form_eval`` stays the
-one-point route: it returns the decomposition, and costs less than a
-one-point grid.
+points, as a (weights, points) array.  The offsets of the zeta' terms
+depend on x alone, so it forms each once for all weights and evaluates
+every zeta' of the grid in one ``hurwitz_zeta_sderiv_grid`` call.
+``closed_form_eval`` stays the one-point route: it returns the
+decomposition, and costs less than a one-point grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import DomainError
 from .hurwitz import hurwitz_zeta_sderiv, hurwitz_zeta_sderiv_grid
@@ -276,7 +278,7 @@ def closed_form_eval(spec: SeriesSpec, x: float) -> ClosedFormResult:
     return _bracket_eval(_BRACKET_CONSTANTS, spec, x)
 
 
-def _bracket_grid(constants: dict, family: str, weights, xs) -> list[list[float]]:
+def _bracket_grid(constants: dict, family: str, weights, xs) -> np.ndarray:
     """``closed_form_grid`` with the brackets read from ``constants``."""
     specs = [SeriesSpec.from_family(family, m) for m in weights]
     spec = SeriesSpec.from_family(family, 1)
@@ -287,28 +289,28 @@ def _bracket_grid(constants: dict, family: str, weights, xs) -> list[list[float]
     terms = constants[family, 1][2]  # (a0, a_y) do not depend on the weight
     offsets = [_offset(a0, a_y, folds[j][1]) for j in bracketed for _, a0, a_y in terms]
     zetas = hurwitz_zeta_sderiv_grid([s.alpha - 1 for s in specs], offsets)
-    values = []
-    for s, row in zip(specs, zetas):
+    values = np.zeros((len(specs), len(folds)))
+    for w, (s, row) in enumerate(zip(specs, zetas)):
         pref, _, coefficients = constants[family, s.m]
         products = row.reshape(-1, len(terms)) * [c for c, _, _ in coefficients]
-        at_zero = 0.0
         if family == "T4" and len(bracketed) < len(folds):
-            at_zero = _t4_at_zero(s.m).value
-        row_values = [at_zero] * len(folds)
-        for j, point in zip(bracketed, products.tolist()):
-            row_values[j] = folds[j][0] * (pref * math.fsum(point))
-        values.append(row_values)
+            values[w] = _t4_at_zero(s.m).value
+        values[w, bracketed] = [
+            folds[j][0] * (pref * math.fsum(point))
+            for j, point in zip(bracketed, products.tolist())
+        ]
     return values
 
 
-def closed_form_grid(family: str, weights, xs) -> list[list[float]]:
+def closed_form_grid(family: str, weights, xs) -> np.ndarray:
     """Closed-form values of ``family`` for every weight and x.
 
-    Returns one list per weight, in the order of ``xs``; each value is, bit
-    for bit, ``closed_form_eval(spec, x).value``.  Every weight and x is
-    validated first.  The offsets a0 + a_y x / 2pi do not depend on the
-    weight, so each is formed once, and one kernel call evaluates zeta' at
-    every (order, offset) pair.
+    Returns an array of shape (weights, points), a row per weight in the
+    order of ``xs``; each value is, bit for bit,
+    ``closed_form_eval(spec, x).value``.  Every weight and x is validated
+    first.  The offsets a0 + a_y x / 2pi do not depend on the weight, so
+    each is formed once, and one kernel call evaluates zeta' at every
+    (order, offset) pair.
     """
     return _bracket_grid(_BRACKET_CONSTANTS, family, weights, xs)
 

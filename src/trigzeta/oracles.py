@@ -3,8 +3,11 @@
 Three routes that share no code with the Hurwitz-derivative closed forms:
 
 * ``direct_sum_grid`` -- literal summation of the defining series for a
-                         grid of weights and points; ``direct_sum`` is its
-                         one-point call;
+                         grid of weights and points, returned as columns
+                         (values, error estimates and terms used of shape
+                         (weights, points), and a method per point);
+                         ``direct_sum`` is its one-point call and returns
+                         an ``OracleReport``;
 * ``limit_series_eval`` -- the singular limit of the power series over
                          zeta/eta/lambda/beta values at integers: a log
                          term plus one Horner pass over a table per
@@ -26,8 +29,9 @@ and the rounding of its forward differences, of the phases and of the
 summation.  The tolerance does not set the stopping point; it only
 decides whether to raise ``ConvergenceError`` because the estimate
 exceeds it, as it does for the conditionally convergent cosine series at
-exponent 1 near the singular endpoints.  Alternating series report
-``euler_accelerated``, the rest ``direct``.
+exponent 1 near the singular endpoints, with the ``OracleReport`` of the
+entry it refuses.  Alternating series report ``euler_accelerated``, the
+rest ``direct``.
 
 Only d^{-alpha} depends on the weight.  The head length, the phases with
 their cosines and sines, and the tail's z, ratio and factors depend on
@@ -281,22 +285,26 @@ def _tails(
 
 def direct_sum_grid(
     family: str, weights, xs, tol: float = 1e-10
-) -> list[list[OracleReport]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
     """Evaluate the defining series of ``family`` for every weight and x.
 
-    Returns one list of reports per weight, in the order of ``xs``.  A
-    point's report does not depend on the rest of the grid: it is, bit for
-    bit, what ``direct_sum`` gives there.  Every x is validated and folded
-    first.  Each report's ``error_estimate`` bounds both the truncation
-    and the rounding (see the module docstring).
+    Returns the columns (values, error estimates, terms used, methods):
+    three arrays of shape (weights, points), a row per weight in the order
+    of ``xs``, and one method per point.  A point's entries do not depend
+    on the rest of the grid: they are, bit for bit, what ``direct_sum``
+    reports there.  Every x is validated and folded first.  Each error
+    estimate bounds both the truncation and the rounding (see the module
+    docstring).
 
     Heads, tails and totals run per batch of ``_batches``, so the arrays
     hold at most ``_CHUNK // 100`` points whatever the grid.
 
-    ``tol`` does not change the values: it only gates them.  The
-    ``ConvergenceError`` raised -- the phase at resonance, a head beyond
-    ``DIRECT_TERM_CAP`` terms, or an estimate above ``tol`` -- is that of
-    the first failing point in weight-major, x-minor order.
+    ``tol`` does not change the values: it only gates them.  The error
+    raised is that of the first failing entry in weight-major, x-minor
+    order: ``ConvergenceError`` for the phase at resonance, a head beyond
+    ``DIRECT_TERM_CAP`` terms or an estimate above ``tol``, carrying that
+    entry's ``OracleReport``; ``DomainError`` from the report for an
+    estimate that is not finite and positive.
     """
     if not tol >= 1e-12:
         raise DomainError("direct_sum tolerance must be >= 1e-12")
@@ -306,13 +314,14 @@ def direct_sum_grid(
     sine = spec.kind == "sin"
     method = "euler_accelerated" if spec.alternating else "direct"
     folds = [_fold(spec, x) for x in xs]
-    # plan None where a sine series vanishes
+    # plan None where a sine series vanishes: value 0 from 1 term
     plans = [None if x == 0.0 and sine else _plan_point(a, b, sign, x) for _, x in folds]
     planned = [j for j, plan in enumerate(plans) if isinstance(plan, tuple)]
     heads = [plans[j][0] for j in planned]
     alphas = [s.alpha for s in specs]
-    shape = (len(alphas), len(planned))
-    values, errs, terms = np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.int64)
+    shape = (len(alphas), len(xs))
+    values, errs = np.zeros(shape), np.full(shape, 1e-18)
+    terms = np.ones(shape, dtype=np.int64)
     for batch in _batches(heads):
         points = planned[batch]
         ts = [folds[j][1] for j in points]
@@ -320,31 +329,25 @@ def direct_sum_grid(
         tail_re, tail_im, tail_err, used = _tails(a, b, alphas, ts, [plans[j] for j in points])
         total_re = head_re + tail_re
         total_im = head_im + tail_im
-        values[:, batch] = (total_im if sine else total_re) * [folds[j][0] for j in points]
+        values[:, points] = (total_im if sine else total_re) * [folds[j][0] for j in points]
         # np.hypot is the C library's hypot, which abs() of a complex calls
-        errs[:, batch] = head_err + tail_err + 0.5 * _EPS * np.hypot(total_re, total_im)
-        terms[:, batch] = np.array(heads[batch]) + used
-    reports = []
-    for per_weight in zip(values.tolist(), errs.tolist(), terms.tolist()):
-        answers = zip(*per_weight)  # (value, err, terms) of each planned point
-        row = []
-        for plan in plans:
-            if plan is None:
-                row.append(OracleReport(0.0, "direct", 1, 1e-18))
-                continue
-            if isinstance(plan, str):
-                raise ConvergenceError(plan)
-            value, err, terms_used = next(answers)
-            report = OracleReport(value, method, terms_used, err)
-            if err > tol:
-                raise ConvergenceError(
-                    f"direct summation reached error estimate {err:.3e} > tol {tol:.3e}",
-                    best_value=value,
-                    report=report,
-                )
-            row.append(report)
-        reports.append(row)
-    return reports
+        errs[:, points] = head_err + tail_err + 0.5 * _EPS * np.hypot(total_re, total_im)
+        terms[:, points] = np.array(heads[batch]) + used
+    # the entries OracleReport would reject, those above tol and the refused points
+    flagged = ~(np.isfinite(errs) & (errs > 0.0)) | (errs > tol)
+    flagged[:, [j for j, plan in enumerate(plans) if isinstance(plan, str)]] = True
+    if flagged.any():
+        w, j = divmod(int(flagged.argmax()), len(xs))
+        if isinstance(plans[j], str):
+            raise ConvergenceError(plans[j])
+        value, err = values[w, j].item(), errs[w, j].item()
+        report = OracleReport(value, method, terms[w, j].item(), err)
+        raise ConvergenceError(
+            f"direct summation reached error estimate {err:.3e} > tol {tol:.3e}",
+            best_value=value,
+            report=report,
+        )
+    return values, errs, terms, ["direct" if plan is None else method for plan in plans]
 
 
 def direct_sum(spec: SeriesSpec, x: float, tol: float = 1e-10) -> OracleReport:
@@ -361,7 +364,8 @@ def direct_sum(spec: SeriesSpec, x: float, tol: float = 1e-10) -> OracleReport:
     a single ``direct_sum_grid`` call shares the phases, the head products
     and the tail's steps between them.
     """
-    return direct_sum_grid(spec.family, [spec.m], [x], tol)[0][0]
+    values, errs, terms, methods = direct_sum_grid(spec.family, [spec.m], [x], tol)
+    return OracleReport(values[0, 0].item(), methods[0], terms[0, 0].item(), errs[0, 0].item())
 
 
 # --- singular-limit series ----------------------------------------------

@@ -17,7 +17,6 @@ from trigzeta.cli import (
     FAMILIES,
     MAX_GRID,
     TOL_ENV_VAR,
-    RunRecord,
     _emit_records,
     grid_points,
     main,
@@ -203,12 +202,8 @@ def _csv_writer_reference(records):
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for r in records:
-        writer.writerow([
-            r.family, r.m, format(r.x, ".17g"), format(r.closed_form, ".17g"),
-            format(r.oracle, ".17g"), format(r.abs_err, ".17g"), format(r.rel_err, ".17g"),
-            r.oracle_method, r.terms_used,
-        ])
+    for row in zip(*(records[name] for name in CSV_HEADER)):
+        writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
     return buffer.getvalue()
 
 
@@ -217,11 +212,17 @@ class TestEmitRecords:
     # whose formats are easy to get wrong
     @pytest.fixture(scope="class")
     def records(self):
-        records = [r for family in FAMILIES
-                   for r in make_records(family, list(range(1, 9)), grid_points(family, 33), 1e-8)]
-        records.append(RunRecord("T1", 1, -0.0, 5e-324, 1e300, 0.0, -0.0, "direct", 1))
-        records.append(RunRecord("T8", 8, 1e-300, -1e300, -5e-324, math.inf, 1e16,
-                                 "euler_accelerated", 10**7))
+        records = {name: [] for name in CSV_HEADER}
+        extra = [("T1", 1, -0.0, 5e-324, 1e300, 0.0, -0.0, "direct", 1),
+                 ("T8", 8, 1e-300, -1e300, -5e-324, math.inf, 1e16, "euler_accelerated", 10**7)]
+        for family in FAMILIES:
+            columns = make_records(family, list(range(1, 9)), grid_points(family, 33), 1e-8)
+            assert list(columns) == CSV_HEADER
+            for name in CSV_HEADER:
+                records[name] += columns[name]
+        for row in extra:
+            for name, value in zip(CSV_HEADER, row):
+                records[name].append(value)
         return records
 
     def test_csv_matches_the_csv_writer(self, records):
@@ -233,9 +234,49 @@ class TestEmitRecords:
         out = io.StringIO()
         _emit_records(records, "json", out)
         want = io.StringIO()
-        json.dump([{name: getattr(r, name) for name in CSV_HEADER} for r in records],
-                  want, indent=2)
+        rows = zip(*(records[name] for name in CSV_HEADER))
+        json.dump([dict(zip(CSV_HEADER, row)) for row in rows], want, indent=2)
         assert out.getvalue() == want.getvalue() + "\n"
+
+    def test_columns_hold_python_numbers(self, records):
+        # json.dump rejects numpy integers; floats must format as floats
+        for name in ("m", "terms_used"):
+            assert all(type(v) is int for v in records[name]), name
+        for name in ("x", "closed_form", "oracle", "abs_err", "rel_err"):
+            assert all(type(v) is float for v in records[name]), name
+
+
+class TestRecordOrder:
+    # nothing sorts the records: weights come sorted from parse_m_range and
+    # grid_points ascends, and the rows follow them in (m, x) order
+    @staticmethod
+    def _keys(rows):
+        return [(int(r["m"]), float(r["x"])) for r in rows]
+
+    @pytest.mark.parametrize("family", ["T3", "T6"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_rows_ascend(self, family, fmt, capsys):
+        code, out, _ = run_cli(["sweep", "--family", family, "--m", "3,1,2", "--grid", "7",
+                                "--format", fmt], capsys)
+        assert code == 0
+        rows = json.loads(out) if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
+        keys = self._keys(rows)
+        assert keys == sorted(keys)
+        assert [m for m, _ in keys] == [1] * 7 + [2] * 7 + [3] * 7
+        assert [x for _, x in keys[:7]] == grid_points(family, 7)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_compare_rows_ascend(self, fmt, capsys):
+        code, out, _ = run_cli(["compare", "--family", "T4", "--m", "2", "--grid", "7",
+                                "--format", fmt], capsys)
+        assert code == 0
+        if fmt == "json":
+            rows = json.loads(out)
+        else:
+            rows = list(csv.DictReader(io.StringIO(out.rsplit("max_rel_err", 1)[0])))
+        keys = self._keys(rows)
+        assert keys == sorted(keys) and len(set(keys)) == 7
+        assert [x for _, x in keys] == grid_points("T4", 7)
 
 
 class TestVerify:

@@ -157,16 +157,16 @@ class TestErrorEstimateIsHonest:
         for family, xs, refs in _reference_grids():
             kept = _answered(family, xs)
             refused += len(refs) * (len(xs) - len(kept))
-            grid = direct_sum_grid(family, list(refs), kept, math.inf)
-            for (m, values), row in zip(refs.items(), grid):
-                ref_at = dict(zip(xs, values))
-                for x, rep in zip(kept, row):
-                    if rep.error_estimate > 1e-10:
+            values, errs, _, _ = direct_sum_grid(family, list(refs), kept, math.inf)
+            for (m, refs_m), row, err_row in zip(refs.items(), values.tolist(), errs.tolist()):
+                ref_at = dict(zip(xs, refs_m))
+                for x, value, estimate in zip(kept, row, err_row):
+                    if estimate > 1e-10:
                         refused += 1
                         continue
                     answered += 1
-                    err = abs(rep.value - ref_at[x])
-                    assert err <= rep.error_estimate, (family, m, x, err, rep.error_estimate)
+                    err = abs(value - ref_at[x])
+                    assert err <= estimate, (family, m, x, err, estimate)
         assert answered == 7120 - self.REFUSED
         assert refused == self.REFUSED
 
@@ -326,6 +326,11 @@ def _same_refusal(got, want):
     assert type(got) is type(want)
     assert str(got) == str(want)
     assert got.best_value == want.best_value
+    assert (got.report is None) == (want.report is None)
+    if want.report is not None:
+        fields = ("value", "method", "terms_used")
+        assert [getattr(got.report, f) for f in fields] == [getattr(want.report, f) for f in fields]
+        assert got.report.error_estimate == pytest.approx(want.report.error_estimate, rel=1e-12)
 
 
 FAMILIES = tuple(f"T{i}" for i in range(1, 9))
@@ -380,17 +385,17 @@ class TestGridOracle:
     TOL = 1e-8  # answers the weight-one points 1e-3 from an end
 
     def _check_grid(self, family, xs):
-        grid = direct_sum_grid(family, WEIGHTS, xs, self.TOL)
-        assert len(grid) == len(WEIGHTS)
-        for m, row in zip(WEIGHTS, grid):
+        values, errs, terms, methods = direct_sum_grid(family, WEIGHTS, xs, self.TOL)
+        assert values.shape == errs.shape == terms.shape == (len(WEIGHTS), len(xs))
+        assert len(methods) == len(xs)
+        for m, *rows in zip(WEIGHTS, values.tolist(), errs.tolist(), terms.tolist()):
             spec = SeriesSpec.from_family(family, m)
-            assert len(row) == len(xs)
-            for x, got in zip(xs, row):
+            for x, value, err, terms_used, method in zip(xs, *rows, methods):
                 want = _ref_direct_sum(spec, x, self.TOL)
-                assert got.value == want.value, (family, m, x)
-                assert got.terms_used == want.terms_used, (family, m, x)
-                assert got.method == want.method, (family, m, x)
-                assert got.error_estimate == pytest.approx(want.error_estimate, rel=1e-12)
+                assert value == want.value, (family, m, x)
+                assert terms_used == want.terms_used, (family, m, x)
+                assert method == want.method, (family, m, x)
+                assert err == pytest.approx(want.error_estimate, rel=1e-12)
 
     @pytest.mark.parametrize("chunk", [None, 97])
     @pytest.mark.parametrize("family", FAMILIES)
@@ -410,11 +415,13 @@ class TestGridOracle:
             monkeypatch.setattr(oracles, "_CHUNK", chunk)
         for family in FAMILIES:
             xs = grid_points(family, 9)
-            grid = direct_sum_grid(family, WEIGHTS, xs, 1e-10)
-            for m, row in zip(WEIGHTS, grid):
+            values, errs, terms, methods = direct_sum_grid(family, WEIGHTS, xs, 1e-10)
+            for m, *rows in zip(WEIGHTS, values.tolist(), errs.tolist(), terms.tolist()):
                 spec = SeriesSpec.from_family(family, m)
-                for x, entry in zip(xs, row):
-                    assert direct_sum(spec, x, 1e-10) == entry, (family, m, x)
+                for x, value, err, terms_used, method in zip(xs, *rows, methods):
+                    rep = direct_sum(spec, x, 1e-10)
+                    assert rep == OracleReport(value, method, terms_used, err), (family, m, x)
+                    assert type(rep.value) is float and type(rep.terms_used) is int
 
     def test_long_head_is_split(self, monkeypatch):
         # a head of 50,000 terms in chunks of 97, next to a short one; then
@@ -423,12 +430,12 @@ class TestGridOracle:
         monkeypatch.setattr(oracles, "_CHUNK", 97)
         monkeypatch.setitem(globals(), "_REF_CHUNK", 97)
         xs = [200.0 / 50_000, 2.0]
-        grid = direct_sum_grid("T2", (3, 2), xs, 1e-10)
-        for m, row in zip((3, 2), grid):
-            for x, got in zip(xs, row):
+        values, errs, terms, _ = direct_sum_grid("T2", (3, 2), xs, 1e-10)
+        for m, *rows in zip((3, 2), values.tolist(), errs.tolist(), terms.tolist()):
+            for x, value, err, terms_used in zip(xs, *rows):
                 want = _ref_direct_sum(SeriesSpec.from_family("T2", m), x, 1e-10)
-                assert (got.value, got.terms_used) == (want.value, want.terms_used)
-                assert got.error_estimate == pytest.approx(want.error_estimate, rel=1e-12)
+                assert (value, terms_used) == (want.value, want.terms_used)
+                assert err == pytest.approx(want.error_estimate, rel=1e-12)
         monkeypatch.undo()
         x = 200.0 / 100_000
         got = direct_sum(SeriesSpec.from_family("T2", 2), x, 1e-10)
@@ -437,8 +444,10 @@ class TestGridOracle:
         assert got.value == pytest.approx(want.value, rel=1e-14)
 
     def test_empty_grid(self):
-        assert direct_sum_grid("T1", (1, 2), [], 1e-10) == [[], []]
-        assert direct_sum_grid("T1", (), [1.0], 1e-10) == []
+        values, errs, terms, methods = direct_sum_grid("T1", (1, 2), [], 1e-10)
+        assert values.shape == errs.shape == terms.shape == (2, 0) and methods == []
+        values, errs, terms, methods = direct_sum_grid("T1", (), [1.0], 1e-10)
+        assert values.shape == errs.shape == terms.shape == (0, 1) and methods == ["direct"]
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -479,8 +488,9 @@ class TestBatches:
             calls.clear()
             part = direct_sum_grid("T6", self.WEIGHTS, self.XS[start:start + self.SLICE], 1e-10)
             assert len(calls) == 1
-            for row, part_row in zip(grid, part):
-                assert row[start:start + self.SLICE] == part_row, start
+            for column, part_column in zip(grid[:3], part[:3]):
+                assert np.array_equal(column[:, start:start + self.SLICE], part_column), start
+            assert grid[3][start:start + self.SLICE] == part[3], start
 
     def test_tails_hold_at_most_one_batch(self, monkeypatch):
         # every head is at least 100 terms, so a batch of at most _CHUNK
@@ -569,6 +579,42 @@ class TestGridRefusalOrder:
         assert len(calls) >= 2
         _same_refusal(got.value, want)
 
+    # (weight row, point) -> the tail's error estimate there; lanes count
+    # in weight-major, x-minor order, so (0, 4) comes before (1, 1)
+    GUARDED = [
+        ({(1, 3): math.nan, (2, 0): 0.0}, DomainError),
+        ({(2, 0): 0.0, (2, 4): math.nan}, DomainError),
+        ({(1, 3): math.nan, (1, 1): 1.0}, ConvergenceError),
+        ({(0, 4): 0.0, (1, 1): 1.0}, DomainError),
+    ]
+
+    @pytest.mark.parametrize("lanes, error", GUARDED)
+    def test_estimate_guard_in_weight_major_order(self, lanes, error, monkeypatch):
+        # an estimate OracleReport rejects (NaN, or 0 where the rounding
+        # terms are switched off) fails at its place in the order, as one
+        # above tol does, whichever error the grid meets first
+        xs = grid_points("T2", 5)
+        values, _, terms, _ = direct_sum_grid("T2", (1, 2, 3), xs, 1e-10)
+        tails = oracles._tails
+
+        def spoiled(a, b, alphas, xs, plans):
+            tail_re, tail_im, err, used = tails(a, b, alphas, xs, plans)
+            for lane, estimate in lanes.items():
+                err[lane] = estimate
+            return tail_re, tail_im, err, used
+
+        monkeypatch.setattr(oracles, "_tails", spoiled)
+        monkeypatch.setattr(oracles, "_EPS", 0.0)  # heads and totals add no rounding
+        with pytest.raises(error) as got:
+            direct_sum_grid("T2", (1, 2, 3), xs, 1e-10)
+        if error is DomainError:
+            assert str(got.value) == "error_estimate must be finite and positive"
+        else:
+            assert str(got.value) == "direct summation reached error estimate 1.000e+00 > tol 1.000e-10"
+            value = values[1, 1].item()
+            assert got.value.best_value == value
+            assert got.value.report == OracleReport(value, "direct", terms[1, 1].item(), 1.0)
+
     def test_refused_point_keeps_the_sign_of_the_series(self):
         # a sine series is odd in x, and so is the best value it refuses
         spec = SeriesSpec.from_family("T7", 1)
@@ -584,11 +630,11 @@ class TestGridRefusalOrder:
     def test_answered_rows_before_a_refusal_match(self):
         # a grid whose refusals all lie in weights it does not ask for
         xs = self._xs("T2", (0.3, 1e-3, 0.7))
-        grid = direct_sum_grid("T2", (2, 3), xs, 1e-10)
-        for m, row in zip((2, 3), grid):
-            for x, got in zip(xs, row):
+        values, _, terms, _ = direct_sum_grid("T2", (2, 3), xs, 1e-10)
+        for m, *rows in zip((2, 3), values.tolist(), terms.tolist()):
+            for x, value, terms_used in zip(xs, *rows):
                 want = _ref_direct_sum(SeriesSpec.from_family("T2", m), x, 1e-10)
-                assert (got.value, got.terms_used) == (want.value, want.terms_used)
+                assert (value, terms_used) == (want.value, want.terms_used)
 
 
 class TestChoiSrivastava:
