@@ -28,6 +28,7 @@ from .closedforms import (
     _LITERAL_CONSTANTS,
     _MAX_WEIGHT,
     ERRATA,
+    SERIES,
     SeriesSpec,
     TABLE2_ROWS,
     _bracket_grid,
@@ -56,7 +57,7 @@ TOL_ENV_VAR = "TRIGZETA_TOL"
 DEFAULT_TOL = 1e-8
 MAX_GRID = 10_000
 
-FAMILIES = tuple(f"T{i}" for i in range(1, 9))
+FAMILIES = tuple(SERIES)
 
 CSV_HEADER = [
     "family",

@@ -1,10 +1,12 @@
 """Closed forms for trigonometric series with power-of-integer denominators.
 
-Eight families are covered, indexed by three switches plus a weight m:
+Eight families are covered, each a series
 
-    alternating  -- (-1)^(n+1) sign pattern in the terms
-    kind         -- sin or cos numerator
-    odd_denoms   -- denominators run over 2n-1 instead of n
+    sum_n sign^(n-1) f((an-b)x) / (an-b)^(2m+p-1),   f = sin or cos,
+
+catalogued once, as ``SERIES``, and taken at a weight m by
+``SeriesSpec.from_family``.  The oracles sum these series; the closed
+forms read only the brackets below.
 
 Each family's sum, at the integer weight where a naive term-by-term
 evaluation of the underlying power series breaks down, collapses to a
@@ -21,7 +23,9 @@ bracket that vanishes at x = 0 where the series does not; it needs
 j = +1 and the opposite overall sign.  ``closed_form_eval`` reads the
 corrected table; ``general_closed_form`` reads the same rows literally,
 through the same evaluator, which is what the ``table2`` verification
-suite reports.
+suite reports.  Table II feeds only the brackets, zeta' orders included:
+its a, b, sign and kind columns are kept as printed, and the tests hold
+them, with its p, to ``SERIES``.
 
 ``closed_form_grid`` gives the same values for a grid of weights and
 points, as a (weights, points) array.  The offsets of the zeta' terms
@@ -34,7 +38,8 @@ decomposition, and costs less than a one-point grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,57 +100,51 @@ TABLE2_ROWS: tuple[GeneralFormulaParams, ...] = (
 # their values; the overall ``sign`` multiplies the prefactor
 ERRATA = {"T8": {"j": 1, "sign": -1}}
 
-_ROW_BY_FAMILY = {row.family: row for row in TABLE2_ROWS}
-
-# (alternating, kind, odd_denoms) -> family id
-_SWITCHES_TO_FAMILY = {
-    (row.sign < 0, row.kind, row.a == 2): row.family for row in TABLE2_ROWS
+# family -> (kind, sign, a, b, p): the series
+#     sum_n sign^(n-1) f((an-b)x) / (an-b)^(2m+p-1),  f = sin or cos (kind)
+SERIES = {
+    "T1": ("sin", 1, 1, 0, 1),
+    "T2": ("cos", 1, 1, 0, 0),
+    "T3": ("sin", -1, 1, 0, 1),
+    "T4": ("cos", -1, 1, 0, 0),
+    "T5": ("sin", 1, 2, 1, 1),
+    "T6": ("cos", 1, 2, 1, 0),
+    "T7": ("sin", -1, 2, 1, 0),
+    "T8": ("cos", -1, 2, 1, 1),
 }
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
-    """One member of the eight-family catalogue at weight m.
+class SeriesSpec(NamedTuple):
+    """One ``SERIES`` entry at weight m: the series
 
-    The series summed is
+        sum_n  sign^(n-1) f((an-b)x) / (an-b)^alpha,   alpha = 2m + p - 1,
 
-        sum_n  sign(n) * f(d(n) * x) / d(n)^alpha
-
-    with sign(n) = (-1)^(n+1) if alternating else 1, f = sin or cos,
-    d(n) = 2n-1 if odd_denominators else n, and alpha the singular
-    exponent derived from m.
+    with f = sin or cos (``kind``), on its open ``interval``.  Build it
+    with ``from_family``.
     """
 
-    alternating: bool
-    kind: str  # "sin" | "cos"
-    odd_denominators: bool
+    family: str
     m: int
-    # derived from the four fields above, once, in __post_init__
-    family: str = field(init=False, repr=False, compare=False)
-    alpha: int = field(init=False, repr=False, compare=False)
-    interval: tuple[float, float] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.kind not in ("sin", "cos"):
-            raise DomainError(f"kind must be 'sin' or 'cos', got {self.kind!r}")
-        if not (1 <= self.m <= _MAX_WEIGHT):
-            raise DomainError(f"weight m must lie in [1, {_MAX_WEIGHT}], got {self.m}")
-        if self.m != int(self.m):
-            raise DomainError(f"weight m must be an integer, got {self.m}")
-        family = _SWITCHES_TO_FAMILY[(self.alternating, self.kind, self.odd_denominators)]
-        row = _ROW_BY_FAMILY[family]
-        # between consecutive zeros of 1 - sign e^{iax}, where the series is singular
-        hi = _TWO_PI / (row.a * (2 if self.alternating else 1))
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "alpha", 2 * self.m + row.p - 1)
-        object.__setattr__(self, "interval", (-hi if self.alternating else 0.0, hi))
+    kind: str  # "sin" | "cos"
+    sign: int  # +1, or -1 for the alternating series
+    a: int
+    b: int
+    alpha: int
+    interval: tuple[float, float]
 
     @classmethod
     def from_family(cls, family: str, m: int) -> "SeriesSpec":
-        row = _ROW_BY_FAMILY.get(family)
-        if row is None:
+        series = SERIES.get(family)
+        if series is None:
             raise DomainError(f"unknown family {family!r}")
-        return cls(row.sign < 0, row.kind, row.a == 2, m)
+        if not (1 <= m <= _MAX_WEIGHT):
+            raise DomainError(f"weight m must lie in [1, {_MAX_WEIGHT}], got {m}")
+        if m != int(m):
+            raise DomainError(f"weight m must be an integer, got {m}")
+        kind, sign, a, b, p = series
+        # between consecutive zeros of 1 - sign e^{iax}, where the series is singular
+        hi = _TWO_PI / (a * (2 if sign < 0 else 1))
+        return cls(family, m, kind, sign, a, b, 2 * m + p - 1, (-hi if sign < 0 else 0.0, hi))
 
 
 @dataclass(frozen=True)
@@ -288,7 +287,7 @@ def _bracket_grid(constants: dict, family: str, weights, xs) -> np.ndarray:
     bracketed = [j for j, (_, x) in enumerate(folds) if x != 0.0 or not own_zero]
     terms = constants[family, 1][2]  # (a0, a_y) do not depend on the weight
     offsets = [_offset(a0, a_y, folds[j][1]) for j in bracketed for _, a0, a_y in terms]
-    zetas = hurwitz_zeta_sderiv_grid([s.alpha - 1 for s in specs], offsets)
+    zetas = hurwitz_zeta_sderiv_grid([-constants[family, s.m][1] for s in specs], offsets)
     values = np.zeros((len(specs), len(folds)))
     for w, (s, row) in enumerate(zip(specs, zetas)):
         pref, _, coefficients = constants[family, s.m]

@@ -1,6 +1,10 @@
 """Independent evaluation paths used to cross-validate the closed forms.
 
-Three routes that share no code with the Hurwitz-derivative closed forms:
+Three routes that do not use the Hurwitz-derivative closed forms.  They
+share with them only the series catalogue (``SeriesSpec``, which gives
+each family's sign, a, b and exponent alpha from ``closedforms.SERIES``)
+and the interval check and parity fold (``_fold``), never Table II, so a
+slip in the brackets' constants cannot move an oracle:
 
 * ``direct_sum_grid`` -- literal summation of the defining series for a
                          grid of weights and points, returned as columns
@@ -103,14 +107,6 @@ class OracleReport:
     def __post_init__(self):
         if not (math.isfinite(self.error_estimate) and self.error_estimate > 0.0):
             raise DomainError("error_estimate must be finite and positive")
-
-
-def _series_params(spec: SeriesSpec) -> tuple[int, int, int]:
-    """(a, b, sign) so terms are sign^(n-1) f((an-b)x)/(an-b)^alpha."""
-    a = 2 if spec.odd_denominators else 1
-    b = 1 if spec.odd_denominators else 0
-    sign = -1 if spec.alternating else 1
-    return a, b, sign
 
 
 def _plan_point(a: int, b: int, sign: int, x: float):
@@ -310,9 +306,9 @@ def direct_sum_grid(
         raise DomainError("direct_sum tolerance must be >= 1e-12")
     specs = [SeriesSpec.from_family(family, m) for m in weights]
     spec = SeriesSpec.from_family(family, 1)
-    a, b, sign = _series_params(spec)
+    a, b, sign = spec.a, spec.b, spec.sign
     sine = spec.kind == "sin"
-    method = "euler_accelerated" if spec.alternating else "direct"
+    method = "euler_accelerated" if sign < 0 else "direct"
     folds = [_fold(spec, x) for x in xs]
     # plan None where a sine series vanishes: value 0 from 1 term
     plans = [None if x == 0.0 and sine else _plan_point(a, b, sign, x) for _, x in folds]
@@ -388,13 +384,13 @@ def _euler_numbers() -> tuple[int, ...]:
     return tuple(values)
 
 
-# (alternating, odd denominators) -> (F, exact F(-j), log factor c, log
-# scale, radius R of the power series in x)
+# (sign, a) of the series -> (F, exact F(-j), log factor c, log scale,
+# radius R of the power series in x)
 _LIMIT_ROWS = {
-    (False, False): (riemann_zeta, _zeta_at_minus, 1.0, 1.0, 2.0 * math.pi),
-    (True, False): (eta, lambda j: (1 - 2 ** (j + 1)) * _zeta_at_minus(j), 0.0, 1.0, math.pi),
-    (False, True): (dirichlet_lambda, lambda j: (1 - 2**j) * _zeta_at_minus(j), 0.5, 0.5, math.pi),
-    (True, True): (beta_fn, lambda j: Fraction(_euler_numbers()[j], 2), 0.0, 1.0, 0.5 * math.pi),
+    (1, 1): (riemann_zeta, _zeta_at_minus, 1.0, 1.0, 2.0 * math.pi),
+    (-1, 1): (eta, lambda j: (1 - 2 ** (j + 1)) * _zeta_at_minus(j), 0.0, 1.0, math.pi),
+    (1, 2): (dirichlet_lambda, lambda j: (1 - 2**j) * _zeta_at_minus(j), 0.5, 0.5, math.pi),
+    (-1, 2): (beta_fn, lambda j: Fraction(_euler_numbers()[j], 2), 0.0, 1.0, 0.5 * math.pi),
 }
 
 
@@ -417,7 +413,7 @@ def _limit_table(family: str, m: int) -> tuple:
     index k = m-1 of the rows with a log term.
     """
     spec = SeriesSpec.from_family(family, m)
-    f_func, f_exact, c, scale, radius = _LIMIT_ROWS[spec.alternating, spec.odd_denominators]
+    f_func, f_exact, c, scale, radius = _LIMIT_ROWS[spec.sign, spec.a]
     alpha = int(spec.alpha)
     delta = 1 if spec.kind == "sin" else 0
     coeffs = []
@@ -453,9 +449,10 @@ def limit_series_eval(spec: SeriesSpec, x: float) -> float:
     never exceeds 1/2 on the open interval.  The omitted terms are bounded
     as a geometric series of ratio q = (x/R)^2; where that bound exceeds
     eps (1 + |value|) it raises ``ConvergenceError`` carrying the value as
-    ``best_value``.  It shares with the closed forms only the Bernoulli
-    numbers (``BERNOULLI``, for F at order <= 0) and, through
-    ``dirichlet``, the Euler-Maclaurin sum at positive order.
+    ``best_value``.  Besides the series catalogue and the parity fold, it
+    shares with the closed forms only the Bernoulli numbers (``BERNOULLI``,
+    for F at order <= 0) and, through ``dirichlet``, the Euler-Maclaurin
+    sum at positive order.
     """
     sign, t = _fold(spec, x)
     target, end_sign = _END_SYMMETRIES[spec.family]

@@ -262,9 +262,7 @@ def _ref_tail_by_parts(a, b, sign, alpha, x, m1):
 
 def _ref_head_length(spec, x):
     """The head length at x >= 0, or the refusal at resonance or the term cap."""
-    a = 2 if spec.odd_denominators else 1
-    sign = -1 if spec.alternating else 1
-    one_minus = abs(1.0 - sign * cmath.exp(1j * a * x))
+    one_minus = abs(1.0 - spec.sign * cmath.exp(1j * spec.a * x))
     if one_minus < 1e-8:
         raise ConvergenceError(
             f"series phase too close to resonance at x={x}; no tail bound available"
@@ -276,9 +274,7 @@ def _ref_head_length(spec, x):
 
 
 def _ref_sum_by_parts(spec, x, tol, method, fold):
-    a = 2 if spec.odd_denominators else 1
-    b = 1 if spec.odd_denominators else 0
-    sign = -1 if spec.alternating else 1
+    a, b, sign = spec.a, spec.b, spec.sign
     m = _ref_head_length(spec, x)
     partial, partial_err = _ref_partial_sum_complex(a, b, sign, spec.alpha, x, m)
     tail, tail_err, j_used = _ref_tail_by_parts(a, b, sign, spec.alpha, x, m + 1)
@@ -307,7 +303,7 @@ def _ref_direct_sum(spec, x, tol):
             fold = -1.0
     if x == 0.0 and spec.kind == "sin":
         return OracleReport(0.0, "direct", 1, 1e-18)
-    method = "euler_accelerated" if spec.alternating else "direct"
+    method = "euler_accelerated" if spec.sign < 0 else "direct"
     return _ref_sum_by_parts(spec, x, tol, method, fold)
 
 
@@ -365,7 +361,8 @@ class TestLockstepTail:
     def test_tail_equals_the_scalar_reference(self, family):
         # every planned point of the 33-point CLI grid and of both fixtures,
         # at every weight: value, error bound and order, bit for bit
-        a, b, sign = oracles._series_params(SeriesSpec.from_family(family, 1))
+        spec = SeriesSpec.from_family(family, 1)
+        a, b, sign = spec.a, spec.b, spec.sign
         xs, plans = [], []
         for x in grid_points(family, 33) + _fixture_xs(family):
             plan = oracles._plan_point(a, b, sign, abs(x))
