@@ -155,21 +155,6 @@ class ClosedFormResult:
     prefactor: float
     terms: tuple[tuple[float, float, float], ...]  # (coeff, s, a)
 
-    def reconstruct(self) -> float:
-        return self.prefactor * math.fsum(
-            c * hurwitz_zeta_sderiv(s, a) for c, s, a in self.terms
-        )
-
-
-def _validate_x(spec: SeriesSpec, x: float) -> None:
-    """Reject x outside the open interval of ``spec``."""
-    lo, hi = spec.interval
-    margin = 1e-9 * (hi - lo)
-    if not (lo + margin <= x <= hi - margin):
-        raise DomainError(
-            f"x={x} outside open interval ({lo}, {hi}) for family {spec.family}"
-        )
-
 
 def _fold(spec: SeriesSpec, x: float) -> tuple[float, float]:
     """Interval check and parity fold; returns (sign, |x|).
@@ -177,7 +162,12 @@ def _fold(spec: SeriesSpec, x: float) -> tuple[float, float]:
     Sin families are odd in x, cos families even, and the zeta'-argument
     expressions require the positive half of symmetric intervals.
     """
-    _validate_x(spec, x)
+    lo, hi = spec.interval
+    margin = 1e-9 * (hi - lo)
+    if not (lo + margin <= x <= hi - margin):
+        raise DomainError(
+            f"x={x} outside open interval ({lo}, {hi}) for family {spec.family}"
+        )
     if x < 0.0:
         return (-1.0 if spec.kind == "sin" else 1.0), -x
     return 1.0, x

@@ -1,5 +1,9 @@
 """Riemann zeta and Dirichlet eta/lambda/beta on the real line.
 
+The domain is the finite reals: zeta and lambda answer at any finite
+s != 1 (PoleError at s = 1), eta and beta at any finite s, and a
+non-finite s raises DomainError.
+
 Continuation strategy: for s > 0 everything routes through the
 Euler-Maclaurin Hurwitz engine; for s < 0 zeta goes through its
 functional equation (one Gamma, one cosine, one zeta at 1-s > 1), since
@@ -28,11 +32,14 @@ __all__ = [
     "beta_fn",
 ]
 
-_POLE_BAND = 1e-3
+_NEAR_ONE = 1e-3  # beta_fn switches formula within this of s = 1
 _LN2 = math.log(2.0)
 
 
-def _zeta_unguarded(s: float) -> float:
+def riemann_zeta(s: float) -> float:
+    """zeta(s) for any finite real s != 1."""
+    if not math.isfinite(s):
+        raise DomainError(f"zeta requires a finite argument, got {s}")
     if s == 1.0:
         raise PoleError("zeta has a pole at s=1")
     if s >= 0.0:
@@ -44,13 +51,6 @@ def _zeta_unguarded(s: float) -> float:
         return 0.0
     log_mag = math.log(2.0) + math.lgamma(u) - u * math.log(2.0 * math.pi)
     return hurwitz_zeta(u, 1.0) * cos_term * math.exp(log_mag)
-
-
-def riemann_zeta(s: float) -> float:
-    """zeta(s) on the real line, s away from the pole at 1."""
-    if abs(s - 1.0) < _POLE_BAND:
-        raise PoleError(f"zeta rejected within {_POLE_BAND} of the pole at s=1")
-    return _zeta_unguarded(s)
 
 
 def zeta_prime_neg_even(n: int) -> float:
@@ -72,20 +72,12 @@ def eta(s: float) -> float:
         return _LN2
     # eta(s) = (1 - 2^(1-s)) zeta(s); the prefactor via expm1 so the
     # removable singularity at s=1 cancels cleanly against the pole.
-    return -math.expm1((1.0 - s) * _LN2) * _zeta_unguarded(s)
+    return -math.expm1((1.0 - s) * _LN2) * riemann_zeta(s)
 
 
 def dirichlet_lambda(s: float) -> float:
-    """Dirichlet lambda = (1 - 2^-s) zeta(s); pole at s=1."""
-    if abs(s - 1.0) < _POLE_BAND:
-        raise PoleError(f"lambda rejected within {_POLE_BAND} of the pole at s=1")
-    return _lambda_unguarded(s)
-
-
-def _lambda_unguarded(s: float) -> float:
-    if s == 1.0:
-        raise PoleError("lambda has a pole at s=1")
-    return -math.expm1(-s * _LN2) * _zeta_unguarded(s)
+    """Dirichlet lambda = (1 - 2^-s) zeta(s) for any finite real s != 1."""
+    return -math.expm1(-s * _LN2) * riemann_zeta(s)
 
 
 def _beta_hurwitz(s: float) -> float:
@@ -94,7 +86,9 @@ def _beta_hurwitz(s: float) -> float:
 
 def beta_fn(s: float) -> float:
     """Dirichlet beta, entire in s."""
-    if abs(s - 1.0) < _POLE_BAND:
+    if not math.isfinite(s):
+        raise DomainError(f"beta requires a finite argument, got {s}")
+    if abs(s - 1.0) < _NEAR_ONE:
         # Both Hurwitz terms blow up individually near s=1; use the
         # functional equation with the 0/0 factor evaluated safely:
         # beta(s) = (pi/2)^(s-1) Gamma(1-s) cos(pi s/2) beta(1-s) and

@@ -18,7 +18,7 @@ class DomainError(TrigZetaError):
 
 
 class PoleError(DomainError):
-    """Evaluation requested at (or too close to) a pole."""
+    """Evaluation requested at a pole."""
 
 
 class ConvergenceError(TrigZetaError):

@@ -2,9 +2,11 @@
 
 Bernoulli numbers (exact rationals), digamma, harmonic numbers,
 Pochhammer symbols and sinpi/cospi.  All functions take real arguments
-only; ``BERNOULLI`` is a tuple of exact Fractions B_0..B_64 built once
-at import time.  Gamma and log-gamma come from the standard library
-(``math.gamma``/``math.lgamma``).
+only, and sinpi, cospi and digamma raise DomainError at a NaN or
+infinite one.  ``BERNOULLI`` is a tuple of exact Fractions B_0..B_64
+built once at import time; ``bernoulli(n)`` is its checked accessor, and
+float readers take ``float(BERNOULLI[n])``.  Gamma and log-gamma come
+from the standard library (``math.gamma``/``math.lgamma``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from .errors import DomainError, PoleError, ResourceError
 __all__ = [
     "BERNOULLI",
     "bernoulli",
-    "bernoulli_float",
     "harmonic",
     "pochhammer",
     "pochhammer_sderiv",
@@ -58,10 +59,6 @@ def bernoulli(n: int) -> Fraction:
     return BERNOULLI[n]
 
 
-def bernoulli_float(n: int) -> float:
-    return float(bernoulli(n))
-
-
 def harmonic(n: int) -> float:
     """H_n = 1 + 1/2 + ... + 1/n, with H_0 = 0."""
     if n < 0:
@@ -73,10 +70,7 @@ def pochhammer(s: float, n: int) -> float:
     """Rising factorial (s)_n = s (s+1) ... (s+n-1), with (s)_0 = 1."""
     if n < 0:
         raise DomainError("pochhammer order must be non-negative")
-    out = 1.0
-    for i in range(n):
-        out *= s + i
-    return out
+    return math.prod((s + i for i in range(n)), start=1.0)
 
 
 def pochhammer_sderiv(s: float, n: int) -> float:
@@ -96,7 +90,9 @@ def pochhammer_sderiv(s: float, n: int) -> float:
 
 
 def sinpi(t: float) -> float:
-    """sin(pi*t) with exact zeros at integer t."""
+    """sin(pi*t) for finite t, with exact zeros at integer t."""
+    if not math.isfinite(t):
+        raise DomainError(f"sinpi requires a finite argument, got {t}")
     n = round(t)
     f = t - n
     if f == 0.0:
@@ -106,7 +102,9 @@ def sinpi(t: float) -> float:
 
 
 def cospi(t: float) -> float:
-    """cos(pi*t) with exact zeros at half-integer t."""
+    """cos(pi*t) for finite t, with exact zeros at half-integer t."""
+    if not math.isfinite(t):
+        raise DomainError(f"cospi requires a finite argument, got {t}")
     n = round(t)
     f = t - n
     if abs(f) == 0.5:
@@ -116,11 +114,13 @@ def cospi(t: float) -> float:
 
 
 def digamma(s: float) -> float:
-    """psi(s) for real s excluding non-positive integers.
+    """psi(s) for finite real s excluding non-positive integers.
 
     Recurrence-lifts s above 10, then the Bernoulli asymptotic series;
     negative arguments go through the reflection formula.
     """
+    if not math.isfinite(s):
+        raise DomainError(f"digamma requires a finite argument, got {s}")
     if s <= 0.0:
         if s == math.floor(s):
             raise PoleError(f"digamma pole at non-positive integer s={s}")
@@ -136,7 +136,7 @@ def digamma(s: float) -> float:
     tail = 0.0
     power = inv2
     for j in range(1, 8):
-        tail += bernoulli_float(2 * j) / (2 * j) * power
+        tail += float(BERNOULLI[2 * j]) / (2 * j) * power
         power *= inv2
     return acc + math.log(x) - 0.5 / x - tail
 

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .foundations import BERNOULLI, bernoulli_float, harmonic
+from .foundations import BERNOULLI, harmonic
 
 __all__ = [
     "EulerMaclaurinPlan",
@@ -71,7 +71,7 @@ __all__ = [
 _MAX_CORRECTION = (len(BERNOULLI) - 1) // 2  # highest usable B_{2j}
 # B_2j/(2j)! for j = 1.._MAX_CORRECTION
 _EM_COEFFS = tuple(
-    bernoulli_float(2 * j) / math.factorial(2 * j)
+    float(BERNOULLI[2 * j]) / math.factorial(2 * j)
     for j in range(1, _MAX_CORRECTION + 1)
 )
 

@@ -67,13 +67,7 @@ from fractions import Fraction
 import numpy as np
 
 from .closedforms import SeriesSpec, _fold
-from .dirichlet import (
-    _lambda_unguarded,
-    beta_fn,
-    dirichlet_lambda,
-    eta,
-    riemann_zeta,
-)
+from .dirichlet import beta_fn, dirichlet_lambda, eta, riemann_zeta
 from .errors import ConvergenceError, DomainError
 from .foundations import BERNOULLI, digamma, harmonic, pochhammer
 from .hurwitz import hurwitz_zeta, hurwitz_zeta_sderiv
@@ -532,7 +526,7 @@ def lambda_probe_orders() -> tuple[float, float]:
     smallest nodes, order 2 all three (Neville to s = 0).
     """
     nodes = (1e-4, 1e-5, 1e-6)
-    h = [s * _lambda_unguarded(1.0 + s) for s in nodes]  # s lambda(1 + s)
+    h = [s * dirichlet_lambda(1.0 + s) for s in nodes]  # s lambda(1 + s)
     # eliminate the O(s) error term between consecutive nodes
     r1_ab = (10.0 * h[1] - h[0]) / 9.0
     r1_bc = (10.0 * h[2] - h[1]) / 9.0

@@ -10,7 +10,6 @@ from trigzeta.errors import DomainError, ResourceError
 from trigzeta.foundations import (
     BERNOULLI,
     bernoulli,
-    bernoulli_float,
     cospi,
     digamma,
     harmonic,
@@ -48,10 +47,6 @@ class TestBernoulli:
         assert len(BERNOULLI) == 65
         assert BERNOULLI == full_recurrence(65)
 
-    def test_float_cache_matches_exact(self):
-        for n in range(0, len(BERNOULLI)):
-            assert bernoulli_float(n) == float(bernoulli(n))
-
     def test_capacity_guard(self):
         with pytest.raises(ResourceError):
             bernoulli(len(BERNOULLI))
@@ -69,6 +64,15 @@ class TestHarmonicAndPochhammer:
         assert pochhammer(3.0, 0) == 1.0
         assert pochhammer(3.0, 3) == 3.0 * 4.0 * 5.0
         assert pochhammer(-2.0, 4) == 0.0  # a zero factor
+
+    @pytest.mark.parametrize("s", [-3.5, -2.0, 0.0, 0.25, 1.0, 7.5, 3])
+    def test_pochhammer_matches_running_product(self, s):
+        for n in range(13):
+            out = 1.0
+            for i in range(n):
+                out *= s + i
+            got = pochhammer(s, n)
+            assert type(got) is float and got == out, (n, got, out)
 
     @given(st.floats(-6, 6), st.integers(1, 8))
     def test_pochhammer_sderiv_matches_finite_difference(self, s, n):

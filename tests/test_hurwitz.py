@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from trigzeta.errors import DomainError, PoleError
-from trigzeta.foundations import BERNOULLI, bernoulli_float, pochhammer
+from trigzeta.foundations import BERNOULLI, pochhammer
 from trigzeta.hurwitz import (
     _MAX_CORRECTION,
     _corrections,
@@ -146,7 +146,7 @@ class TestCorrections:
         assert len(weights) == 32
         for j, (coeff, poch, dpoch) in enumerate(weights, 1):
             n = 2 * j - 1
-            assert coeff == bernoulli_float(2 * j) / math.factorial(2 * j)
+            assert coeff == float(BERNOULLI[2 * j]) / math.factorial(2 * j)
             assert poch == pochhammer(s, n)
             ref, scale = prefix_suffix_sderiv(s, n)
             assert abs(dpoch - ref) <= 2 * n * 2.0**-52 * scale, (j, dpoch, ref)
