@@ -43,6 +43,7 @@ from .hurwitz import (
 from .oracles import (
     OracleReport,
     choi_srivastava_check,
+    choi_srivastava_grid,
     direct_sum,
     direct_sum_grid,
     limit_probe_eta_and_lambda,
@@ -68,6 +69,7 @@ __all__ = [
     "VerificationError",
     "beta_fn",
     "choi_srivastava_check",
+    "choi_srivastava_grid",
     "closed_form_eval",
     "closed_form_grid",
     "dirichlet_lambda",

@@ -46,7 +46,7 @@ from .dirichlet import (
 from .errors import DomainError, TrigZetaError, VerificationError
 from .hurwitz import hurwitz_formula_partial, hurwitz_zeta, hurwitz_zeta_sderiv
 from .oracles import (
-    choi_srivastava_check,
+    choi_srivastava_grid,
     direct_sum_grid,
     lambda_probe_orders,
     limit_probe_eta_and_lambda,
@@ -306,12 +306,16 @@ def _suite_identities():
 
 
 def _suite_choi_srivastava():
+    # one grid call per offset a, emitted in (n, a, t) order
+    grids = []
+    for a in (1.0, 0.25, 0.75):
+        ts = (0.04, -0.04, 0.2 * a, -0.2 * a)
+        lhs, rhs = choi_srivastava_grid(range(5), a, ts)
+        grids.append((a, ts, np.abs(lhs - rhs).tolist()))
     checks = []
     for n in range(5):
-        for a in (1.0, 0.25, 0.75):
-            for t in (0.04, -0.04, 0.2 * a, -0.2 * a):
-                lhs, rhs = choi_srivastava_check(n, a, t)
-                gap = abs(lhs - rhs)
+        for a, ts, gaps in grids:
+            for t, gap in zip(ts, gaps[n]):
                 checks.append(
                     (f"choi.n{n}.a{a}.t{t:+g}", gap <= 1e-9, f"gap {gap:.3e}")
                 )
@@ -452,9 +456,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_x(argv: list[str]) -> list[str]:
+    """``--x VALUE`` as ``--x=VALUE``, so that argparse takes -0.25pi as the value.
+
+    A separate token that starts with "-" and is not a plain number reads
+    as an option to argparse.  Every option of this parser starts with
+    "--", so a token that does is left alone, as argparse's missing value.
+    """
+    joined = []
+    for token in argv:
+        if joined and joined[-1] == "--x" and not token.startswith("--"):
+            joined[-1] = f"--x={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_x(sys.argv[1:] if argv is None else argv))
     buffer = io.StringIO()
     code = 0
     try:

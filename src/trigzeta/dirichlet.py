@@ -1,8 +1,10 @@
 """Riemann zeta and Dirichlet eta/lambda/beta on the real line.
 
-The domain is the finite reals: zeta and lambda answer at any finite
-s != 1 (PoleError at s = 1), eta and beta at any finite s, and a
-non-finite s raises DomainError.
+The domain is the finite reals where the value fits a float: zeta and
+lambda answer at any such s != 1 (PoleError at s = 1), eta and beta at
+any such s.  A non-finite s raises DomainError, and so does an s whose
+value overflows a float: below about s = -260 for zeta, -218 for eta
+and lambda and -187 for beta, apart from their exact zeros.
 
 Continuation strategy: for s > 0 everything routes through the
 Euler-Maclaurin Hurwitz engine; for s < 0 zeta goes through its
@@ -10,12 +12,13 @@ functional equation (one Gamma, one cosine, one zeta at 1-s > 1), since
 Euler-Maclaurin serves only s > -2.  beta likewise uses its functional
 equation below s = -1/2 so that beta(1-2n) comes out exactly zero;
 elsewhere it uses the Hurwitz decomposition 4^-s (zeta(s,1/4) -
-zeta(s,3/4)).
+zeta(s,3/4)), up to s = 40, from where beta(s) rounds to 1.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, PoleError
@@ -34,6 +37,23 @@ __all__ = [
 
 _NEAR_ONE = 1e-3  # beta_fn switches formula within this of s = 1
 _LN2 = math.log(2.0)
+_LOG_MAX = math.log(sys.float_info.max)  # math.exp overflows above it
+
+
+def _finite(value: float, name: str, s: float) -> float:
+    """value, or DomainError where it has overflowed to +-inf."""
+    if math.isinf(value):
+        raise DomainError(f"{name}(s) overflows a float at s={s}")
+    return value
+
+
+def _scaled(factor: float, log_mag: float, name: str, s: float) -> float:
+    """factor * e^log_mag for a nonzero factor, or DomainError where it overflows."""
+    if log_mag >= _LOG_MAX:
+        # e^log_mag alone overflows; a small factor may bring the product back
+        log_mag += math.log(abs(factor))
+        factor = math.copysign(1.0, factor)
+    return _finite(factor * math.exp(log_mag) if log_mag < _LOG_MAX else math.inf, name, s)
 
 
 def riemann_zeta(s: float) -> float:
@@ -50,7 +70,7 @@ def riemann_zeta(s: float) -> float:
     if cos_term == 0.0:
         return 0.0
     log_mag = math.log(2.0) + math.lgamma(u) - u * math.log(2.0 * math.pi)
-    return hurwitz_zeta(u, 1.0) * cos_term * math.exp(log_mag)
+    return _scaled(hurwitz_zeta(u, 1.0) * cos_term, log_mag, "zeta", s)
 
 
 def zeta_prime_neg_even(n: int) -> float:
@@ -71,16 +91,28 @@ def eta(s: float) -> float:
     if s == 1.0:
         return _LN2
     # eta(s) = (1 - 2^(1-s)) zeta(s); the prefactor via expm1 so the
-    # removable singularity at s=1 cancels cleanly against the pole.
-    return -math.expm1((1.0 - s) * _LN2) * riemann_zeta(s)
+    # removable singularity at s=1 cancels cleanly against the pole.  Its
+    # exponent is capped below exp's overflow: 2^(1-s) only overflows
+    # below s = -1023, where zeta(s) is 0 or has overflowed already.
+    return _finite(-math.expm1(min((1.0 - s) * _LN2, _LOG_MAX)) * riemann_zeta(s), "eta", s)
 
 
 def dirichlet_lambda(s: float) -> float:
-    """Dirichlet lambda = (1 - 2^-s) zeta(s) for any finite real s != 1."""
-    return -math.expm1(-s * _LN2) * riemann_zeta(s)
+    """Dirichlet lambda = (1 - 2^-s) zeta(s) for any finite real s != 1.
+
+    The exponent of 2^-s is capped as in ``eta``.
+    """
+    return _finite(-math.expm1(min(-s * _LN2, _LOG_MAX)) * riemann_zeta(s), "lambda", s)
+
+
+_BETA_ONE = 40.0  # from here on 3^-s < 2^-63, so beta(s) rounds to 1
 
 
 def _beta_hurwitz(s: float) -> float:
+    if s >= _BETA_ONE:
+        # beta(s) = 1 - 3^-s + 5^-s - ...; zeta(s, 1/4) ~ 4^s would lose
+        # digits to the cancellation and overflow from s = 513
+        return 1.0
     return 4.0 ** (-s) * (hurwitz_zeta(s, 0.25) - hurwitz_zeta(s, 0.75))
 
 
@@ -108,7 +140,12 @@ def beta_fn(s: float) -> float:
         sin_term = sinpi(0.5 * u)
         if sin_term == 0.0:
             return 0.0
-        return (2.0 / math.pi) ** u * sin_term * math.gamma(u) * _beta_hurwitz(u)
+        try:
+            gamma = math.gamma(u)
+        except OverflowError:  # u > 171.6: Gamma(u) (2/pi)^u in logs
+            log_mag = math.lgamma(u) + u * math.log(2.0 / math.pi)
+            return _scaled(sin_term * _beta_hurwitz(u), log_mag, "beta", s)
+        return (2.0 / math.pi) ** u * sin_term * gamma * _beta_hurwitz(u)
     return _beta_hurwitz(s)
 
 

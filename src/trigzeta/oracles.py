@@ -17,8 +17,14 @@ slip in the brackets' constants cannot move an oracle:
                          term plus one Horner pass over a table per
                          (family, m), about 0 or, through a symmetry of
                          the series, about the far end of the interval;
-* ``choi_srivastava_check`` -- both sides of the identity underpinning
-                         the closed forms, returned for comparison.
+* ``choi_srivastava_grid`` -- both sides of the identity underpinning
+                         the closed forms for every n and t at one a,
+                         returned for comparison; each zeta(k, a) and
+                         zeta'(k, a) is computed once per call, (k)_{n+1}
+                         once per (k, n), the t-free rhs parts
+                         (zeta'(-n, a) and the binomial pieces) once per
+                         n and psi(a) once; ``choi_srivastava_check`` is
+                         its 1 x 1 call.
 
 ``direct_sum_grid`` sums the defining series in complex form,
 sum_n sign^(n-1) e^{idx} d^{-alpha} with d = an-b, as a head of
@@ -78,6 +84,7 @@ __all__ = [
     "direct_sum",
     "direct_sum_grid",
     "limit_series_eval",
+    "choi_srivastava_grid",
     "choi_srivastava_check",
     "limit_probe_eta_and_lambda",
     "lambda_probe_orders",
@@ -480,40 +487,90 @@ def limit_series_eval(spec: SeriesSpec, x: float) -> float:
 _CHOI_TERMS = 400  # last k of the lhs series
 
 
-def choi_srivastava_check(n: int, a: float, t: float) -> tuple[float, float]:
-    """Both sides of the zeta-series identity; returned for comparison.
+def choi_srivastava_grid(ns, a: float, ts) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the zeta-series identity for every n in ``ns`` and t in ``ts``.
 
     lhs = sum_{k=2}^{400} zeta(k, a) t^(n+k) / (k)_{n+1}, cut at the first
           k > 8 whose term is below 1e-19
     rhs = the closed form over zeta'(-n, a-t), zeta'(-n, a), the binomial
           sum with harmonic-number weights, and (H_n + psi(a)) t^(n+1)/(n+1)!.
 
+    Returns (lhs, rhs) as two (len(ns), len(ts)) arrays.  Every value at
+    the one offset a is computed once per call: zeta(k, a) and zeta'(k, a)
+    once per integer k, whether the lhs series or the rhs pieces ask for
+    it, (k)_{n+1} once per (k, n), the t-free rhs parts -- zeta'(-n, a)
+    and zeta(k-n, a) (H_n - H_{n-k}) - zeta'(k-n, a) -- once per n, and
+    psi(a) once.  Each entry keeps its own cut, sum and order of
+    operations, so it does not depend on the rest of the grid.  The values
+    are computed as each entry first needs them, in n-major order, so a
+    point outside the kernels' domain raises the ``DomainError`` of the
+    first entry that meets it.
+
     Domain: 0 <= n <= 8, a > 0 and |t| < a.  For n >= 2 the rhs needs
     zeta'(-n, .) from the Taylor table, so a and a - t must also lie
     below 5/2; ``DomainError`` otherwise.
     """
-    if n < 0 or n > 8:
+    ns, ts = list(ns), list(ts)
+    if any(n < 0 or n > 8 for n in ns):
         raise DomainError("choi_srivastava_check requires 0 <= n <= 8")
     if a <= 0.0:
         raise DomainError("choi_srivastava_check requires a > 0")
-    if abs(t) >= a:
+    if any(abs(t) >= a for t in ts):
         raise DomainError("choi_srivastava_check requires |t| < a")
-    lhs_parts = []
-    for k in range(2, _CHOI_TERMS + 1):
-        term = hurwitz_zeta(float(k), a) * t ** (n + k) / pochhammer(float(k), n + 1)
-        lhs_parts.append(term)
-        if abs(term) < 1e-19 and k > 8:
-            break
-    lhs = math.fsum(lhs_parts)
-    h_n = harmonic(n)
-    inner = hurwitz_zeta_sderiv(-float(n), a - t) - hurwitz_zeta_sderiv(-float(n), a)
-    for k in range(1, n + 1):
-        s = float(k - n)
-        piece = hurwitz_zeta(s, a) * (h_n - harmonic(n - k)) - hurwitz_zeta_sderiv(s, a)
-        inner += (-t) ** k * math.comb(n, k) * piece
-    rhs = (-1.0) ** n / math.factorial(n) * inner
-    rhs += (h_n + digamma(a)) * t ** (n + 1) / math.factorial(n + 1)
+    zetas: dict[int, float] = {}  # k -> zeta(k, a)
+    derivs: dict[int, float] = {}  # k -> zeta'(k, a)
+
+    def zeta(k: int) -> float:
+        if k not in zetas:
+            zetas[k] = hurwitz_zeta(float(k), a)
+        return zetas[k]
+
+    def deriv(k: int) -> float:
+        if k not in derivs:
+            derivs[k] = hurwitz_zeta_sderiv(float(k), a)
+        return derivs[k]
+
+    lhs, rhs = np.empty((len(ns), len(ts))), np.empty((len(ns), len(ts)))
+    psi = None
+    for i, n in enumerate(ns):
+        h_n = harmonic(n)
+        pochs = [1.0, 1.0]  # (k)_{n+1} at index k, from k = 2
+        pieces = None
+        for j, t in enumerate(ts):
+            lhs_parts = []
+            for k in range(2, _CHOI_TERMS + 1):
+                if k == len(pochs):
+                    pochs.append(pochhammer(float(k), n + 1))
+                term = zeta(k) * t ** (n + k) / pochs[k]
+                lhs_parts.append(term)
+                if abs(term) < 1e-19 and k > 8:
+                    break
+            lhs[i, j] = math.fsum(lhs_parts)
+            inner = hurwitz_zeta_sderiv(-float(n), a - t)
+            if pieces is None:
+                at_a = deriv(-n)
+                pieces = [
+                    zeta(k - n) * (h_n - harmonic(n - k)) - deriv(k - n)
+                    for k in range(1, n + 1)
+                ]
+            inner -= at_a
+            for k, piece in enumerate(pieces, 1):
+                inner += (-t) ** k * math.comb(n, k) * piece
+            value = (-1.0) ** n / math.factorial(n) * inner
+            if psi is None:
+                psi = digamma(a)
+            rhs[i, j] = value + (h_n + psi) * t ** (n + 1) / math.factorial(n + 1)
     return lhs, rhs
+
+
+def choi_srivastava_check(n: int, a: float, t: float) -> tuple[float, float]:
+    """Both sides of the zeta-series identity at one (n, a, t); returned for comparison.
+
+    The 1 x 1 call of ``choi_srivastava_grid``, with its domain: checking
+    many n or t at one a, a single grid call computes each zeta(k, a) once.
+    """
+    lhs, rhs = choi_srivastava_grid([n], a, [t])
+    return lhs[0, 0].item(), rhs[0, 0].item()
 
 
 # --- limit probes --------------------------------------------------------

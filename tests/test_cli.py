@@ -89,6 +89,27 @@ class TestEval:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("x, want_code", [
+        ("-0.25pi", 0), ("-0.5pi", 0), ("-0.1", 0), ("0.5pi", 0),
+        # -pi is outside every family's open interval: refused by the
+        # domain check, not by argparse
+        ("-pi", 2),
+    ])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_separate_x_value(self, x, want_code, fmt, capsys):
+        # --x VALUE answers as --x=VALUE does, a negative pi-multiple too
+        head = ["eval", "--family", "T3", "--m", "1"]
+        joined = run_cli(head + [f"--x={x}", "--format", fmt], capsys)
+        assert joined[0] == want_code
+        assert run_cli(head + ["--x", x, "--format", fmt], capsys) == joined
+
+    def test_missing_x_value(self, capsys):
+        for argv in (["--x"], ["--x", "--format", "json"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["eval", "--family", "T3", "--m", "1"] + argv)
+            assert exc.value.code == 2
+            assert "argument --x: expected one argument" in capsys.readouterr().err
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "eval.txt"
         code, out, _ = run_cli(

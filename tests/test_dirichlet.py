@@ -141,3 +141,40 @@ class TestBeta:
 def test_non_finite_argument(fn, s):
     with pytest.raises(DomainError):
         fn(s)
+
+
+class TestOverflow:
+    # zeta(-230.5) and beta(-171.5), rounded from 40-digit evaluations
+    ZETA_230_5 = 2.774783521336811751e261
+    BETA_171_5 = 1.698372396230655531e276
+
+    def test_beta_answers_where_gamma_overflows(self):
+        # Gamma(172.5) overflows a float, beta(-171.5) does not
+        assert beta_fn(-171.5) == pytest.approx(self.BETA_171_5, rel=1e-13)
+        for fn in (riemann_zeta, eta, dirichlet_lambda):
+            assert math.isfinite(fn(-171.5))
+
+    def test_eta_and_lambda_overflow(self):
+        assert riemann_zeta(-230.5) == pytest.approx(self.ZETA_230_5, rel=1e-13)
+        for fn in (eta, dirichlet_lambda, beta_fn):
+            with pytest.raises(DomainError, match="overflows a float"):
+                fn(-230.5)
+
+    @pytest.mark.parametrize("fn", [riemann_zeta, eta, dirichlet_lambda, beta_fn])
+    @pytest.mark.parametrize("s", [-300.5, -1023.5, -9999.5])
+    def test_overflow_is_a_domain_error(self, fn, s):
+        with pytest.raises(DomainError, match="overflows a float"):
+            fn(s)
+
+    def test_exact_zeros_far_out(self):
+        # 2^(1-s) itself overflows below s = -1023
+        for s in (-600.0, -1024.0, -2000.0):
+            assert riemann_zeta(s) == 0.0
+            assert eta(s) == 0.0
+            assert dirichlet_lambda(s) == 0.0
+            assert beta_fn(s - 1.0) == 0.0
+
+    def test_beta_at_large_order(self):
+        # zeta(s, 1/4) ~ 4^s overflows from s = 513; beta(s) rounds to 1
+        for s in (40.0, 100.0, 513.0, 1e4):
+            assert beta_fn(s) == 1.0

@@ -13,13 +13,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trigzeta import oracles
-from trigzeta.cli import grid_points, make_records
+from trigzeta.cli import _suite_choi_srivastava, grid_points, make_records
 from trigzeta.closedforms import SeriesSpec, closed_form_eval
 from trigzeta.errors import ConvergenceError, DomainError
+from trigzeta.foundations import digamma, harmonic, pochhammer
+from trigzeta.hurwitz import hurwitz_zeta, hurwitz_zeta_sderiv
 from trigzeta.oracles import (
     DIRECT_TERM_CAP,
     OracleReport,
     choi_srivastava_check,
+    choi_srivastava_grid,
     direct_sum,
     direct_sum_grid,
     lambda_probe_orders,
@@ -326,7 +329,8 @@ def _same_refusal(got, want):
     if want.report is not None:
         fields = ("value", "method", "terms_used")
         assert [getattr(got.report, f) for f in fields] == [getattr(want.report, f) for f in fields]
-        assert got.report.error_estimate == pytest.approx(want.report.error_estimate, rel=1e-12)
+        assert got.report.error_estimate == pytest.approx(
+            want.report.error_estimate, rel=1e-12, abs=0)
 
 
 FAMILIES = tuple(f"T{i}" for i in range(1, 9))
@@ -392,7 +396,7 @@ class TestGridOracle:
                 assert value == want.value, (family, m, x)
                 assert terms_used == want.terms_used, (family, m, x)
                 assert method == want.method, (family, m, x)
-                assert err == pytest.approx(want.error_estimate, rel=1e-12)
+                assert err == pytest.approx(want.error_estimate, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("chunk", [None, 97])
     @pytest.mark.parametrize("family", FAMILIES)
@@ -432,7 +436,7 @@ class TestGridOracle:
             for x, value, err, terms_used in zip(xs, *rows):
                 want = _ref_direct_sum(SeriesSpec.from_family("T2", m), x, 1e-10)
                 assert (value, terms_used) == (want.value, want.terms_used)
-                assert err == pytest.approx(want.error_estimate, rel=1e-12)
+                assert err == pytest.approx(want.error_estimate, rel=1e-12, abs=0)
         monkeypatch.undo()
         x = 200.0 / 100_000
         got = direct_sum(SeriesSpec.from_family("T2", 2), x, 1e-10)
@@ -634,6 +638,25 @@ class TestGridRefusalOrder:
                 assert (value, terms_used) == (want.value, want.terms_used)
 
 
+def _ref_choi_srivastava(n, a, t):
+    """Both sides of the Choi-Srivastava identity at one point, term by term."""
+    lhs_parts = []
+    for k in range(2, 401):
+        term = hurwitz_zeta(float(k), a) * t ** (n + k) / pochhammer(float(k), n + 1)
+        lhs_parts.append(term)
+        if abs(term) < 1e-19 and k > 8:
+            break
+    h_n = harmonic(n)
+    inner = hurwitz_zeta_sderiv(-float(n), a - t) - hurwitz_zeta_sderiv(-float(n), a)
+    for k in range(1, n + 1):
+        s = float(k - n)
+        piece = hurwitz_zeta(s, a) * (h_n - harmonic(n - k)) - hurwitz_zeta_sderiv(s, a)
+        inner += (-t) ** k * math.comb(n, k) * piece
+    rhs = (-1.0) ** n / math.factorial(n) * inner
+    rhs += (h_n + digamma(a)) * t ** (n + 1) / math.factorial(n + 1)
+    return math.fsum(lhs_parts), rhs
+
+
 class TestChoiSrivastava:
     def test_closed_value_example(self):
         # n=0, a=1, t=1/2: both sides equal (1/2) ln pi - gamma/2
@@ -648,11 +671,66 @@ class TestChoiSrivastava:
         assert rhs == pytest.approx(0.0, abs=1e-15)
 
     def test_grid_gap(self):
-        for n in range(5):
-            for a in (1.0, 0.25, 0.75):
-                for t in (0.05, -0.05, 0.2 * a, -0.2 * a):
-                    lhs, rhs = choi_srivastava_check(n, a, t)
-                    assert abs(lhs - rhs) <= 1e-14, (n, a, t)
+        for a in (1.0, 0.25, 0.75):
+            lhs, rhs = choi_srivastava_grid(range(5), a, (0.05, -0.05, 0.2 * a, -0.2 * a))
+            assert lhs.shape == rhs.shape == (5, 4)
+            assert np.abs(lhs - rhs).max() <= 1e-14, a
+
+    @pytest.mark.parametrize("a", [1.0, 0.25, 0.75, 2.0])
+    def test_grid_equals_scalar(self, a):
+        # every entry, bit for bit, is the scalar call and the per-point loop
+        ns = range(2) if a == 2.0 else range(9)
+        ts = [0.0, 0.04, -0.04, 0.2 * a, -0.2 * a, 0.5 * a]
+        lhs, rhs = choi_srivastava_grid(ns, a, ts)
+        for n, lhs_row, rhs_row in zip(ns, lhs.tolist(), rhs.tolist()):
+            for t, got in zip(ts, zip(lhs_row, rhs_row)):
+                assert got == choi_srivastava_check(n, a, t) == _ref_choi_srivastava(n, a, t), (
+                    n, a, t)
+
+    @pytest.mark.parametrize("ns, a, ts", [
+        ([-1], 1.0, [0.1]),
+        ([9], 1.0, [0.1]),
+        ([0, 9], 1.0, [0.1]),
+        ([1], -1.0, [0.1]),
+        ([1], 0.0, [0.0]),
+        ([1], 1.0, [1.0]),
+        ([1], 1.0, [0.1, -1.5]),
+        # n >= 2 needs zeta'(-n, .) on the Taylor domain, a and a - t < 5/2
+        ([5], 3.0, [0.1]),
+        (range(9), 3.0, [0.1, -0.1]),
+        (range(9), 2.6, [0.2, -0.1]),
+        (range(9), 2.45, [0.1, -0.1]),
+    ])
+    def test_grid_domain(self, ns, a, ts):
+        # the grid raises what the scalar calls raise first, in n-major order
+        want = None
+        for n, t in itertools.product(ns, ts):
+            try:
+                choi_srivastava_check(n, a, t)
+            except DomainError as exc:
+                want = exc
+                break
+        assert want is not None
+        with pytest.raises(DomainError) as got:
+            choi_srivastava_grid(ns, a, ts)
+        assert str(got.value) == str(want)
+
+    def test_suite_computes_each_zeta_once(self, monkeypatch):
+        # one verify pass asks for each zeta(s, a) once, and caches nothing
+        # between passes
+        calls = []
+
+        def counted(s, a):
+            calls.append((s, a))
+            return hurwitz_zeta(s, a)
+
+        monkeypatch.setattr(oracles, "hurwitz_zeta", counted)
+        first = _suite_choi_srivastava()
+        count = len(calls)
+        assert count == len(set(calls)) > 0
+        assert {a for _, a in calls} == {1.0, 0.25, 0.75}
+        assert _suite_choi_srivastava() == first
+        assert len(calls) == 2 * count
 
     def test_domain(self):
         with pytest.raises(DomainError):
