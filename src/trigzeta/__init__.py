@@ -28,7 +28,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     PoleError,
-    ResourceError,
     TrigZetaError,
     VerificationError,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "GeneralFormulaParams",
     "OracleReport",
     "PoleError",
-    "ResourceError",
     "SPECIAL_VALUES",
     "SeriesSpec",
     "SpecialValue",

@@ -6,13 +6,27 @@ any such s.  A non-finite s raises DomainError, and so does an s whose
 value overflows a float: below about s = -260 for zeta, -218 for eta
 and lambda and -187 for beta, apart from their exact zeros.
 
-Continuation strategy: for s > 0 everything routes through the
-Euler-Maclaurin Hurwitz engine; for s < 0 zeta goes through its
-functional equation (one Gamma, one cosine, one zeta at 1-s > 1), since
-Euler-Maclaurin serves only s > -2.  beta likewise uses its functional
-equation below s = -1/2 so that beta(1-2n) comes out exactly zero;
-elsewhere it uses the Hurwitz decomposition 4^-s (zeta(s,1/4) -
-zeta(s,3/4)), up to s = 40, from where beta(s) rounds to 1.
+zeta and beta take the same three routes; eta and lambda are zeta times
+a power-of-two factor.
+
+- The functional equation (DLMF 25.4.2 and its beta twin), F(s) =
+  scale * base^-u * Gamma(u) * trig * F(u) with u = 1 - s and the trig
+  factor taken at the exact s/2 (sinpi for zeta, cospi for beta), so the
+  trivial zeros come out as exact +0.0 and the values beside them keep
+  their digits.  zeta takes it below s = -1/32, where u = 1 - s still
+  carries the digits of s; beta below s = -1/2, and within 1e-3 of s = 1,
+  where its two Hurwitz terms cancel.
+- Euler-Maclaurin in between: zeta(s, 1) for zeta, 4^-s (zeta(s, 1/4) -
+  zeta(s, 3/4)) for beta.
+- From s = 20 on, the Dirichlet series sum chi(n) n^-s itself, summed
+  by ``math.fsum``, which answers at any order in a few terms.
+
+Worst relative errors against 40-digit mpmath, at 400 to 2200 points per
+range: zeta 2.1e-14 on [-1/2, 0) and 4.8e-14 on [-169, -1/2); within
+1e-6 of the trivial zeros zeta 1.9e-14 and beta 6.8e-14; beta 7.9e-14 on
+[-169, 20) and correctly rounded on [20, 60]; below s = -170, where
+Gamma(u) overflows and the functional equation runs in logs, zeta
+3.3e-13 and beta 2.0e-13.
 """
 
 from __future__ import annotations
@@ -35,9 +49,14 @@ __all__ = [
     "beta_fn",
 ]
 
-_NEAR_ONE = 1e-3  # beta_fn switches formula within this of s = 1
 _LN2 = math.log(2.0)
 _LOG_MAX = math.log(sys.float_info.max)  # math.exp overflows above it
+_GAMMA_MAX = 171.6  # math.gamma overflows from about 171.62
+_ZETA_REFLECT = -0.03125  # zeta takes its functional equation below this
+_BETA_REFLECT = -0.5  # beta likewise, and within _NEAR_ONE of s = 1
+_NEAR_ONE = 1e-3  # beta's two Hurwitz terms cancel this close to s = 1
+_SERIES_FROM = 20.0  # above every order the limit-series tables read
+_BETA_CHI = (1.0, 0.0, -1.0, 0.0)  # chi(n) of beta for n = 1, 2, 3, 4 mod 4
 
 
 def _finite(value: float, name: str, s: float) -> float:
@@ -47,13 +66,37 @@ def _finite(value: float, name: str, s: float) -> float:
     return value
 
 
-def _scaled(factor: float, log_mag: float, name: str, s: float) -> float:
-    """factor * e^log_mag for a nonzero factor, or DomainError where it overflows."""
+def _reflect(s: float, trig: float, scale: float, base: float, f, name: str) -> float:
+    """scale * base^-u * Gamma(u) * trig * f(u) with u = 1 - s.
+
+    trig is the factor that vanishes at the trivial zeros, taken at s/2;
+    where it is 0 the value is +0.0.  At s = 1 Gamma(u) * trig has the
+    limit pi/2.  Past Gamma's overflow the magnitude goes through logs.
+    """
+    u = 1.0 - s
+    if u == 0.0:
+        return scale * (0.5 * math.pi) * f(u)
+    if trig == 0.0:
+        return 0.0
+    if u < _GAMMA_MAX:
+        return scale * base ** -u * math.gamma(u) * trig * f(u)
+    factor = trig * f(u)
+    log_mag = math.log(scale) + math.lgamma(u) - u * math.log(base)
     if log_mag >= _LOG_MAX:
         # e^log_mag alone overflows; a small factor may bring the product back
         log_mag += math.log(abs(factor))
         factor = math.copysign(1.0, factor)
     return _finite(factor * math.exp(log_mag) if log_mag < _LOG_MAX else math.inf, name, s)
+
+
+def _series(s: float, chi: tuple[float, ...]) -> float:
+    """sum chi(n) n^-s over n >= 1 for s >= _SERIES_FROM, chi of period len(chi).
+
+    The terms stop before the first n with n^-s < 2^-64; the rest of the
+    series is then below 2^-63.
+    """
+    count = int(2.0 ** (64.0 / s))
+    return math.fsum(chi[(n - 1) % len(chi)] * n ** -s for n in range(1, count + 1))
 
 
 def riemann_zeta(s: float) -> float:
@@ -62,15 +105,12 @@ def riemann_zeta(s: float) -> float:
         raise DomainError(f"zeta requires a finite argument, got {s}")
     if s == 1.0:
         raise PoleError("zeta has a pole at s=1")
-    if s >= 0.0:
-        return hurwitz_zeta(s, 1.0)
-    # zeta(s) = 2 zeta(1-s) Gamma(1-s) cos(pi (1-s)/2) / (2 pi)^(1-s)
-    u = 1.0 - s
-    cos_term = cospi(0.5 * u)
-    if cos_term == 0.0:
-        return 0.0
-    log_mag = math.log(2.0) + math.lgamma(u) - u * math.log(2.0 * math.pi)
-    return _scaled(hurwitz_zeta(u, 1.0) * cos_term, log_mag, "zeta", s)
+    if s < _ZETA_REFLECT:
+        # zeta(s) = 2 (2 pi)^-u Gamma(u) sin(pi s/2) zeta(u)
+        return _reflect(s, sinpi(0.5 * s), 2.0, 2.0 * math.pi, riemann_zeta, "zeta")
+    if s >= _SERIES_FROM:
+        return _series(s, (1.0,))
+    return hurwitz_zeta(s, 1.0)
 
 
 def zeta_prime_neg_even(n: int) -> float:
@@ -105,48 +145,16 @@ def dirichlet_lambda(s: float) -> float:
     return _finite(-math.expm1(min(-s * _LN2, _LOG_MAX)) * riemann_zeta(s), "lambda", s)
 
 
-_BETA_ONE = 40.0  # from here on 3^-s < 2^-63, so beta(s) rounds to 1
-
-
-def _beta_hurwitz(s: float) -> float:
-    if s >= _BETA_ONE:
-        # beta(s) = 1 - 3^-s + 5^-s - ...; zeta(s, 1/4) ~ 4^s would lose
-        # digits to the cancellation and overflow from s = 513
-        return 1.0
-    return 4.0 ** (-s) * (hurwitz_zeta(s, 0.25) - hurwitz_zeta(s, 0.75))
-
-
 def beta_fn(s: float) -> float:
     """Dirichlet beta, entire in s."""
     if not math.isfinite(s):
         raise DomainError(f"beta requires a finite argument, got {s}")
-    if abs(s - 1.0) < _NEAR_ONE:
-        # Both Hurwitz terms blow up individually near s=1; use the
-        # functional equation with the 0/0 factor evaluated safely:
-        # beta(s) = (pi/2)^(s-1) Gamma(1-s) cos(pi s/2) beta(1-s) and
-        # Gamma(1-s) cos(pi s/2) = Gamma(2-s) sin(pi(1-s)/2)/(1-s).
-        u = 1.0 - s
-        factor = 0.5 * math.pi if u == 0.0 else sinpi(0.5 * u) / u
-        return (
-            (0.5 * math.pi) ** (s - 1.0)
-            * math.gamma(2.0 - s)
-            * factor
-            * _beta_hurwitz(u)
-        )
-    if s < -0.5:
-        # beta(s) = (2/pi)^u sin(pi u/2) Gamma(u) beta(u), u = 1-s > 1;
-        # exact zeros at negative odd integers come out exactly.
-        u = 1.0 - s
-        sin_term = sinpi(0.5 * u)
-        if sin_term == 0.0:
-            return 0.0
-        try:
-            gamma = math.gamma(u)
-        except OverflowError:  # u > 171.6: Gamma(u) (2/pi)^u in logs
-            log_mag = math.lgamma(u) + u * math.log(2.0 / math.pi)
-            return _scaled(sin_term * _beta_hurwitz(u), log_mag, "beta", s)
-        return (2.0 / math.pi) ** u * sin_term * gamma * _beta_hurwitz(u)
-    return _beta_hurwitz(s)
+    if s < _BETA_REFLECT or abs(s - 1.0) < _NEAR_ONE:
+        # beta(s) = (pi/2)^-u Gamma(u) cos(pi s/2) beta(u)
+        return _reflect(s, cospi(0.5 * s), 1.0, 0.5 * math.pi, beta_fn, "beta")
+    if s >= _SERIES_FROM:
+        return _series(s, _BETA_CHI)
+    return 4.0 ** (-s) * (hurwitz_zeta(s, 0.25) - hurwitz_zeta(s, 0.75))
 
 
 @dataclass(frozen=True)

@@ -39,9 +39,3 @@ class VerificationError(TrigZetaError):
     """A verification suite or comparison exceeded its tolerance."""
 
     exit_code = 4
-
-
-class ResourceError(TrigZetaError):
-    """A precomputed table was asked for more than its capacity."""
-
-    exit_code = 2

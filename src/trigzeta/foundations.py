@@ -4,9 +4,9 @@ Bernoulli numbers (exact rationals), digamma, harmonic numbers,
 Pochhammer symbols and sinpi/cospi.  All functions take real arguments
 only, and sinpi, cospi and digamma raise DomainError at a NaN or
 infinite one.  ``BERNOULLI`` is a tuple of exact Fractions B_0..B_64
-built once at import time; ``bernoulli(n)`` is its checked accessor, and
-float readers take ``float(BERNOULLI[n])``.  Gamma and log-gamma come
-from the standard library (``math.gamma``/``math.lgamma``).
+built once at import time; float readers take ``float(BERNOULLI[n])``.
+Gamma and log-gamma come from the standard library
+(``math.gamma``/``math.lgamma``).
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DomainError, PoleError, ResourceError
+from .errors import DomainError, PoleError
 
 __all__ = [
     "BERNOULLI",
-    "bernoulli",
     "harmonic",
     "pochhammer",
     "pochhammer_sderiv",
@@ -46,17 +45,6 @@ def _bernoulli_numbers(count: int) -> tuple[Fraction, ...]:
 
 # Exact B_0..B_64, so Euler-Maclaurin coefficients carry no rounding noise.
 BERNOULLI = _bernoulli_numbers(65)
-
-
-def bernoulli(n: int) -> Fraction:
-    """Exact Bernoulli number B_n (B_1 = -1/2)."""
-    if n < 0:
-        raise DomainError("Bernoulli index must be non-negative")
-    if n >= len(BERNOULLI):
-        raise ResourceError(
-            f"Bernoulli table capacity {len(BERNOULLI) - 1} exceeded (asked for B_{n})"
-        )
-    return BERNOULLI[n]
 
 
 def harmonic(n: int) -> float:
@@ -102,14 +90,19 @@ def sinpi(t: float) -> float:
 
 
 def cospi(t: float) -> float:
-    """cos(pi*t) for finite t, with exact zeros at half-integer t."""
+    """cos(pi*t) for finite t, with exact zeros at half-integer t.
+
+    With f = t - round(t), past |f| = 1/4 it takes sin(pi (1/2 - |f|)),
+    whose argument is exact, so values beside the zeros keep their
+    relative accuracy.
+    """
     if not math.isfinite(t):
         raise DomainError(f"cospi requires a finite argument, got {t}")
     n = round(t)
-    f = t - n
-    if abs(f) == 0.5:
+    f = abs(t - n)
+    if f == 0.5:
         return 0.0
-    v = math.cos(math.pi * f)
+    v = math.sin(math.pi * (0.5 - f)) if f > 0.25 else math.cos(math.pi * f)
     return -v if (n & 1) else v
 
 

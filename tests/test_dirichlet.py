@@ -30,6 +30,35 @@ NEAR_POLE = (
 )
 
 
+# (s, zeta(s)) beside s = 0 and beside the trivial zeros -2n, n = 1, 2, 10,
+# 59, the values rounded from 40-digit evaluations at the float s
+ZETA_NEAR_ZEROS = (
+    (-1e-20, -0.49999999999999999999),
+    (-1e-12, -0.49999999999908106147),
+    (-0.01, -0.49090994160533712582),
+    (-2.0 + 1e-12, -3.0451163943990034832e-14),
+    (-2.0 - 1e-10, 3.0448459574421727788e-12),
+    (-4.0 + 1e-12, 7.9845212157587232159e-15),
+    (-4.0 - 1e-10, -7.9838121105652748229e-13),
+    (-20.0 + 1e-12, 1.3205777910712807942e-10),
+    (-20.0 - 1e-10, -1.3227865868228854513e-8),
+    (-118.0 + 1e-12, -1.5210007119158833792e88),
+    (-118.0 - 1e-10, 1.5290402875609991696e90),
+)
+
+# (s, beta(s)) beside the zeros -(2n-1): above them for n = 1, 2, 8, 60,
+# and below -127, where 1 - s needs one more bit than s; then where the
+# Dirichlet series takes over; rounded in the same way
+BETA_NEAR_ZEROS = (
+    (-1.0 + 1e-10, 5.8312185630583800118e-11),
+    (-3.0 + 1e-10, -1.53095913117131184e-10),
+    (-15.0 + 1e-10, -0.14952075503018201785),
+    (-119.0 + 1e-10, -2.5583207002948043532e163),
+    (-127.0 - 1e-10, 3.7302118013442466804e178),
+)
+BETA_SERIES = ((25.5, 0.99999999999931859228), (38.625, 0.99999999999999999963))
+
+
 def alternating_partial(f, n_terms):
     """Brute-force alternating sum with the alternating-series tail bound."""
     total = math.fsum(f(n) * (-1.0) ** (n + 1) for n in range(1, n_terms + 1))
@@ -79,6 +108,24 @@ class TestZeta:
             assert zeta_prime_neg_even(n) == pytest.approx(fd, rel=1e-7)
 
 
+class TestBesideZeros:
+    def test_zeta_beside_zero_and_trivial_zeros(self):
+        # [DERIVED] the trig factor is taken at the exact s/2, and zeta
+        # keeps Euler-Maclaurin where 1 - s would round s away
+        for s, want in ZETA_NEAR_ZEROS:
+            assert abs(riemann_zeta(s) - want) <= 1e-13 * abs(want), s
+
+    def test_beta_beside_its_zeros(self):
+        for s, want in BETA_NEAR_ZEROS:
+            assert abs(beta_fn(s) - want) <= 1e-13 * abs(want), s
+
+    def test_cospi_beside_its_zeros(self):
+        # cos(pi t) rounded from 40-digit evaluations at the float t
+        for t, want in ((0.5 - 1e-9, 3.1415927391329100189e-9),
+                        (-1.5 + 1e-10, -3.1415929135263349244e-10)):
+            assert abs(cospi(t) - want) <= 2.0**-52 * abs(want), t
+
+
 class TestEtaLambda:
     def test_eta_at_one(self):
         assert eta(1.0) == math.log(2.0)
@@ -111,6 +158,10 @@ class TestBeta:
 
     def test_beta_three(self):
         assert beta_fn(3.0) == pytest.approx(math.pi**3 / 32.0, rel=1e-13)
+
+    def test_beta_series_is_correctly_rounded(self):
+        for s, want in BETA_SERIES:
+            assert beta_fn(s) == want, s
 
     def test_negative_even_arguments(self):
         # beta(-2n) = E_2n / 2 (Euler numbers): beta(-2) = -1/2? No --
@@ -175,6 +226,16 @@ class TestOverflow:
             assert beta_fn(s - 1.0) == 0.0
 
     def test_beta_at_large_order(self):
-        # zeta(s, 1/4) ~ 4^s overflows from s = 513; beta(s) rounds to 1
+        # from s = 40 on, 3^-s < 2^-63, so beta(s) rounds to 1
         for s in (40.0, 100.0, 513.0, 1e4):
             assert beta_fn(s) == 1.0
+
+    @pytest.mark.parametrize("fn", [riemann_zeta, eta, dirichlet_lambda, beta_fn])
+    @pytest.mark.parametrize("s", [1e6, 1e300])
+    def test_huge_order_rounds_to_one(self, fn, s):
+        assert fn(s) == 1.0
+
+    def test_zeta_far_left(self):
+        assert riemann_zeta(-1e300) == 0.0
+        with pytest.raises(DomainError, match="overflows a float"):
+            riemann_zeta(-1e6 - 0.5)

@@ -6,10 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from trigzeta.errors import DomainError, ResourceError
+from trigzeta.errors import DomainError
 from trigzeta.foundations import (
     BERNOULLI,
-    bernoulli,
     cospi,
     digamma,
     harmonic,
@@ -33,25 +32,19 @@ def full_recurrence(count):
 class TestBernoulli:
     def test_known_exact_values(self):
         # [TRIVIAL] textbook rationals, recurrence-checkable by hand
-        assert bernoulli(0) == 1
-        assert bernoulli(1) == Fraction(-1, 2)
-        assert bernoulli(2) == Fraction(1, 6)
-        assert bernoulli(4) == Fraction(-1, 30)
-        assert bernoulli(12) == Fraction(-691, 2730)
+        assert BERNOULLI[0] == 1
+        assert BERNOULLI[1] == Fraction(-1, 2)
+        assert BERNOULLI[2] == Fraction(1, 6)
+        assert BERNOULLI[4] == Fraction(-1, 30)
+        assert BERNOULLI[12] == Fraction(-691, 2730)
 
     def test_odd_vanish(self):
         for n in range(3, 63, 2):
-            assert bernoulli(n) == 0
+            assert BERNOULLI[n] == 0
 
     def test_table_matches_full_recurrence(self):
         assert len(BERNOULLI) == 65
         assert BERNOULLI == full_recurrence(65)
-
-    def test_capacity_guard(self):
-        with pytest.raises(ResourceError):
-            bernoulli(len(BERNOULLI))
-        with pytest.raises(DomainError):
-            bernoulli(-1)
 
 
 class TestHarmonicAndPochhammer:
