@@ -34,6 +34,7 @@ from .errors import (
 from .hurwitz import (
     EulerMaclaurinPlan,
     hurwitz_formula_partial,
+    hurwitz_formula_partials,
     hurwitz_zeta,
     hurwitz_zeta_sderiv,
     hurwitz_zeta_sderiv_grid,
@@ -76,6 +77,7 @@ __all__ = [
     "eta",
     "general_closed_form",
     "hurwitz_formula_partial",
+    "hurwitz_formula_partials",
     "hurwitz_zeta",
     "hurwitz_zeta_sderiv",
     "hurwitz_zeta_sderiv_grid",

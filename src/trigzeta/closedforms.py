@@ -30,7 +30,9 @@ them, with its p, to ``SERIES``.
 ``closed_form_grid`` gives the same values for a grid of weights and
 points, as a (weights, points) array.  The offsets of the zeta' terms
 depend on x alone, so it forms each once for all weights and evaluates
-every zeta' of the grid in one ``hurwitz_zeta_sderiv_grid`` call.
+every zeta' of the grid in one ``hurwitz_zeta_sderiv_grid`` call.  The
+corrected and the literal table share every zeta' order and offset, so
+``_bracket_grid`` assembles both readings from that one call.
 ``closed_form_eval`` stays the one-point route: it returns the
 decomposition, and costs less than a one-point grid.
 """
@@ -267,28 +269,45 @@ def closed_form_eval(spec: SeriesSpec, x: float) -> ClosedFormResult:
     return _bracket_eval(_BRACKET_CONSTANTS, spec, x)
 
 
-def _bracket_grid(constants: dict, family: str, weights, xs) -> np.ndarray:
-    """``closed_form_grid`` with the brackets read from ``constants``."""
+def _bracket_grid(tables, family: str, weights, xs) -> list[np.ndarray]:
+    """``closed_form_grid`` once for each table of ``tables``, from one kernel pass.
+
+    The tables must agree on the zeta' order s and the offsets (a0, a_y) at
+    every (family, m) of the grid, as the corrected and the literal readings
+    of Table II do, so the offsets are formed once and one kernel call
+    evaluates every zeta' for all of them; ``ValueError`` otherwise.  Each
+    table gets its own (weights, points) array, assembled with its own
+    prefactors and coefficients, bit for bit as a one-table call gives it.
+    """
     specs = [SeriesSpec.from_family(family, m) for m in weights]
+    layouts = []  # per table, each weight's zeta' order and offsets (a0, a_y)
+    for constants in tables:
+        entries = [constants[family, spec.m] for spec in specs]
+        layouts.append([(s, [term[1:] for term in terms]) for _, s, terms in entries])
+    if any(layout != layouts[0] for layout in layouts):
+        raise ValueError(f"bracket tables disagree on the zeta' orders or offsets of {family}")
     spec = SeriesSpec.from_family(family, 1)
     folds = [_fold(spec, x) for x in xs]
     # x = 0 of a sine family (value 0) or of T4 (_t4_at_zero) has no bracket
     own_zero = spec.kind == "sin" or family == "T4"
     bracketed = [j for j, (_, x) in enumerate(folds) if x != 0.0 or not own_zero]
-    terms = constants[family, 1][2]  # (a0, a_y) do not depend on the weight
+    t4_zero = family == "T4" and len(bracketed) < len(folds)
+    terms = tables[0][family, 1][2]  # (a0, a_y) do not depend on the weight
     offsets = [_offset(a0, a_y, folds[j][1]) for j in bracketed for _, a0, a_y in terms]
-    zetas = hurwitz_zeta_sderiv_grid([-constants[family, s.m][1] for s in specs], offsets)
-    values = np.zeros((len(specs), len(folds)))
+    zetas = hurwitz_zeta_sderiv_grid([-s for s, _ in layouts[0]], offsets)
+    grids = [np.zeros((len(specs), len(folds))) for _ in tables]
     for w, (s, row) in enumerate(zip(specs, zetas)):
-        pref, _, coefficients = constants[family, s.m]
-        products = row.reshape(-1, len(terms)) * [c for c, _, _ in coefficients]
-        if family == "T4" and len(bracketed) < len(folds):
-            values[w] = _t4_at_zero(s.m).value
-        values[w, bracketed] = [
-            folds[j][0] * (pref * math.fsum(point))
-            for j, point in zip(bracketed, products.tolist())
-        ]
-    return values
+        row = row.reshape(-1, len(terms))
+        unbracketed = _t4_at_zero(s.m).value if t4_zero else 0.0
+        for constants, values in zip(tables, grids):
+            pref, _, coefficients = constants[family, s.m]
+            products = row * [c for c, _, _ in coefficients]
+            values[w] = unbracketed
+            values[w, bracketed] = [
+                folds[j][0] * (pref * math.fsum(point))
+                for j, point in zip(bracketed, products.tolist())
+            ]
+    return grids
 
 
 def closed_form_grid(family: str, weights, xs) -> np.ndarray:
@@ -301,7 +320,7 @@ def closed_form_grid(family: str, weights, xs) -> np.ndarray:
     each is formed once, and one kernel call evaluates zeta' at every
     (order, offset) pair.
     """
-    return _bracket_grid(_BRACKET_CONSTANTS, family, weights, xs)
+    return _bracket_grid((_BRACKET_CONSTANTS,), family, weights, xs)[0]
 
 
 def general_closed_form(family: str, m: int, x: float) -> float:

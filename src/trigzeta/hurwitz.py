@@ -47,6 +47,12 @@
 
 Every other point -- non-integer s <= -2, integer s < -15, and the
 derivative at s <= -2 outside the Taylor domain -- raises ``DomainError``.
+
+``hurwitz_formula_partials(s, offsets, terms)`` is no route but an
+identity-check oracle: the Hurwitz formula for zeta(1-s, a), truncated
+after ``terms`` terms, at every offset a.  It forms n and n^-s once per
+order s and shares them across the offsets, and each sum equals its
+one-offset call ``hurwitz_formula_partial(s, a, terms)`` bit for bit.
 """
 
 from __future__ import annotations
@@ -66,6 +72,7 @@ __all__ = [
     "hurwitz_zeta_sderiv",
     "hurwitz_zeta_sderiv_grid",
     "hurwitz_formula_partial",
+    "hurwitz_formula_partials",
 ]
 
 _MAX_CORRECTION = (len(BERNOULLI) - 1) // 2  # highest usable B_{2j}
@@ -328,20 +335,42 @@ def hurwitz_zeta_sderiv_grid(orders, offsets) -> np.ndarray:
     return acc + shift
 
 
-def hurwitz_formula_partial(s: float, a: float, terms: int) -> float:
-    """Truncated right side of the Hurwitz formula for zeta(1-s, a).
+def hurwitz_formula_partials(s: float, offsets, terms: int) -> list[float]:
+    """Truncated right sides of the Hurwitz formula for zeta(1-s, a), a in ``offsets``.
 
-    2 Gamma(s)/(2 pi)^s * sum_{n=1}^{terms} cos(pi s/2 - 2 n pi a) / n^s,
-    restricted to s > 1 and 0 < a <= 1 where the series converges
-    absolutely.  Used purely as an identity-check oracle.
+    2 Gamma(s)/(2 pi)^s * sum_{n=1}^{terms} cos(pi s/2 - 2 n pi a) / n^s
+    for each a, restricted to s > 1 and 0 < a <= 1 where the series
+    converges absolutely.  Used purely as an identity-check oracle.  The
+    terms n and n^-s and the prefactor are formed once for all offsets;
+    each offset's phases, cosines and products are formed in one buffer by
+    the same operations as a lone offset's, so every sum is the same float
+    whatever the other offsets.
     """
+    offsets = list(offsets)
     if s <= 1.0:
         raise DomainError("hurwitz_formula_partial requires s > 1")
-    if not (0.0 < a <= 1.0):
+    if not all(0.0 < a <= 1.0 for a in offsets):
         raise DomainError("hurwitz_formula_partial requires 0 < a <= 1")
     if terms < 1:
         raise DomainError("terms must be positive")
     n = np.arange(1, terms + 1, dtype=np.float64)
-    phase = 0.5 * math.pi * s - 2.0 * math.pi * a * n
-    total = float(np.sum(np.cos(phase) * n ** (-s)))
-    return 2.0 * math.gamma(s) / (2.0 * math.pi) ** s * total
+    power = n ** (-s)
+    scale = 2.0 * math.gamma(s) / (2.0 * math.pi) ** s
+    buffer = np.empty_like(n)
+    partials = []
+    for a in offsets:
+        np.multiply(2.0 * math.pi * a, n, out=buffer)
+        np.subtract(0.5 * math.pi * s, buffer, out=buffer)  # the phases
+        np.cos(buffer, out=buffer)
+        np.multiply(buffer, power, out=buffer)
+        partials.append(scale * float(np.sum(buffer)))
+    return partials
+
+
+def hurwitz_formula_partial(s: float, a: float, terms: int) -> float:
+    """Truncated right side of the Hurwitz formula for zeta(1-s, a).
+
+    The one-offset call of ``hurwitz_formula_partials``, with its domain:
+    checking several offsets at one s, a single call forms n^-s once.
+    """
+    return hurwitz_formula_partials(s, [a], terms)[0]

@@ -8,10 +8,11 @@ import math
 import os
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trigzeta import closedforms
+from trigzeta import cli, closedforms, hurwitz
 from trigzeta.cli import (
     CSV_HEADER,
     FAMILIES,
@@ -172,6 +173,24 @@ class TestCompare:
         code, out, err = run_cli(
             ["compare", "--family", "T1", "--m", "1", "--grid", "3"], capsys)
         assert code == 4
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_nan_rel_err_fails_the_gate(self, fmt, capsys, monkeypatch):
+        grid = cli.closed_form_grid
+
+        def with_nan(family, weights, xs):
+            values = grid(family, weights, xs)
+            values[0, 3] = math.nan
+            return values
+
+        monkeypatch.setattr(cli, "closed_form_grid", with_nan)
+        code, out, err = run_cli(
+            ["compare", "--family", "T1", "--m", "1", "--grid", "9",
+             "--format", fmt], capsys)
+        assert code == 4
+        assert "max rel_err nan exceeds tolerance" in err
+        if fmt == "text":
+            assert out.splitlines()[-1] == "max_rel_err = nan"
 
     def test_env_tol_is_default(self, capsys, monkeypatch):
         monkeypatch.setenv("TRIGZETA_TOL", "1e-6")
@@ -361,6 +380,46 @@ class TestVerify:
         names = [c["check"] for c in json.loads(out.split("\n", 1)[1])]
         assert len(names) == 131
         assert len(set(names)) == len(names)
+
+
+class TestSharedWork:
+    """Work the verify suites share, counted: each is done once."""
+
+    def test_table2_makes_one_kernel_pass_per_row(self, capsys, monkeypatch):
+        # the theorem and the literal reading of a row share one zeta' grid
+        calls = []
+        kernel = closedforms.hurwitz_zeta_sderiv_grid
+
+        def spy(orders, offsets):
+            calls.append(len(offsets))
+            return kernel(orders, offsets)
+
+        monkeypatch.setattr(closedforms, "hurwitz_zeta_sderiv_grid", spy)
+        code, _, _ = run_cli(["verify", "--suite", "table2"], capsys)
+        assert code == 0
+        assert len(calls) == 8
+
+    def test_identities_take_n_to_the_minus_s_once_per_order(self, capsys, monkeypatch):
+        # the Hurwitz-formula sums at one s share n and n^-s over their offsets
+        powers = []
+
+        class Terms(np.ndarray):
+            def __pow__(self, exponent):
+                powers.append(exponent)
+                return np.asarray(self) ** exponent
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def arange(*args, **kwargs):
+                return np.arange(*args, **kwargs).view(Terms)
+
+        monkeypatch.setattr(hurwitz, "np", Numpy())
+        code, _, _ = run_cli(["verify", "--suite", "identities"], capsys)
+        assert code == 0
+        assert powers == [-2.0, -3.0]
 
 
 # digit-free text: float() reads none of it as a finite number, and

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -15,6 +16,7 @@ from trigzeta.hurwitz import (
     _corrections,
     _em,
     hurwitz_formula_partial,
+    hurwitz_formula_partials,
     hurwitz_zeta,
     hurwitz_zeta_sderiv,
     hurwitz_zeta_sderiv_grid,
@@ -303,7 +305,49 @@ class TestSderivGrid:
                 hurwitz_zeta_sderiv_grid(orders, offsets)
 
 
+def scalar_hurwitz_formula_partial(s, a, terms):
+    """The one-offset sum, built on its own: the reference of the multi-offset sum."""
+    if s <= 1.0:
+        raise DomainError("hurwitz_formula_partial requires s > 1")
+    if not (0.0 < a <= 1.0):
+        raise DomainError("hurwitz_formula_partial requires 0 < a <= 1")
+    if terms < 1:
+        raise DomainError("terms must be positive")
+    n = np.arange(1, terms + 1, dtype=np.float64)
+    phase = 0.5 * math.pi * s - 2.0 * math.pi * a * n
+    total = float(np.sum(np.cos(phase) * n ** (-s)))
+    return 2.0 * math.gamma(s) / (2.0 * math.pi) ** s * total
+
+
 class TestHurwitzFormulaPartial:
+    OFFSETS = (1e-3, 0.25, 0.5, 0.9, 1.0)
+
+    def test_offsets_equal_the_scalar_sum(self):
+        for s in (1.5, 2.0, 3.0, 7.0):
+            for terms in (1, 7, 20000):
+                want = [scalar_hurwitz_formula_partial(s, a, terms) for a in self.OFFSETS]
+                got = hurwitz_formula_partials(s, self.OFFSETS, terms)
+                assert got == want, (s, terms)
+                assert all(type(value) is float for value in got)
+                backwards = hurwitz_formula_partials(s, self.OFFSETS[::-1], terms)
+                assert backwards == want[::-1], (s, terms)
+                for a, value in zip(self.OFFSETS, want):
+                    assert hurwitz_formula_partial(s, a, terms) == value, (s, a, terms)
+
+    def test_domain_messages(self):
+        cases = [(0.5, 0.5, 100), (1.0, 0.5, 100), (2.0, 1.5, 100), (2.0, 0.0, 100),
+                 (2.0, math.nan, 100), (2.0, 0.5, 0), (0.5, 1.5, 0)]
+        for s, a, terms in cases:
+            with pytest.raises(DomainError) as want:
+                scalar_hurwitz_formula_partial(s, a, terms)
+            with pytest.raises(DomainError) as got:
+                hurwitz_formula_partial(s, a, terms)
+            assert str(got.value) == str(want.value)
+            # one bad offset among good ones takes the same message
+            with pytest.raises(DomainError) as got:
+                hurwitz_formula_partials(s, [0.25, a, 1.0], terms)
+            assert str(got.value) == str(want.value)
+
     def test_identity_with_tail_bound(self):
         for s in (2.0, 3.0):
             for a in (0.25, 0.5, 1.0):
