@@ -11,6 +11,10 @@ Exit codes: 0 success, 2 domain error, 3 convergence error,
 4 verification failure.  All output is deterministic: records are
 ordered by (family, m, x) and numbers are printed with 17 significant
 digits in machine formats (12 in human format).
+
+Each call builds the parser of the one subcommand it names (``COMMANDS``
+holds each subcommand's arguments once); the full parser of
+``build_parser`` is built only for root help and root-level errors.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ from .oracles import (
     choi_srivastava_grid,
     direct_sum_grid,
     lambda_probe_orders,
-    limit_probe_eta_and_lambda,
     limit_series_eval,
 )
 
@@ -169,10 +172,14 @@ def make_records(family: str, weights, xs, tol: float) -> dict[str, list]:
 def _emit_records(records: dict[str, list], fmt: str, out) -> None:
     rows = zip(*(records[name] for name in CSV_HEADER))
     if fmt == "csv":
-        # no field needs quoting: names of families and methods, and numbers
+        # no field needs quoting: names of families and methods, and numbers.
+        # The x column repeats one grid's float objects once per weight, so
+        # each object is formatted once: keyed by identity, as 0.0 == -0.0
+        xs = {id(x): x for x in records["x"]}
+        x_text = {key: f"{x:.17g}" for key, x in xs.items()}
         out.write(",".join(CSV_HEADER) + "\n")
         out.write("".join(
-            f"{family},{m},{x:.17g},{closed:.17g},{oracle:.17g},"
+            f"{family},{m},{x_text[id(x)]},{closed:.17g},{oracle:.17g},"
             f"{abs_err:.17g},{rel_err:.17g},{method},{terms}\n"
             for family, m, x, closed, oracle, abs_err, rel_err, method, terms in rows
         ))
@@ -295,14 +302,16 @@ def _suite_identities():
             gap = abs(partial - want)
             checks.append((f"identity.hurwitz_formula(s={s},a={a})", gap <= bound,
                            f"gap {gap:.3e} bound {bound:.3e}"))
-    lam, eta_val = limit_probe_eta_and_lambda()
+    # the values of limit_probe_eta_and_lambda(), which would run the
+    # lambda probes a second time
+    o1, lam = lambda_probe_orders()
+    eta_val = 0.5 * (eta(1.0 - 1e-6) + eta(1.0 + 1e-6))
     checks.append(("identity.lambda_limit", abs(lam - 0.5) <= 1e-6,
                    f"gap {abs(lam - 0.5):.3e}"))
     checks.append(("identity.eta_at_1", abs(eta_val - math.log(2.0)) <= 1e-8,
                    f"gap {abs(eta_val - math.log(2.0)):.3e}"))
-    o1, o2 = lambda_probe_orders()
-    checks.append(("identity.richardson_consistency", abs(o1 - o2) < 1e-7,
-                   f"gap {abs(o1 - o2):.3e}"))
+    checks.append(("identity.richardson_consistency", abs(o1 - lam) < 1e-7,
+                   f"gap {abs(o1 - lam):.3e}"))
     return checks
 
 
@@ -415,6 +424,60 @@ def cmd_verify(args, out) -> int:
     return 0
 
 
+def _add_common(p, need_family=True):
+    if need_family:
+        p.add_argument("--family", required=True, choices=FAMILIES)
+    p.add_argument("--format", choices=("csv", "json", "text"), default="text")
+    p.add_argument("--out", default=None, help="write output to this file")
+
+
+def _add_tol(p):  # for the two subcommands that compare
+    p.add_argument("--tol", default=None,
+                   help=f"tolerance (default from ${TOL_ENV_VAR} or {DEFAULT_TOL})")
+
+
+def _add_eval(p):
+    _add_common(p)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--x", required=True, help="number or pi-multiple, e.g. 0.5pi")
+    p.set_defaults(func=cmd_eval)
+
+
+def _add_compare(p):
+    _add_common(p)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--grid", type=int, default=9)
+    _add_tol(p)
+    p.set_defaults(func=cmd_compare)
+
+
+def _add_sweep(p):
+    _add_common(p)
+    p.add_argument("--m", required=True, help="weight range: 2, 1..3, or 1,2,3")
+    p.add_argument("--grid", type=int, default=9)
+    _add_tol(p)
+    p.set_defaults(func=cmd_sweep)
+
+
+def _add_verify(p):
+    _add_common(p, need_family=False)
+    p.add_argument(
+        "--suite",
+        choices=("special-values", "identities", "choi-srivastava", "table2", "all"),
+        default="all",
+    )
+    p.set_defaults(func=cmd_verify)
+
+
+# subcommand name -> (its line in the root help, the function adding its arguments)
+COMMANDS = {
+    "eval": ("closed form at one point", _add_eval),
+    "compare": ("closed form vs oracle on a grid", _add_compare),
+    "sweep": ("compare over a weight range, CSV/JSON", _add_sweep),
+    "verify": ("run property suites", _add_verify),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trigzeta",
@@ -422,44 +485,29 @@ def build_parser() -> argparse.ArgumentParser:
         "derivatives, with independent summation oracles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, need_family=True):
-        if need_family:
-            p.add_argument("--family", required=True, choices=FAMILIES)
-        p.add_argument("--format", choices=("csv", "json", "text"), default="text")
-        p.add_argument("--out", default=None, help="write output to this file")
-
-    p_eval = sub.add_parser("eval", help="closed form at one point")
-    add_common(p_eval)
-    p_eval.add_argument("--m", type=int, required=True)
-    p_eval.add_argument("--x", required=True, help="number or pi-multiple, e.g. 0.5pi")
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_cmp = sub.add_parser("compare", help="closed form vs oracle on a grid")
-    add_common(p_cmp)
-    p_cmp.add_argument("--m", type=int, required=True)
-    p_cmp.add_argument("--grid", type=int, default=9)
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_sweep = sub.add_parser("sweep", help="compare over a weight range, CSV/JSON")
-    add_common(p_sweep)
-    p_sweep.add_argument("--m", required=True, help="weight range: 2, 1..3, or 1,2,3")
-    p_sweep.add_argument("--grid", type=int, default=9)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    for p in (p_cmp, p_sweep):  # the two subcommands that compare
-        p.add_argument("--tol", default=None,
-                       help=f"tolerance (default from ${TOL_ENV_VAR} or {DEFAULT_TOL})")
-
-    p_verify = sub.add_parser("verify", help="run property suites")
-    add_common(p_verify, need_family=False)
-    p_verify.add_argument(
-        "--suite",
-        choices=("special-values", "identities", "choi-srivastava", "table2", "all"),
-        default="all",
-    )
-    p_verify.set_defaults(func=cmd_verify)
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building one subcommand's parser.
+
+    When argv[0] names a command, that command's parser alone parses the
+    rest, as the full parser's subparser would.  Whatever it leaves over,
+    and any argv that does not start with a command, goes to the full
+    parser, so root help and root-level errors ("unrecognized arguments",
+    "invalid choice", a missing command) come from it.  No parser outlives
+    the call.
+    """
+    if argv and argv[0] in COMMANDS:
+        command = argv[0]
+        parser = argparse.ArgumentParser(prog=f"trigzeta {command}")
+        COMMANDS[command][1](parser)
+        args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=command))
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _join_x(argv: list[str]) -> list[str]:
@@ -479,8 +527,7 @@ def _join_x(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_x(sys.argv[1:] if argv is None else argv))
+    args = parse_args(_join_x(sys.argv[1:] if argv is None else argv))
     buffer = io.StringIO()
     code = 0
     try:

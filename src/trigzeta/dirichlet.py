@@ -7,7 +7,7 @@ value overflows a float: below about s = -260 for zeta, -218 for eta
 and lambda and -187 for beta, apart from their exact zeros.
 
 zeta and beta take the same three routes; eta and lambda are zeta times
-a power-of-two factor.
+a power-of-two factor, and +0.0 at zeta's trivial zeros as zeta is.
 
 - The functional equation (DLMF 25.4.2 and its beta twin), F(s) =
   scale * base^-u * Gamma(u) * trig * F(u) with u = 1 - s and the trig
@@ -126,23 +126,32 @@ def zeta_prime_neg_even(n: int) -> float:
     return sign * hurwitz_zeta(2.0 * n + 1.0, 1.0) * math.exp(log_mag)
 
 
+def _times_zeta(exponent: float, s: float, name: str) -> float:
+    """(1 - e^exponent) zeta(s), and +0.0 at the trivial zeros of zeta.
+
+    The factor goes through expm1, so that at s = 1 the zero of eta's
+    factor cancels cleanly against zeta's pole.  Its exponent is capped
+    below exp's overflow: e^exponent only overflows below s = -1023, where
+    zeta(s) is 0 or has overflowed already.  Below s = 0 the factor is
+    negative, and times zeta's +0.0 would give -0.0.
+    """
+    zeta = riemann_zeta(s)
+    if zeta == 0.0:
+        return 0.0
+    return _finite(-math.expm1(min(exponent, _LOG_MAX)) * zeta, name, s)
+
+
 def eta(s: float) -> float:
     """Dirichlet eta; entire, with eta(1) = log 2 special-cased."""
     if s == 1.0:
         return _LN2
-    # eta(s) = (1 - 2^(1-s)) zeta(s); the prefactor via expm1 so the
-    # removable singularity at s=1 cancels cleanly against the pole.  Its
-    # exponent is capped below exp's overflow: 2^(1-s) only overflows
-    # below s = -1023, where zeta(s) is 0 or has overflowed already.
-    return _finite(-math.expm1(min((1.0 - s) * _LN2, _LOG_MAX)) * riemann_zeta(s), "eta", s)
+    # eta(s) = (1 - 2^(1-s)) zeta(s)
+    return _times_zeta((1.0 - s) * _LN2, s, "eta")
 
 
 def dirichlet_lambda(s: float) -> float:
-    """Dirichlet lambda = (1 - 2^-s) zeta(s) for any finite real s != 1.
-
-    The exponent of 2^-s is capped as in ``eta``.
-    """
-    return _finite(-math.expm1(min(-s * _LN2, _LOG_MAX)) * riemann_zeta(s), "lambda", s)
+    """Dirichlet lambda = (1 - 2^-s) zeta(s) for any finite real s != 1."""
+    return _times_zeta(-s * _LN2, s, "lambda")
 
 
 def beta_fn(s: float) -> float:

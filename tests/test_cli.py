@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -19,9 +20,12 @@ from trigzeta.cli import (
     MAX_GRID,
     TOL_ENV_VAR,
     _emit_records,
+    _join_x,
+    build_parser,
     grid_points,
     main,
     make_records,
+    parse_args,
     parse_m_range,
     parse_x,
 )
@@ -255,6 +259,11 @@ class TestEmitRecords:
         records = {name: [] for name in CSV_HEADER}
         extra = [("T1", 1, -0.0, 5e-324, 1e300, 0.0, -0.0, "direct", 1),
                  ("T8", 8, 1e-300, -1e300, -5e-324, math.inf, 1e16, "euler_accelerated", 10**7)]
+        # an x column that repeats one grid's float objects per weight, as
+        # make_records builds it, with both zeros: they compare equal, but
+        # each has its own text
+        xs = [-0.0, 0.0, 0.5, -0.0]
+        extra += [("T2", m, x, x, -x, 0.0, 0.0, "direct", m) for m in (1, 2, 3) for x in xs]
         for family in FAMILIES:
             columns = make_records(family, list(range(1, 9)), grid_points(family, 33), 1e-8)
             assert list(columns) == CSV_HEADER
@@ -420,6 +429,127 @@ class TestSharedWork:
         code, _, _ = run_cli(["verify", "--suite", "identities"], capsys)
         assert code == 0
         assert powers == [-2.0, -3.0]
+
+    def test_identities_run_each_lambda_probe_once(self, capsys, monkeypatch):
+        # lambda(1 + s) at s = 1e-4, 1e-5, 1e-6 serves both the limit and
+        # the Richardson check; lambda(1 + 1e-6) and eta(1 + 1e-6) each take
+        # zeta(1 + 1e-6, 1), so one (s, a) repeats
+        calls = []
+        em = hurwitz._em
+
+        def spy(s, a):
+            calls.append((s, a))
+            return em(s, a)
+
+        monkeypatch.setattr(hurwitz, "_em", spy)
+        code, _, _ = run_cli(["verify", "--suite", "identities"], capsys)
+        assert code == 0
+        assert len(calls) == 12
+        assert len(set(calls)) == 11
+
+
+class TestParseRoute:
+    """``parse_args`` against ``build_parser().parse_args`` on the same argv.
+
+    Both must give equal namespaces, or exit with the same code, stdout
+    and stderr; COLUMNS fixes the width of help and usage text.
+    """
+
+    CORPUS = [
+        [], ["-h"], ["--help"], ["--he"], ["-h", "sweep"], ["--", "sweep"],
+        ["bogus"], ["evaluate"], ["--bogus"], ["--fam", "T1"],
+        ["eval", "--help"], ["compare", "-h"], ["sweep", "-h"], ["verify", "-h"],
+        ["sweep", "--family", "T1", "--m", "1..8", "--grid", "33", "--format", "csv"],
+        ["sweep", "--family=T1", "--m=1..8", "--grid=3"],
+        ["sweep", "--fam", "T1", "--m", "1"],
+        ["sweep", "--f", "T1", "--m", "1"],
+        ["sweep", "--family", "T1", "--m", "1", "--bogus"],
+        ["sweep", "--family", "T1", "--m", "1", "extra"],
+        ["sweep", "--family", "T9", "--m", "1"],
+        ["sweep", "--family", "T1", "--m", "1", "--format", "xml"],
+        ["sweep", "--family", "T1"],
+        ["sweep", "--", "--family", "T1", "--m", "1"],
+        ["sweep", "--family", "T1", "--m", "1", "--"],
+        ["sweep", "--m", "1", "--family", "T1", "--family", "T2"],
+        ["eval", "--family", "T1", "--m", "1", "--x", "-0.25pi"],
+        ["eval", "--family", "T1", "--m", "1", "--x", "0.3", "--tol", "1"],
+        ["eval", "--family", "T1", "--m", "1", "--x"],
+        ["eval", "--family", "T1", "--m", "1..8", "--x", "0.3"],
+        ["compare", "--family", "T1", "--m", "x"],
+        ["compare", "--family", "T1", "--m", "1", "--grid", "3", "--tol", "1e-9",
+         "--out", "out.csv", "--format", "json"],
+        ["compare", "--family", "T1", "--m", "1", "-h", "--bogus"],
+        ["verify"], ["verify", "--suite", "table2", "--format", "json"],
+        ["verify", "--suite", "nope"], ["verify", "--tol", "1e-6"],
+        ["verify", "--family", "T1"],
+    ]
+
+    # (option, value) pairs and single tokens, valid and not
+    PAIRS = [
+        ("--family", "T1"), ("--family", "T9"), ("--fam", "T5"), ("--f", "T1"),
+        ("--format", "csv"), ("--format", "xml"), ("--out", "out.txt"),
+        ("--m", "1"), ("--m", "1..8"), ("--m", "x"), ("--x", "-0.25pi"), ("--x", "0.3"),
+        ("--grid", "3"), ("--grid", "-3"), ("--tol", "1e-9"), ("--suite", "all"),
+        ("--suite", "nope"),
+    ]
+    SINGLES = [("--",), ("-h",), ("--help",), ("extra",), ("--bogus",), ("sweep",),
+               ("--family",), ("--x",)]
+    REQUIRED = {
+        "eval": [("--family", "T1"), ("--m", "1"), ("--x", "0.3")],
+        "compare": [("--family", "T3"), ("--m", "2")],
+        "sweep": [("--family", "T3"), ("--m", "1..8")],
+    }
+
+    @staticmethod
+    def _outcome(parse, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = ("namespace", vars(parse(argv)))
+            except SystemExit as exc:
+                result = ("exit", exc.code)
+        return result, out.getvalue(), err.getvalue()
+
+    def assert_same_parse(self, tokens):
+        argv = _join_x(tokens)
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            want = self._outcome(lambda a: build_parser().parse_args(a), argv)
+            got = self._outcome(parse_args, argv)
+        assert got == want, tokens
+
+    @pytest.mark.parametrize("tokens", CORPUS)
+    def test_corpus(self, tokens):
+        self.assert_same_parse(tokens)
+
+    @st.composite
+    def _argvs(draw, pairs=PAIRS, singles=SINGLES, required=REQUIRED):
+        # most start with a command, and most of those give its required options
+        command = draw(st.sampled_from(
+            [*cli.COMMANDS] * 3 + ["bogus", "-h", "--fam", "--", "-0.25pi"]))
+        groups = draw(st.lists(st.sampled_from(pairs + singles), max_size=4))
+        if command in required and draw(st.sampled_from([True, True, False])):
+            groups += required[command]
+        groups = draw(st.permutations(groups))
+        return [command, *(token for group in groups for token in group)]
+
+    @given(_argvs())
+    @settings(max_examples=150, deadline=None)
+    def test_token_sequences(self, tokens):
+        self.assert_same_parse(tokens)
+
+    def test_one_parser_per_call(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        code, _, _ = run_cli(["sweep", "--family", "T1", "--m", "1..8", "--grid", "3",
+                              "--format", "csv"], capsys)
+        assert code == 0
+        assert built == ["trigzeta sweep"]
 
 
 # digit-free text: float() reads none of it as a finite number, and

@@ -82,6 +82,14 @@ class TestSpecialValuesTable:
             assert dirichlet_lambda(-2.0 * n) == 0.0
             assert beta_fn(float(1 - 2 * n)) == 0.0
 
+    def test_trivial_zeros_are_positive_zeros(self):
+        # below s = 0 the factor of eta and lambda is negative, and times
+        # zeta's +0.0 gave -0.0
+        for s in [-2.0 * n for n in range(1, 9)] + [-600.0, -1024.0, -2000.0]:
+            for fn in (riemann_zeta, eta, dirichlet_lambda):
+                assert math.copysign(1.0, fn(s)) == 1.0, (fn.__name__, s)
+            assert math.copysign(1.0, beta_fn(s + 1.0)) == 1.0, s
+
 
 class TestZeta:
     def test_positive_values(self):
