@@ -46,7 +46,6 @@ from .oracles import (
     choi_srivastava_grid,
     direct_sum,
     direct_sum_grid,
-    limit_probe_eta_and_lambda,
     limit_series_eval,
 )
 
@@ -81,7 +80,6 @@ __all__ = [
     "hurwitz_zeta",
     "hurwitz_zeta_sderiv",
     "hurwitz_zeta_sderiv_grid",
-    "limit_probe_eta_and_lambda",
     "limit_series_eval",
     "plan_for",
     "riemann_zeta",

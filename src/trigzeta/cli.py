@@ -302,8 +302,7 @@ def _suite_identities():
             gap = abs(partial - want)
             checks.append((f"identity.hurwitz_formula(s={s},a={a})", gap <= bound,
                            f"gap {gap:.3e} bound {bound:.3e}"))
-    # the values of limit_probe_eta_and_lambda(), which would run the
-    # lambda probes a second time
+    # s lambda(1 + s) -> 1/2 extrapolated, and eta(1) = log 2 from both sides
     o1, lam = lambda_probe_orders()
     eta_val = 0.5 * (eta(1.0 - 1e-6) + eta(1.0 + 1e-6))
     checks.append(("identity.lambda_limit", abs(lam - 0.5) <= 1e-6,

@@ -13,20 +13,22 @@ a power-of-two factor, and +0.0 at zeta's trivial zeros as zeta is.
   scale * base^-u * Gamma(u) * trig * F(u) with u = 1 - s and the trig
   factor taken at the exact s/2 (sinpi for zeta, cospi for beta), so the
   trivial zeros come out as exact +0.0 and the values beside them keep
-  their digits.  zeta takes it below s = -1/32, where u = 1 - s still
-  carries the digits of s; beta below s = -1/2, and within 1e-3 of s = 1,
-  where its two Hurwitz terms cancel.
+  their digits.  Below s = 0 Gamma(u) and base^-u are formed from the
+  exact -s, so a u that needs one more bit than s is read only by F(u).
+  zeta takes it below s = -1/32; beta below s = -1/2, and within 1e-3 of
+  s = 1, where its two Hurwitz terms cancel and u is exact.
 - Euler-Maclaurin in between: zeta(s, 1) for zeta, 4^-s (zeta(s, 1/4) -
   zeta(s, 3/4)) for beta.
 - From s = 20 on, the Dirichlet series sum chi(n) n^-s itself, summed
   by ``math.fsum``, which answers at any order in a few terms.
 
-Worst relative errors against 40-digit mpmath, at 400 to 2200 points per
-range: zeta 2.1e-14 on [-1/2, 0) and 4.8e-14 on [-169, -1/2); within
-1e-6 of the trivial zeros zeta 1.9e-14 and beta 6.8e-14; beta 7.9e-14 on
-[-169, 20) and correctly rounded on [20, 60]; below s = -170, where
-Gamma(u) overflows and the functional equation runs in logs, zeta
-3.3e-13 and beta 2.0e-13.
+Worst relative errors against 40-digit mpmath, at 300 to 2500 points per
+range: zeta 2.1e-14 on [-1/2, 0) and 7.1e-15 on [-169, -1/2); within
+1e-6 of the trivial zeros, and beside -(2^k - 1) where u needs one more
+bit than s, zeta and beta 7.0e-15; beta 1.8e-14 on [-169, 20) and
+correctly rounded on [20, 60]; below s = -170, where Gamma(u) overflows
+and the functional equation runs in logs, zeta 4.3e-13 and beta 2.2e-13,
+from the rounding of lgamma(-s), which reaches 1170.
 """
 
 from __future__ import annotations
@@ -71,17 +73,23 @@ def _reflect(s: float, trig: float, scale: float, base: float, f, name: str) -> 
 
     trig is the factor that vanishes at the trivial zeros, taken at s/2;
     where it is 0 the value is +0.0.  At s = 1 Gamma(u) * trig has the
-    limit pi/2.  Past Gamma's overflow the magnitude goes through logs.
+    limit pi/2.  Below s = 0, where 1 - s may need one more bit than s,
+    Gamma(u) = -s Gamma(-s) and base^-u = base^s / base take the exact -s,
+    so only f reads the rounded u.  Past Gamma's overflow the magnitude
+    goes through logs.
     """
     u = 1.0 - s
     if u == 0.0:
         return scale * (0.5 * math.pi) * f(u)
     if trig == 0.0:
         return 0.0
-    if u < _GAMMA_MAX:
+    if s > 0.0:  # beta within _NEAR_ONE of s = 1, where u is exact
         return scale * base ** -u * math.gamma(u) * trig * f(u)
+    if u < _GAMMA_MAX:
+        return scale * (base ** s / base) * (-s * math.gamma(-s)) * trig * f(u)
     factor = trig * f(u)
-    log_mag = math.log(scale) + math.lgamma(u) - u * math.log(base)
+    # log(scale * Gamma(u) * base^-u), its small terms summed first
+    log_mag = math.lgamma(-s) + (s * math.log(base) + math.log(scale * -s / base))
     if log_mag >= _LOG_MAX:
         # e^log_mag alone overflows; a small factor may bring the product back
         log_mag += math.log(abs(factor))

@@ -24,15 +24,15 @@ class PoleError(DomainError):
 class ConvergenceError(TrigZetaError):
     """An iterative/summation procedure hit its cap before reaching tolerance.
 
-    ``best_value`` and ``report`` carry the best available estimate.
+    The message says why; ``best_value`` carries the estimate refused, or
+    None where none was formed.
     """
 
     exit_code = 3
 
-    def __init__(self, message, best_value=None, report=None):
+    def __init__(self, message, best_value=None):
         super().__init__(message)
         self.best_value = best_value
-        self.report = report
 
 
 class VerificationError(TrigZetaError):

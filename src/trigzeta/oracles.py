@@ -39,8 +39,8 @@ and the rounding of its forward differences, of the phases and of the
 summation.  The tolerance does not set the stopping point; it only
 decides whether to raise ``ConvergenceError`` because the estimate
 exceeds it, as it does for the conditionally convergent cosine series at
-exponent 1 near the singular endpoints, with the ``OracleReport`` of the
-entry it refuses.  Alternating series report ``euler_accelerated``, the
+exponent 1 near the singular endpoints, with the value it refuses as
+``best_value``.  Alternating series report ``euler_accelerated``, the
 rest ``direct``.
 
 Only d^{-alpha} depends on the weight.  The head length, the phases with
@@ -67,8 +67,8 @@ import cmath
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,7 +86,6 @@ __all__ = [
     "limit_series_eval",
     "choi_srivastava_grid",
     "choi_srivastava_check",
-    "limit_probe_eta_and_lambda",
     "lambda_probe_orders",
 ]
 
@@ -98,16 +97,11 @@ _HEAD_SCALE = 200.0
 _EPS = sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     value: float
     method: str  # direct | euler_accelerated
     terms_used: int
     error_estimate: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.error_estimate) and self.error_estimate > 0.0):
-            raise DomainError("error_estimate must be finite and positive")
 
 
 def _plan_point(a: int, b: int, sign: int, x: float):
@@ -298,9 +292,9 @@ def direct_sum_grid(
 
     ``tol`` does not change the values: it only gates them.  The error
     raised is that of the first failing entry in weight-major, x-minor
-    order: ``ConvergenceError`` for the phase at resonance, a head beyond
-    ``DIRECT_TERM_CAP`` terms or an estimate above ``tol``, carrying that
-    entry's ``OracleReport``; ``DomainError`` from the report for an
+    order: ``ConvergenceError`` for the phase at resonance or a head
+    beyond ``DIRECT_TERM_CAP`` terms, and for an estimate above ``tol``
+    with that entry's value as ``best_value``; ``DomainError`` for an
     estimate that is not finite and positive.
     """
     if not tol >= 1e-12:
@@ -330,19 +324,19 @@ def direct_sum_grid(
         # np.hypot is the C library's hypot, which abs() of a complex calls
         errs[:, points] = head_err + tail_err + 0.5 * _EPS * np.hypot(total_re, total_im)
         terms[:, points] = np.array(heads[batch]) + used
-    # the entries OracleReport would reject, those above tol and the refused points
+    # the estimates that are not finite and positive, those above tol and the refused points
     flagged = ~(np.isfinite(errs) & (errs > 0.0)) | (errs > tol)
     flagged[:, [j for j, plan in enumerate(plans) if isinstance(plan, str)]] = True
     if flagged.any():
         w, j = divmod(int(flagged.argmax()), len(xs))
         if isinstance(plans[j], str):
             raise ConvergenceError(plans[j])
-        value, err = values[w, j].item(), errs[w, j].item()
-        report = OracleReport(value, method, terms[w, j].item(), err)
+        err = errs[w, j].item()
+        if not (math.isfinite(err) and err > 0.0):
+            raise DomainError("error_estimate must be finite and positive")
         raise ConvergenceError(
             f"direct summation reached error estimate {err:.3e} > tol {tol:.3e}",
-            best_value=value,
-            report=report,
+            best_value=values[w, j].item(),
         )
     return values, errs, terms, ["direct" if plan is None else method for plan in plans]
 
@@ -590,14 +584,3 @@ def lambda_probe_orders() -> tuple[float, float]:
     # eliminate the O(s^2) term between the two order-1 values
     r2 = (100.0 * r1_bc - r1_ab) / 99.0
     return r1_bc, r2
-
-
-def limit_probe_eta_and_lambda() -> tuple[float, float]:
-    """Sanity gate on the continuation code near s = 1.
-
-    Returns (extrapolated limit of s*lambda(1+s), eta averaged at
-    1 +/- 1e-6); expected (1/2, log 2).
-    """
-    _, lam = lambda_probe_orders()
-    eta_avg = 0.5 * (eta(1.0 - 1e-6) + eta(1.0 + 1e-6))
-    return lam, eta_avg

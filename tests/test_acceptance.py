@@ -28,7 +28,7 @@ from trigzeta.hurwitz import (
 from trigzeta.oracles import (
     choi_srivastava_grid,
     direct_sum,
-    limit_probe_eta_and_lambda,
+    lambda_probe_orders,
 )
 
 FAMILIES = tuple(f"T{i}" for i in range(1, 9))
@@ -143,7 +143,8 @@ def test_criterion_7_hurwitz_formula_truncated():
 
 
 def test_criterion_8_limit_probes():
-    lam, eta_val = limit_probe_eta_and_lambda()
+    lam = lambda_probe_orders()[1]
+    eta_val = 0.5 * (eta(1.0 - 1e-6) + eta(1.0 + 1e-6))
     lam_gap = abs(lam - 0.5)
     eta_gap = abs(eta_val - math.log(2.0))
     ok = lam_gap <= 1e-6 and eta_gap <= 1e-8

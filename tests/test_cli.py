@@ -29,6 +29,7 @@ from trigzeta.cli import (
     parse_m_range,
     parse_x,
 )
+from trigzeta.errors import ConvergenceError
 
 CATALAN = 0.915965594177219
 
@@ -207,6 +208,28 @@ class TestCompare:
             ["compare", "--family", "T1", "--m", "1", "--grid", "3",
              "--tol", "1e-6"], capsys)
         assert code == 0
+
+
+class TestRefusal:
+    # no real CLI grid is refused: grids keep 5% from the interval ends and
+    # the oracle tolerance floors at 1e-12, so the oracle is made to refuse
+    MESSAGE = "direct summation reached error estimate 1.000e-09 > tol 1.000e-12"
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--family", "T2", "--m", "1", "--grid", "9"],
+        ["compare", "--family", "T2", "--m", "1", "--grid", "9", "--format", "json"],
+        ["sweep", "--family", "T6", "--m", "1..3", "--grid", "9", "--format", "csv"],
+        ["sweep", "--family", "T6", "--m", "1..3", "--grid", "9", "--format", "json"],
+    ])
+    def test_convergence_error_exits_3(self, argv, capsys, monkeypatch):
+        def refuse(family, weights, xs, tol):
+            raise ConvergenceError(self.MESSAGE, best_value=0.5)
+
+        monkeypatch.setattr(cli, "direct_sum_grid", refuse)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [f"error: {self.MESSAGE}"]
 
 
 class TestSweep:

@@ -58,6 +58,16 @@ BETA_NEAR_ZEROS = (
 )
 BETA_SERIES = ((25.5, 0.99999999999931859228), (38.625, 0.99999999999999999963))
 
+# (s, zeta(s), beta(s)) just below -(2^k - 1), where 1 - s needs one more
+# bit than s, from 40-digit evaluations at the float s:
+#   mpmath.mp.dps = 40; s = mpmath.mpf(s)
+#   mpmath.zeta(s), 4**-s * (mpmath.zeta(s, 0.25) - mpmath.zeta(s, 0.75))
+BESIDE_ODD_POWERS = (
+    (-127.00000001, 4.1016347396232752628e111, 3.7301430525836838151e180),
+    (-127.3, 9.0196657168310543115e111, 4.0329535007134756066e188),
+    (-63.00000001, 3.2715634993248057959e36, 8.743488083054432442e66),
+)
+
 
 def alternating_partial(f, n_terms):
     """Brute-force alternating sum with the alternating-series tail bound."""
@@ -126,6 +136,13 @@ class TestBesideZeros:
     def test_beta_beside_its_zeros(self):
         for s, want in BETA_NEAR_ZEROS:
             assert abs(beta_fn(s) - want) <= 1e-13 * abs(want), s
+
+    def test_reflection_takes_the_exact_argument(self):
+        # [DERIVED] Gamma(1 - s) = -s Gamma(-s) and base^(s - 1) = base^s / base
+        # read s itself, not the rounded 1 - s
+        for s, zeta, beta in BESIDE_ODD_POWERS:
+            assert abs(riemann_zeta(s) - zeta) <= 1e-14 * abs(zeta), s
+            assert abs(beta_fn(s) - beta) <= 1e-14 * abs(beta), s
 
     def test_cospi_beside_its_zeros(self):
         # cos(pi t) rounded from 40-digit evaluations at the float t
