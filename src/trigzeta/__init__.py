@@ -33,7 +33,6 @@ from .errors import (
 )
 from .hurwitz import (
     EulerMaclaurinPlan,
-    hurwitz_formula_partial,
     hurwitz_formula_partials,
     hurwitz_zeta,
     hurwitz_zeta_sderiv,
@@ -42,7 +41,6 @@ from .hurwitz import (
 )
 from .oracles import (
     OracleReport,
-    choi_srivastava_check,
     choi_srivastava_grid,
     direct_sum,
     direct_sum_grid,
@@ -66,7 +64,6 @@ __all__ = [
     "TrigZetaError",
     "VerificationError",
     "beta_fn",
-    "choi_srivastava_check",
     "choi_srivastava_grid",
     "closed_form_eval",
     "closed_form_grid",
@@ -75,7 +72,6 @@ __all__ = [
     "direct_sum_grid",
     "eta",
     "general_closed_form",
-    "hurwitz_formula_partial",
     "hurwitz_formula_partials",
     "hurwitz_zeta",
     "hurwitz_zeta_sderiv",

@@ -122,9 +122,9 @@ def riemann_zeta(s: float) -> float:
 
 
 def zeta_prime_neg_even(n: int) -> float:
-    """zeta'(-2n) = (-1)^n (2n)! zeta(2n+1) / (2 (2 pi)^(2n))."""
-    if n < 1:
-        raise DomainError("zeta_prime_neg_even requires n >= 1")
+    """zeta'(-2n) = (-1)^n (2n)! zeta(2n+1) / (2 (2 pi)^(2n)), for integer n >= 1."""
+    if not (n >= 1 and n % 1 == 0):
+        raise DomainError(f"zeta_prime_neg_even requires an integer n >= 1, got {n}")
     sign = -1.0 if n % 2 else 1.0
     log_mag = (
         math.lgamma(2.0 * n + 1.0)

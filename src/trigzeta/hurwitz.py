@@ -46,13 +46,13 @@
   and a finite-difference route would lose half the working digits.
 
 Every other point -- non-integer s <= -2, integer s < -15, and the
-derivative at s <= -2 outside the Taylor domain -- raises ``DomainError``.
+derivative at s <= -2 outside the Taylor domain -- raises ``DomainError``,
+and so does a value that overflows a float.
 
 ``hurwitz_formula_partials(s, offsets, terms)`` is no route but an
 identity-check oracle: the Hurwitz formula for zeta(1-s, a), truncated
-after ``terms`` terms, at every offset a.  It forms n and n^-s once per
-order s and shares them across the offsets, and each sum equals its
-one-offset call ``hurwitz_formula_partial(s, a, terms)`` bit for bit.
+after ``terms`` terms, at every offset a, with n and n^-s formed once
+per order s for all the offsets.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ __all__ = [
     "hurwitz_zeta",
     "hurwitz_zeta_sderiv",
     "hurwitz_zeta_sderiv_grid",
-    "hurwitz_formula_partial",
     "hurwitz_formula_partials",
 ]
 
@@ -180,18 +179,34 @@ def plan_for(s: float, a: float) -> EulerMaclaurinPlan:
     return _em(s, a)[2]
 
 
+def _fits(value: float, s: float, a: float) -> float:
+    """value, or DomainError where it has overflowed to +-inf."""
+    if math.isinf(value):
+        raise DomainError(f"Hurwitz zeta overflows a float at s={s}, a={a}")
+    return value
+
+
+def _em_entry(s: float, a: float, index: int) -> float:
+    """zeta(s, a) (index 0) or its s-derivative (1) by ``_em``, through ``_fits``."""
+    try:
+        value = _em(s, a)[index]
+    except OverflowError:  # from math.exp or math.fsum
+        value = math.inf
+    return _fits(value, s, a)
+
+
 def hurwitz_zeta(s: float, a: float) -> float:
     """zeta(s, a) for finite a > 0 and s > -2 (s != 1) or integer s in [-15, -2].
 
     Integer s <= -2 takes the Bernoulli rows, s > -2 Euler-Maclaurin; any
-    other s raises ``DomainError``.
+    other s, and a value that overflows a float, raises ``DomainError``.
     """
     if -_MAX_N <= s <= -2.0 and s == int(s) and 0.0 < a < math.inf:
         acc = 0.0
         for c in _BERNOULLI_ROWS[int(-s) - 2]:
             acc = acc * a + c
-        return acc
-    return _em(s, a)[0]
+        return _fits(acc, s, a)
+    return _em_entry(s, a, 0)
 
 
 def hurwitz_zeta_sderiv(s: float, a: float) -> float:
@@ -199,11 +214,12 @@ def hurwitz_zeta_sderiv(s: float, a: float) -> float:
 
     Integer s in [-15, 0] with 0 < a < 5/2 takes the Taylor table; every
     other point with s > -2 takes the analytic derivative of the
-    Euler-Maclaurin expansion.  Any other point raises ``DomainError``.
+    Euler-Maclaurin expansion.  Any other point, and a value that
+    overflows a float, raises ``DomainError``.
     """
     if -_MAX_N <= s <= 0.0 and 0.0 < a < _TAYLOR_MAX_A and s == int(s):
         return _taylor(int(-s), a)
-    return _em(s, a)[1]
+    return _em_entry(s, a, 1)
 
 
 def _zeta_positive(j: int) -> float:
@@ -339,20 +355,20 @@ def hurwitz_formula_partials(s: float, offsets, terms: int) -> list[float]:
     """Truncated right sides of the Hurwitz formula for zeta(1-s, a), a in ``offsets``.
 
     2 Gamma(s)/(2 pi)^s * sum_{n=1}^{terms} cos(pi s/2 - 2 n pi a) / n^s
-    for each a, restricted to s > 1 and 0 < a <= 1 where the series
-    converges absolutely.  Used purely as an identity-check oracle.  The
-    terms n and n^-s and the prefactor are formed once for all offsets;
-    each offset's phases, cosines and products are formed in one buffer by
-    the same operations as a lone offset's, so every sum is the same float
-    whatever the other offsets.
+    for each a, restricted to s > 1, 0 < a <= 1 and integer terms >= 1,
+    where the series converges absolutely.  Used purely as an
+    identity-check oracle.  The terms n and n^-s and the prefactor are
+    formed once for all offsets; each offset's phases, cosines and
+    products are formed in one buffer by the same operations as a lone
+    offset's, so every sum is the same float whatever the other offsets.
     """
     offsets = list(offsets)
-    if s <= 1.0:
-        raise DomainError("hurwitz_formula_partial requires s > 1")
+    if not s > 1.0:
+        raise DomainError(f"hurwitz_formula_partials requires s > 1, got s={s}")
     if not all(0.0 < a <= 1.0 for a in offsets):
-        raise DomainError("hurwitz_formula_partial requires 0 < a <= 1")
-    if terms < 1:
-        raise DomainError("terms must be positive")
+        raise DomainError("hurwitz_formula_partials requires 0 < a <= 1")
+    if not (terms >= 1 and terms % 1 == 0):
+        raise DomainError(f"terms must be a positive integer, got {terms}")
     n = np.arange(1, terms + 1, dtype=np.float64)
     power = n ** (-s)
     scale = 2.0 * math.gamma(s) / (2.0 * math.pi) ** s
@@ -365,12 +381,3 @@ def hurwitz_formula_partials(s: float, offsets, terms: int) -> list[float]:
         np.multiply(buffer, power, out=buffer)
         partials.append(scale * float(np.sum(buffer)))
     return partials
-
-
-def hurwitz_formula_partial(s: float, a: float, terms: int) -> float:
-    """Truncated right side of the Hurwitz formula for zeta(1-s, a).
-
-    The one-offset call of ``hurwitz_formula_partials``, with its domain:
-    checking several offsets at one s, a single call forms n^-s once.
-    """
-    return hurwitz_formula_partials(s, [a], terms)[0]

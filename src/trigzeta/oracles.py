@@ -19,12 +19,9 @@ slip in the brackets' constants cannot move an oracle:
                          the series, about the far end of the interval;
 * ``choi_srivastava_grid`` -- both sides of the identity underpinning
                          the closed forms for every n and t at one a,
-                         returned for comparison; each zeta(k, a) and
-                         zeta'(k, a) is computed once per call, (k)_{n+1}
-                         once per (k, n), the t-free rhs parts
-                         (zeta'(-n, a) and the binomial pieces) once per
-                         n and psi(a) once; ``choi_srivastava_check`` is
-                         its 1 x 1 call.
+                         returned for comparison; each value at a is
+                         computed once per call, and the whole domain is
+                         checked before any kernel call.
 
 ``direct_sum_grid`` sums the defining series in complex form,
 sum_n sign^(n-1) e^{idx} d^{-alpha} with d = an-b, as a head of
@@ -76,7 +73,7 @@ from .closedforms import SeriesSpec, _fold
 from .dirichlet import beta_fn, dirichlet_lambda, eta, riemann_zeta
 from .errors import ConvergenceError, DomainError
 from .foundations import BERNOULLI, digamma, harmonic, pochhammer
-from .hurwitz import hurwitz_zeta, hurwitz_zeta_sderiv
+from .hurwitz import _TAYLOR_MAX_A, hurwitz_zeta, hurwitz_zeta_sderiv
 
 __all__ = [
     "OracleReport",
@@ -85,7 +82,6 @@ __all__ = [
     "direct_sum_grid",
     "limit_series_eval",
     "choi_srivastava_grid",
-    "choi_srivastava_check",
     "lambda_probe_orders",
 ]
 
@@ -495,76 +491,45 @@ def choi_srivastava_grid(ns, a: float, ts) -> tuple[np.ndarray, np.ndarray]:
     it, (k)_{n+1} once per (k, n), the t-free rhs parts -- zeta'(-n, a)
     and zeta(k-n, a) (H_n - H_{n-k}) - zeta'(k-n, a) -- once per n, and
     psi(a) once.  Each entry keeps its own cut, sum and order of
-    operations, so it does not depend on the rest of the grid.  The values
-    are computed as each entry first needs them, in n-major order, so a
-    point outside the kernels' domain raises the ``DomainError`` of the
-    first entry that meets it.
+    operations, so it does not depend on the rest of the grid.
 
-    Domain: 0 <= n <= 8, a > 0 and |t| < a.  For n >= 2 the rhs needs
-    zeta'(-n, .) from the Taylor table, so a and a - t must also lie
-    below 5/2; ``DomainError`` otherwise.
+    Domain: integer 0 <= n <= 8, finite a > 0 and |t| < a, and for n >= 2,
+    where the rhs takes zeta'(-n, .) from the Taylor table, a and every
+    a - t below 5/2.  ``DomainError`` is raised before any kernel call
+    outside it, and by the kernels for a value that overflows a float.
     """
     ns, ts = list(ns), list(ts)
-    if any(n < 0 or n > 8 for n in ns):
-        raise DomainError("choi_srivastava_check requires 0 <= n <= 8")
-    if a <= 0.0:
-        raise DomainError("choi_srivastava_check requires a > 0")
-    if any(abs(t) >= a for t in ts):
-        raise DomainError("choi_srivastava_check requires |t| < a")
-    zetas: dict[int, float] = {}  # k -> zeta(k, a)
-    derivs: dict[int, float] = {}  # k -> zeta'(k, a)
-
-    def zeta(k: int) -> float:
-        if k not in zetas:
-            zetas[k] = hurwitz_zeta(float(k), a)
-        return zetas[k]
-
-    def deriv(k: int) -> float:
-        if k not in derivs:
-            derivs[k] = hurwitz_zeta_sderiv(float(k), a)
-        return derivs[k]
-
+    if not all(0 <= n <= 8 and n == int(n) for n in ns):
+        raise DomainError(f"choi_srivastava_grid requires integer 0 <= n <= 8, got {ns}")
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"choi_srivastava_grid requires finite a > 0, got a={a}")
+    if not all(abs(t) < a for t in ts):
+        raise DomainError(f"choi_srivastava_grid requires |t| < a, got a={a}, t in {ts}")
+    if max(ns, default=0) >= 2 and not all(a - t < _TAYLOR_MAX_A for t in [0.0] + ts):
+        raise DomainError(f"choi_srivastava_grid at n >= 2 requires a, a - t < {_TAYLOR_MAX_A}")
+    zeta = functools.cache(lambda k: hurwitz_zeta(float(k), a))  # zeta(k, a)
+    deriv = functools.cache(lambda k: hurwitz_zeta_sderiv(float(k), a))  # zeta'(k, a)
+    poch = functools.cache(lambda k, n: pochhammer(float(k), n + 1))  # (k)_{n+1}
+    psi = digamma(a)
     lhs, rhs = np.empty((len(ns), len(ts))), np.empty((len(ns), len(ts)))
-    psi = None
-    for i, n in enumerate(ns):
+    for i, n in enumerate(int(n) for n in ns):
         h_n = harmonic(n)
-        pochs = [1.0, 1.0]  # (k)_{n+1} at index k, from k = 2
-        pieces = None
+        at_a = deriv(-n)
+        pieces = [zeta(k - n) * (h_n - harmonic(n - k)) - deriv(k - n) for k in range(1, n + 1)]
         for j, t in enumerate(ts):
             lhs_parts = []
             for k in range(2, _CHOI_TERMS + 1):
-                if k == len(pochs):
-                    pochs.append(pochhammer(float(k), n + 1))
-                term = zeta(k) * t ** (n + k) / pochs[k]
+                term = zeta(k) * t ** (n + k) / poch(k, n)
                 lhs_parts.append(term)
                 if abs(term) < 1e-19 and k > 8:
                     break
             lhs[i, j] = math.fsum(lhs_parts)
-            inner = hurwitz_zeta_sderiv(-float(n), a - t)
-            if pieces is None:
-                at_a = deriv(-n)
-                pieces = [
-                    zeta(k - n) * (h_n - harmonic(n - k)) - deriv(k - n)
-                    for k in range(1, n + 1)
-                ]
-            inner -= at_a
+            inner = hurwitz_zeta_sderiv(-float(n), a - t) - at_a
             for k, piece in enumerate(pieces, 1):
                 inner += (-t) ** k * math.comb(n, k) * piece
             value = (-1.0) ** n / math.factorial(n) * inner
-            if psi is None:
-                psi = digamma(a)
             rhs[i, j] = value + (h_n + psi) * t ** (n + 1) / math.factorial(n + 1)
     return lhs, rhs
-
-
-def choi_srivastava_check(n: int, a: float, t: float) -> tuple[float, float]:
-    """Both sides of the zeta-series identity at one (n, a, t); returned for comparison.
-
-    The 1 x 1 call of ``choi_srivastava_grid``, with its domain: checking
-    many n or t at one a, a single grid call computes each zeta(k, a) once.
-    """
-    lhs, rhs = choi_srivastava_grid([n], a, [t])
-    return lhs[0, 0].item(), rhs[0, 0].item()
 
 
 # --- limit probes --------------------------------------------------------

@@ -21,7 +21,7 @@ from trigzeta.dirichlet import (
     zeta_prime_neg_even,
 )
 from trigzeta.hurwitz import (
-    hurwitz_formula_partial,
+    hurwitz_formula_partials,
     hurwitz_zeta,
     hurwitz_zeta_sderiv,
 )
@@ -130,7 +130,7 @@ def test_criterion_7_hurwitz_formula_truncated():
     for s in (2.0, 3.0):
         for a in (0.25, 0.5, 1.0):
             terms = 20_000
-            partial = hurwitz_formula_partial(s, a, terms)
+            partial = hurwitz_formula_partials(s, [a], terms)[0]
             want = hurwitz_zeta(1.0 - s, a)
             bound = (
                 2.0 * math.gamma(s) / (2.0 * math.pi) ** s

@@ -125,6 +125,13 @@ class TestZeta:
             fd = (riemann_zeta(-2.0 * n + h) - riemann_zeta(-2.0 * n - h)) / (2 * h)
             assert zeta_prime_neg_even(n) == pytest.approx(fd, rel=1e-7)
 
+    def test_zeta_prime_neg_even_needs_an_integer(self):
+        # the closed form holds only at integer n >= 1
+        for n in (2.5, 0.5, 0, -1, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                zeta_prime_neg_even(n)
+        assert zeta_prime_neg_even(2.0) == zeta_prime_neg_even(2)
+
 
 class TestBesideZeros:
     def test_zeta_beside_zero_and_trivial_zeros(self):

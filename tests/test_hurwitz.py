@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,6 @@ from trigzeta.hurwitz import (
     _MAX_CORRECTION,
     _corrections,
     _em,
-    hurwitz_formula_partial,
     hurwitz_formula_partials,
     hurwitz_zeta,
     hurwitz_zeta_sderiv,
@@ -38,6 +38,19 @@ class TestDomain:
                          (-math.inf, 0.5), (2.0, math.inf), (-5.0, math.inf)]:
                 with pytest.raises(DomainError):
                     fn(s, a)
+
+    def test_overflow_is_a_domain_error(self):
+        # where the value does not fit a float: math.exp of the first direct
+        # term or a Bernoulli row's Horner pass overflows, or the derivative's
+        # first term alone does
+        cases = [(hurwitz_zeta, 400.0, 0.1), (hurwitz_zeta_sderiv, 400.0, 0.1),
+                 (hurwitz_zeta, 1.5, 1e-300), (hurwitz_zeta_sderiv, 308.2, 0.1),
+                 (hurwitz_zeta, -15.0, 1e25)]
+        for fn, s, a in cases:
+            with pytest.raises(DomainError, match=re.escape(f"overflows a float at s={s}, a={a}")):
+                fn(s, a)
+        # a value that fits is kept, beside its derivative that does not
+        assert hurwitz_zeta(308.2, 0.1) == 1.5848931924609517e308
 
     def test_plan_for_is_valid_plan(self):
         for s in (-1.5, -0.5, 0.0, 3.0, 20.0):
@@ -307,12 +320,12 @@ class TestSderivGrid:
 
 def scalar_hurwitz_formula_partial(s, a, terms):
     """The one-offset sum, built on its own: the reference of the multi-offset sum."""
-    if s <= 1.0:
-        raise DomainError("hurwitz_formula_partial requires s > 1")
+    if not s > 1.0:
+        raise DomainError(f"hurwitz_formula_partials requires s > 1, got s={s}")
     if not (0.0 < a <= 1.0):
-        raise DomainError("hurwitz_formula_partial requires 0 < a <= 1")
-    if terms < 1:
-        raise DomainError("terms must be positive")
+        raise DomainError("hurwitz_formula_partials requires 0 < a <= 1")
+    if not (1 <= terms < math.inf and terms == math.floor(terms)):
+        raise DomainError(f"terms must be a positive integer, got {terms}")
     n = np.arange(1, terms + 1, dtype=np.float64)
     phase = 0.5 * math.pi * s - 2.0 * math.pi * a * n
     total = float(np.sum(np.cos(phase) * n ** (-s)))
@@ -332,16 +345,18 @@ class TestHurwitzFormulaPartial:
                 backwards = hurwitz_formula_partials(s, self.OFFSETS[::-1], terms)
                 assert backwards == want[::-1], (s, terms)
                 for a, value in zip(self.OFFSETS, want):
-                    assert hurwitz_formula_partial(s, a, terms) == value, (s, a, terms)
+                    assert hurwitz_formula_partials(s, [a], terms) == [value], (s, a, terms)
 
     def test_domain_messages(self):
         cases = [(0.5, 0.5, 100), (1.0, 0.5, 100), (2.0, 1.5, 100), (2.0, 0.0, 100),
-                 (2.0, math.nan, 100), (2.0, 0.5, 0), (0.5, 1.5, 0)]
+                 (2.0, math.nan, 100), (2.0, 0.5, 0), (0.5, 1.5, 0),
+                 (math.nan, 0.5, 100), (2.0, 0.5, 2.5), (2.0, 0.5, math.inf),
+                 (2.0, 0.5, math.nan)]
         for s, a, terms in cases:
             with pytest.raises(DomainError) as want:
                 scalar_hurwitz_formula_partial(s, a, terms)
             with pytest.raises(DomainError) as got:
-                hurwitz_formula_partial(s, a, terms)
+                hurwitz_formula_partials(s, [a], terms)
             assert str(got.value) == str(want.value)
             # one bad offset among good ones takes the same message
             with pytest.raises(DomainError) as got:
@@ -352,7 +367,7 @@ class TestHurwitzFormulaPartial:
         for s in (2.0, 3.0):
             for a in (0.25, 0.5, 1.0):
                 terms = 20000
-                got = hurwitz_formula_partial(s, a, terms)
+                got = hurwitz_formula_partials(s, [a], terms)[0]
                 want = hurwitz_zeta(1.0 - s, a)
                 bound = (
                     2.0 * math.gamma(s) / (2.0 * math.pi) ** s
@@ -362,8 +377,10 @@ class TestHurwitzFormulaPartial:
 
     def test_domain_restrictions(self):
         with pytest.raises(DomainError):
-            hurwitz_formula_partial(0.5, 0.5, 100)
+            hurwitz_formula_partials(0.5, [0.5], 100)
         with pytest.raises(DomainError):
-            hurwitz_formula_partial(2.0, 1.5, 100)
+            hurwitz_formula_partials(2.0, [1.5], 100)
         with pytest.raises(DomainError):
-            hurwitz_formula_partial(2.0, 0.5, 0)
+            hurwitz_formula_partials(2.0, [0.5], 0)
+        # an integral float count sums that many terms
+        assert hurwitz_formula_partials(2.0, [0.5], 3.0) == hurwitz_formula_partials(2.0, [0.5], 3)

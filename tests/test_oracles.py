@@ -22,7 +22,6 @@ from trigzeta.hurwitz import hurwitz_zeta, hurwitz_zeta_sderiv
 from trigzeta.oracles import (
     DIRECT_TERM_CAP,
     OracleReport,
-    choi_srivastava_check,
     choi_srivastava_grid,
     direct_sum,
     direct_sum_grid,
@@ -645,13 +644,13 @@ def _ref_choi_srivastava(n, a, t):
 class TestChoiSrivastava:
     def test_closed_value_example(self):
         # n=0, a=1, t=1/2: both sides equal (1/2) ln pi - gamma/2
-        lhs, rhs = choi_srivastava_check(0, 1.0, 0.5)
+        lhs, rhs = (side[0, 0] for side in choi_srivastava_grid([0], 1.0, [0.5]))
         want = 0.5 * math.log(math.pi) - 0.5 * EULER_GAMMA
         assert lhs == pytest.approx(want, abs=1e-9)
         assert rhs == pytest.approx(want, abs=1e-12)
 
     def test_t_zero_trivial(self):
-        lhs, rhs = choi_srivastava_check(0, 1.0, 0.0)
+        lhs, rhs = (side[0, 0] for side in choi_srivastava_grid([0], 1.0, [0.0]))
         assert lhs == 0.0
         assert rhs == pytest.approx(0.0, abs=1e-15)
 
@@ -663,14 +662,14 @@ class TestChoiSrivastava:
 
     @pytest.mark.parametrize("a", [1.0, 0.25, 0.75, 2.0])
     def test_grid_equals_scalar(self, a):
-        # every entry, bit for bit, is the scalar call and the per-point loop
+        # every entry, bit for bit, is the per-point loop and the 1 x 1 grid
         ns = range(2) if a == 2.0 else range(9)
         ts = [0.0, 0.04, -0.04, 0.2 * a, -0.2 * a, 0.5 * a]
         lhs, rhs = choi_srivastava_grid(ns, a, ts)
         for n, lhs_row, rhs_row in zip(ns, lhs.tolist(), rhs.tolist()):
             for t, got in zip(ts, zip(lhs_row, rhs_row)):
-                assert got == choi_srivastava_check(n, a, t) == _ref_choi_srivastava(n, a, t), (
-                    n, a, t)
+                one = tuple(side.item() for side in choi_srivastava_grid([n], a, [t]))
+                assert got == one == _ref_choi_srivastava(n, a, t), (n, a, t)
 
     @pytest.mark.parametrize("ns, a, ts", [
         ([-1], 1.0, [0.1]),
@@ -685,20 +684,22 @@ class TestChoiSrivastava:
         (range(9), 3.0, [0.1, -0.1]),
         (range(9), 2.6, [0.2, -0.1]),
         (range(9), 2.45, [0.1, -0.1]),
+        ([2.5], 1.0, [0.1]),
+        ([1], math.nan, [0.1]),
+        ([1], math.inf, [0.1]),
     ])
-    def test_grid_domain(self, ns, a, ts):
-        # the grid raises what the scalar calls raise first, in n-major order
-        want = None
-        for n, t in itertools.product(ns, ts):
-            try:
-                choi_srivastava_check(n, a, t)
-            except DomainError as exc:
-                want = exc
-                break
-        assert want is not None
-        with pytest.raises(DomainError) as got:
+    def test_grid_domain(self, ns, a, ts, monkeypatch):
+        # the whole domain is checked before the first kernel call
+        calls = []
+
+        def spy(kernel):
+            return lambda s, x: calls.append((kernel.__name__, s, x)) or kernel(s, x)
+
+        monkeypatch.setattr(oracles, "hurwitz_zeta", spy(hurwitz_zeta))
+        monkeypatch.setattr(oracles, "hurwitz_zeta_sderiv", spy(hurwitz_zeta_sderiv))
+        with pytest.raises(DomainError):
             choi_srivastava_grid(ns, a, ts)
-        assert str(got.value) == str(want)
+        assert calls == []
 
     def test_suite_computes_each_zeta_once(self, monkeypatch):
         # one verify pass asks for each zeta(s, a) once, and caches nothing
@@ -718,17 +719,20 @@ class TestChoiSrivastava:
         assert len(calls) == 2 * count
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            choi_srivastava_check(-1, 1.0, 0.1)
-        with pytest.raises(DomainError):
-            choi_srivastava_check(9, 1.0, 0.1)
-        with pytest.raises(DomainError):
-            choi_srivastava_check(1, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            choi_srivastava_check(1, -1.0, 0.1)
-        # n >= 2 needs zeta'(-n, .) on the Taylor domain, a and a - t < 5/2
-        with pytest.raises(DomainError):
-            choi_srivastava_check(5, 3.0, 0.1)
+        for n, a, t in [(-1, 1.0, 0.1), (9, 1.0, 0.1), (1, 1.0, 1.0), (1, -1.0, 0.1),
+                        (1, 1.0, math.nan),
+                        # n >= 2 needs zeta'(-n, .) on the Taylor domain, a and a - t < 5/2
+                        (5, 3.0, 0.1), (2, 2.4, -0.2),
+                        # zeta(k, 0.1) overflows a float from about k = 308 on,
+                        # before the lhs series is cut at |t| = 0.09
+                        (0, 0.1, 0.09)]:
+            with pytest.raises(DomainError):
+                choi_srivastava_grid([n], a, [t])
+        # n <= 1 takes no Taylor value at a, so a and a - t may pass 5/2
+        ts = [0.1, -0.1]
+        lhs, rhs = choi_srivastava_grid([0, 1], 3.0, ts)
+        for n, j in itertools.product(range(2), range(2)):
+            assert (lhs[n, j].item(), rhs[n, j].item()) == _ref_choi_srivastava(n, 3.0, ts[j])
 
 
 FAMILIES = [f"T{i}" for i in range(1, 9)]
