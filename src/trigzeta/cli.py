@@ -26,8 +26,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .closedforms import (
     _BRACKET_CONSTANTS,
     _LITERAL_CONSTANTS,
@@ -151,6 +149,8 @@ def make_records(family: str, weights, xs, tol: float) -> dict[str, list]:
     share across weights (the oracle's phases, the closed forms' zeta'
     offsets) is computed once per x.
     """
+    import numpy as np
+
     oracle_tol = max(1e-12, 0.01 * tol)
     oracles, errs, terms, methods = direct_sum_grid(family, weights, xs, oracle_tol)
     closed_forms = closed_form_grid(family, weights, xs)
@@ -228,6 +228,8 @@ def cmd_eval(args, out) -> int:
 
 
 def cmd_compare(args, out) -> int:
+    import numpy as np
+
     tol = default_tol() if args.tol is None else parse_tol(args.tol, "--tol")
     records = make_records(args.family, [args.m], grid_points(args.family, args.grid), tol)
     _emit_records(records, args.format, out)
@@ -315,6 +317,8 @@ def _suite_identities():
 
 
 def _suite_choi_srivastava():
+    import numpy as np
+
     # one grid call per offset a, emitted in (n, a, t) order
     grids = []
     for a in (1.0, 0.25, 0.75):
@@ -333,6 +337,8 @@ def _suite_choi_srivastava():
 
 def _worst_gap(values, refs) -> float:
     """max |value - ref| / (1 + |ref|) over two (weights, points) arrays."""
+    import numpy as np
+
     return float((np.abs(values - refs) / (1.0 + np.abs(refs))).max())
 
 
@@ -354,6 +360,8 @@ def _suite_table2(out):
     so a row costs one kernel pass, and each reading is assembled from it
     bit for bit as a call of its own would give it.
     """
+    import numpy as np
+
     checks = []
     deviations = []
     weights = range(1, _MAX_WEIGHT + 1)

@@ -43,8 +43,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DomainError
 from .hurwitz import hurwitz_zeta_sderiv, hurwitz_zeta_sderiv_grid
 
@@ -279,6 +277,8 @@ def _bracket_grid(tables, family: str, weights, xs) -> list[np.ndarray]:
     table gets its own (weights, points) array, assembled with its own
     prefactors and coefficients, bit for bit as a one-table call gives it.
     """
+    import numpy as np
+
     specs = [SeriesSpec.from_family(family, m) for m in weights]
     layouts = []  # per table, each weight's zeta' order and offsets (a0, a_y)
     for constants in tables:

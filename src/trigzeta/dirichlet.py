@@ -122,7 +122,11 @@ def riemann_zeta(s: float) -> float:
 
 
 def zeta_prime_neg_even(n: int) -> float:
-    """zeta'(-2n) = (-1)^n (2n)! zeta(2n+1) / (2 (2 pi)^(2n)), for integer n >= 1."""
+    """zeta'(-2n) = (-1)^n (2n)! zeta(2n+1) / (2 (2 pi)^(2n)), for integer n >= 1.
+
+    From n = 130 on the value does not fit a float, and ``DomainError`` is
+    raised before zeta(2n+1), which is at least 1, is computed.
+    """
     if not (n >= 1 and n % 1 == 0):
         raise DomainError(f"zeta_prime_neg_even requires an integer n >= 1, got {n}")
     sign = -1.0 if n % 2 else 1.0
@@ -131,6 +135,8 @@ def zeta_prime_neg_even(n: int) -> float:
         - math.log(2.0)
         - 2.0 * n * math.log(2.0 * math.pi)
     )
+    if log_mag > _LOG_MAX:
+        raise DomainError(f"zeta_prime_neg_even(n) overflows a float at n={n}")
     return sign * hurwitz_zeta(2.0 * n + 1.0, 1.0) * math.exp(log_mag)
 
 

@@ -17,7 +17,8 @@
   ``hurwitz_zeta_sderiv_grid(orders, offsets)`` takes the same route for
   every order and offset of a grid and accepts nothing outside it.  Each
   offset is recentred once for all orders, and one Horner pass runs over
-  the rows of all orders at once, zero-padded in front to one width.  Its
+  the rows of all orders at once, zero-padded in front to one width; that
+  padded matrix is built on the first grid call, not at import.  Its
   entries equal the scalar ones bit for bit: numpy's elementwise * and +
   are single IEEE operations, and a leading zero keeps the accumulator at
   +0.0 until a row's first coefficient.  The logarithm of each offset and
@@ -57,10 +58,9 @@ per order s for all the offsets.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, PoleError
 from .foundations import BERNOULLI, harmonic
@@ -309,10 +309,18 @@ def _taylor(n: int, a: float) -> float:
     return acc + base**n * log_term
 
 
-# _TAYLOR with every row zero-padded in front to the longest row's length:
-# Horner steps over a leading zero keep the accumulator at +0.0
 _TAYLOR_WIDTH = max(len(row) for row in _TAYLOR)
-_TAYLOR_MATRIX = np.array([(0.0,) * (_TAYLOR_WIDTH - len(row)) + row for row in _TAYLOR])
+
+
+@functools.cache
+def _taylor_matrix():
+    """_TAYLOR with every row zero-padded in front to the longest row's length.
+
+    Horner steps over a leading zero keep the accumulator at +0.0.
+    """
+    import numpy as np
+
+    return np.array([(0.0,) * (_TAYLOR_WIDTH - len(row)) + row for row in _TAYLOR])
 
 
 def hurwitz_zeta_sderiv_grid(orders, offsets) -> np.ndarray:
@@ -324,6 +332,8 @@ def hurwitz_zeta_sderiv_grid(orders, offsets) -> np.ndarray:
     raises ``DomainError``.  Each offset is recentred once for all orders,
     and one Horner pass runs over the rows of every order at once.
     """
+    import numpy as np
+
     orders = list(orders)
     for n in orders:
         if not (0 <= n <= _MAX_N and n == int(n)):
@@ -343,7 +353,7 @@ def hurwitz_zeta_sderiv_grid(orders, offsets) -> np.ndarray:
     t = np.array([p[0] for p in points])
     # log and ** stay scalar: np.log and np.power may round differently
     shift = np.array([[base**n * log_term for _, base, log_term in points] for n in orders])
-    rows = _TAYLOR_MATRIX[orders]
+    rows = _taylor_matrix()[orders]
     acc = np.zeros((len(orders), len(points)))
     for k in range(_TAYLOR_WIDTH - max(len(_TAYLOR[n]) for n in orders), _TAYLOR_WIDTH):
         np.multiply(acc, t, out=acc)
@@ -362,6 +372,8 @@ def hurwitz_formula_partials(s: float, offsets, terms: int) -> list[float]:
     products are formed in one buffer by the same operations as a lone
     offset's, so every sum is the same float whatever the other offsets.
     """
+    import numpy as np
+
     offsets = list(offsets)
     if not s > 1.0:
         raise DomainError(f"hurwitz_formula_partials requires s > 1, got s={s}")

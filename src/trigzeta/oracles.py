@@ -67,8 +67,6 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from .closedforms import SeriesSpec, _fold
 from .dirichlet import beta_fn, dirichlet_lambda, eta, riemann_zeta
 from .errors import ConvergenceError, DomainError
@@ -153,6 +151,8 @@ def _head_sums(
     blocks of 128 held in 8 running sums, so a term meets at most
     log2(m) + 12 additions there, and one more per chunk total.
     """
+    import numpy as np
+
     shape = (len(alphas), len(xs))
     totals = np.zeros((len(alphas), 2, len(xs)))  # cosine and sine sums
     masses = np.zeros(shape)  # sum of d^{-alpha}
@@ -218,6 +218,8 @@ def _tails(
     the points with a live lane: numpy's vectorised power rounds some of
     them differently.  Frozen lanes keep computing, and may overflow.
     """
+    import numpy as np
+
     ends = [a * (plan[0] + 1) - b for plan in plans]  # d(m1)
     ratios = [plan[1] for plan in plans]
     powers = [-float(alpha) for alpha in alphas]
@@ -293,6 +295,8 @@ def direct_sum_grid(
     with that entry's value as ``best_value``; ``DomainError`` for an
     estimate that is not finite and positive.
     """
+    import numpy as np
+
     if not tol >= 1e-12:
         raise DomainError("direct_sum tolerance must be >= 1e-12")
     specs = [SeriesSpec.from_family(family, m) for m in weights]
@@ -498,6 +502,8 @@ def choi_srivastava_grid(ns, a: float, ts) -> tuple[np.ndarray, np.ndarray]:
     a - t below 5/2.  ``DomainError`` is raised before any kernel call
     outside it, and by the kernels for a value that overflows a float.
     """
+    import numpy as np
+
     ns, ts = list(ns), list(ts)
     if not all(0 <= n <= 8 and n == int(n) for n in ns):
         raise DomainError(f"choi_srivastava_grid requires integer 0 <= n <= 8, got {ns}")

@@ -440,15 +440,13 @@ class TestSharedWork:
                 powers.append(exponent)
                 return np.asarray(self) ** exponent
 
-        class Numpy:
-            def __getattr__(self, name):
-                return getattr(np, name)
+        arange = np.arange
 
-            @staticmethod
-            def arange(*args, **kwargs):
-                return np.arange(*args, **kwargs).view(Terms)
+        def terms(*args, **kwargs):
+            return arange(*args, **kwargs).view(Terms)
 
-        monkeypatch.setattr(hurwitz, "np", Numpy())
+        # the grid routes import numpy when called, so they read this arange
+        monkeypatch.setattr(np, "arange", terms)
         code, _, _ = run_cli(["verify", "--suite", "identities"], capsys)
         assert code == 0
         assert powers == [-2.0, -3.0]

@@ -1,6 +1,7 @@
 """Tests for zeta/eta/lambda/beta continuation and special values."""
 
 import math
+import time
 
 import pytest
 
@@ -131,6 +132,17 @@ class TestZeta:
             with pytest.raises(DomainError):
                 zeta_prime_neg_even(n)
         assert zeta_prime_neg_even(2.0) == zeta_prime_neg_even(2)
+
+    def test_zeta_prime_neg_even_overflow_is_a_domain_error(self):
+        # the value fits a float up to n = 129; beyond, the magnitude is
+        # checked before zeta(2n + 1), so even n = 10^6 refuses at once
+        assert zeta_prime_neg_even(100) == 9.1176931612979850e214
+        assert math.isfinite(zeta_prime_neg_even(129))
+        for n in (130, 150, 10**6):
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match=f"n={n}"):
+                zeta_prime_neg_even(n)
+            assert time.perf_counter() - start < 0.1
 
 
 class TestBesideZeros:
