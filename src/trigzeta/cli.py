@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import math
 import os
 import sys
@@ -184,6 +183,8 @@ def _emit_records(records: dict[str, list], fmt: str, out) -> None:
             for family, m, x, closed, oracle, abs_err, rel_err, method, terms in rows
         ))
     elif fmt == "json":
+        import json
+
         json.dump([dict(zip(CSV_HEADER, row)) for row in rows], out, indent=2)
         out.write("\n")
     else:
@@ -201,6 +202,8 @@ def cmd_eval(args, out) -> int:
     spec = SeriesSpec.from_family(args.family, args.m)
     result = closed_form_eval(spec, x)
     if args.format == "json":
+        import json
+
         doc = {
             "family": args.family,
             "m": args.m,
@@ -360,6 +363,8 @@ def _suite_table2(out):
     so a row costs one kernel pass, and each reading is assembled from it
     bit for bit as a call of its own would give it.
     """
+    import json
+
     import numpy as np
 
     checks = []
@@ -416,6 +421,8 @@ def cmd_verify(args, out) -> int:
         all_checks.extend(suites[name]())
     failed = [c for c in all_checks if not c[1]]
     if args.format == "json":
+        import json
+
         doc = [
             {"check": name, "passed": ok, "detail": detail}
             for name, ok, detail in all_checks

@@ -40,7 +40,6 @@ decomposition, and costs less than a one-point grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -61,8 +60,7 @@ _TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - _TWO_PI
 _MAX_WEIGHT = 8
 
 
-@dataclass(frozen=True)
-class GeneralFormulaParams:
+class GeneralFormulaParams(NamedTuple):
     """Row constants of the parameterised master formula.
 
     The series is sum_n sign^(n-1) f((an-b)x)/(an-b)^alpha with f = sin or
@@ -147,8 +145,7 @@ class SeriesSpec(NamedTuple):
         return cls(family, m, kind, sign, a, b, 2 * m + p - 1, (-hi if sign < 0 else 0.0, hi))
 
 
-@dataclass(frozen=True)
-class ClosedFormResult:
+class ClosedFormResult(NamedTuple):
     """Value plus the audited decomposition prefactor * sum c*zeta'(s,a)."""
 
     value: float

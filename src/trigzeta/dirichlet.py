@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, PoleError
 from .foundations import cospi, sinpi
@@ -180,8 +180,7 @@ def beta_fn(s: float) -> float:
     return 4.0 ** (-s) * (hurwitz_zeta(s, 0.25) - hurwitz_zeta(s, 0.75))
 
 
-@dataclass(frozen=True)
-class SpecialValue:
+class SpecialValue(NamedTuple):
     function_id: str  # zeta | eta | lambda | beta
     argument: int
     value: float

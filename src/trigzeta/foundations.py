@@ -4,7 +4,8 @@ Bernoulli numbers (exact rationals), digamma, harmonic numbers,
 Pochhammer symbols and sinpi/cospi.  All functions take real arguments
 only, and sinpi, cospi and digamma raise DomainError at a NaN or
 infinite one.  ``BERNOULLI`` is a tuple of exact Fractions B_0..B_64
-built once at import time; float readers take ``float(BERNOULLI[n])``.
+built once at import time from the tangent numbers, in integer
+arithmetic; float readers take ``float(BERNOULLI[n])``.
 Gamma and log-gamma come from the standard library
 (``math.gamma``/``math.lgamma``).
 """
@@ -28,19 +29,22 @@ __all__ = [
 
 
 def _bernoulli_numbers(count: int) -> tuple[Fraction, ...]:
-    """B_0..B_{count-1} from sum_{i=0}^{n} C(n+1, i) B_i = 0 (B_1 = -1/2).
+    """B_0..B_{count-1} (count >= 1), exact, from the tangent numbers T_k.
 
-    B_n = 0 for odd n >= 3, so those are set directly and left out of
-    the sums.
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), with the T_k from the
+    integer recurrence of Brent and Harvey (2011); B_1 = -1/2 and B_n = 0
+    for odd n >= 3.  Only the last step forms Fractions.
     """
-    values = [Fraction(1)]
-    for n in range(1, count):
-        if n > 1 and n % 2:
-            values.append(Fraction(0))
-            continue
-        acc = sum(math.comb(n + 1, i) * values[i] for i in range(n) if i == 1 or i % 2 == 0)
-        values.append(-acc / (n + 1))
-    return tuple(values)
+    half = (count - 1) // 2
+    t = [0] + [math.factorial(k) for k in range(half)]  # t[k] = (k-1)! to start
+    for k in range(2, half + 1):
+        for j in range(k, half + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    values = [Fraction(1), Fraction(-1, 2)]
+    for k in range(1, half + 1):
+        q = 4**k
+        values += [Fraction((-1) ** (k - 1) * 2 * k * t[k], q * (q - 1)), Fraction(0)]
+    return tuple(values[:count])
 
 
 # Exact B_0..B_64, so Euler-Maclaurin coefficients carry no rounding noise.

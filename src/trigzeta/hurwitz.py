@@ -8,7 +8,8 @@
 
   after at most one step of zeta'(-n, a) = zeta'(-n, a+1) - a^n log a.
   The coefficients depend only on n and are built once at import, from
-  exact Bernoulli values and a few positive-order zeta and zeta' values:
+  exact Bernoulli values and a few positive-order zeta and zeta' values,
+  each computed once:
 
       k <= n    c_k = (-1)^k C(n,k) [zeta'(k-n) - (H_n - H_{n-k}) zeta(k-n)]
       k = n+1   c_k = (-1)^n (gamma - H_n) / (n+1)
@@ -60,7 +61,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, PoleError
 from .foundations import BERNOULLI, harmonic
@@ -95,8 +96,7 @@ _BERNOULLI_ROWS = tuple(
 )
 
 
-@dataclass(frozen=True)
-class EulerMaclaurinPlan:
+class EulerMaclaurinPlan(NamedTuple):
     shift_n: int
     correction_m: int
     est_error: float
@@ -222,8 +222,12 @@ def hurwitz_zeta_sderiv(s: float, a: float) -> float:
     return _em_entry(s, a, 1)
 
 
+@functools.cache
 def _zeta_positive(j: int) -> float:
-    """zeta(j) for integer j >= 2: from B_j for even j, Euler-Maclaurin for odd j."""
+    """zeta(j) for integer j >= 2: from B_j for even j, Euler-Maclaurin for odd j.
+
+    Cached, since the Taylor rows and zeta'(-2k) ask for the same odd zeta(j).
+    """
     if j % 2:
         return _em(float(j), 1.0)[0]
     # zeta(2k) = |B_2k / (2k)!| (2 pi)^2k / 2
@@ -256,7 +260,6 @@ def _taylor_rows() -> tuple[tuple[float, ...], ...]:
     zeta_prime = [_zeta_prime_nonpositive(j) for j in orders]
     # zeta(-j) = (-1)^j B_{j+1} / (j+1), with B_1 = -1/2
     zeta_neg = [float((-1) ** j * BERNOULLI[j + 1] / (j + 1)) for j in orders]
-    zeta_pos = {}
     rows = []
     for n in orders:
         sign = -1.0 if n % 2 else 1.0
@@ -270,9 +273,7 @@ def _taylor_rows() -> tuple[tuple[float, ...], ...]:
         coeffs.append(sign * (_EULER_GAMMA - harmonic(n)) / (n + 1))
         k = n + 2
         while True:
-            if k - n not in zeta_pos:
-                zeta_pos[k - n] = _zeta_positive(k - n)
-            c = sign * zeta_pos[k - n] / (k * math.comb(k - 1, n))
+            c = sign * _zeta_positive(k - n) / (k * math.comb(k - 1, n))
             if abs(c) * 2.0**-k < 1e-18:
                 break
             coeffs.append(c)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from trigzeta import hurwitz
 from trigzeta.errors import DomainError, PoleError
 from trigzeta.foundations import BERNOULLI, pochhammer
 from trigzeta.hurwitz import (
@@ -277,6 +278,16 @@ class TestTaylorRoute:
             assert abs(hurwitz_zeta(-2.0 + 1e-9, a) - hurwitz_zeta(-2.0, a)) <= 1e-9, a
         below = hurwitz_zeta_sderiv(-1.0, math.nextafter(2.5, 0.0))
         assert abs(below - hurwitz_zeta_sderiv(-1.0, 2.5)) <= 1e-9
+
+    def test_each_zeta_value_is_computed_once(self, monkeypatch):
+        # the rows and the zeta'(-2k) values share one zeta(j) memo, so the
+        # build makes one _em call per distinct (s, a)
+        calls = []
+        em = hurwitz._em
+        monkeypatch.setattr(hurwitz, "_em", lambda s, a: calls.append((s, a)) or em(s, a))
+        hurwitz._zeta_positive.cache_clear()
+        assert hurwitz._taylor_rows() == hurwitz._TAYLOR
+        assert len(calls) == len(set(calls)) == 35
 
     def test_bad_offsets_raise_domain_error(self):
         for s in (0.0, -3.0, -15.0):

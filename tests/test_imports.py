@@ -1,4 +1,8 @@
-"""Only the grid routes load numpy, each checked in a fresh interpreter."""
+"""Each route loads only the modules it uses, checked in a fresh interpreter.
+
+Only the grid routes load numpy, only the routes that write JSON load
+json, and no route loads dataclasses.
+"""
 
 import os
 import pathlib
@@ -9,36 +13,46 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
+
+def cli_call(argv: list[str]) -> str:
+    return f"from trigzeta import cli; code = cli.main({argv})"
+
+
 EVAL = ["eval", "--family", "T1", "--m", "1", "--x", "0.5pi"]
+SWEEP_CSV = ["sweep", "--family", "T3", "--m", "1", "--grid", "3", "--format", "csv"]
 
-CASES = [
-    pytest.param("import trigzeta", False, id="import-trigzeta"),
-    pytest.param("import trigzeta.cli", False, id="import-cli"),
-    pytest.param(f"from trigzeta import cli; code = cli.main({EVAL})", False, id="eval-text"),
-    pytest.param(
-        f"from trigzeta import cli; code = cli.main({EVAL + ['--format', 'json']})", False,
-        id="eval-json",
-    ),
-    pytest.param(
-        "from trigzeta import cli; code = cli.main(['verify', '--suite', 'special-values'])",
-        False, id="verify-special-values",
-    ),
-    pytest.param(
-        "from trigzeta import cli; code = cli.main(['sweep', '--family', 'T3', '--m', '1', "
-        "'--grid', '3'])", True, id="sweep",
-    ),
-]
+ROUTES = {
+    "import-trigzeta": "import trigzeta",
+    "import-cli": "import trigzeta.cli",
+    "eval-text": cli_call(EVAL),
+    "eval-json": cli_call(EVAL + ["--format", "json"]),
+    "verify-special-values": cli_call(["verify", "--suite", "special-values"]),
+    "sweep": cli_call(SWEEP_CSV),
+}
 
 
-@pytest.mark.parametrize("statement, loads_numpy", CASES)
-def test_numpy_is_loaded_only_by_grid_routes(statement, loads_numpy):
-    # the last line printed says whether numpy was imported; a command
-    # must also succeed, so that a refusal cannot pass for a scalar route
-    script = f"import sys\ncode = 0\n{statement}\nprint(code, 'numpy' in sys.modules)"
+def run_fresh(statement: str, modules: list[str]) -> str:
+    """'<exit code> <loaded?>...' for each of ``modules`` after ``statement``.
+
+    A command must also succeed, so that a refusal cannot pass for the
+    route it refused.
+    """
+    report = f"print(code, *[m in sys.modules for m in {modules!r}])"
+    script = f"import sys\ncode = 0\n{statement}\n{report}"
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"0 {loads_numpy}"
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_numpy_is_loaded_only_by_grid_routes(route):
+    assert run_fresh(ROUTES[route], ["numpy"]) == f"0 {route == 'sweep'}"
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_json_only_where_json_is_written_and_never_dataclasses(route):
+    assert run_fresh(ROUTES[route], ["json", "dataclasses"]) == f"0 {route == 'eval-json'} False"
