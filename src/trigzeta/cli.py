@@ -15,6 +15,9 @@ digits in machine formats (12 in human format).
 Each call builds the parser of the one subcommand it names (``COMMANDS``
 holds each subcommand's arguments once); the full parser of
 ``build_parser`` is built only for root help and root-level errors.
+The suites and the check oracles that only they use live in
+``trigzeta.verify``, which ``verify`` imports when it runs, so the other
+subcommands never load them.
 """
 
 from __future__ import annotations
@@ -25,34 +28,10 @@ import math
 import os
 import sys
 
-from .closedforms import (
-    _BRACKET_CONSTANTS,
-    _LITERAL_CONSTANTS,
-    _MAX_WEIGHT,
-    ERRATA,
-    SERIES,
-    SeriesSpec,
-    TABLE2_ROWS,
-    _bracket_grid,
-    closed_form_eval,
-    closed_form_grid,
-)
-from .dirichlet import (
-    SPECIAL_VALUES,
-    beta_fn,
-    dirichlet_lambda,
-    eta,
-    riemann_zeta,
-    zeta_prime_neg_even,
-)
+from .closedforms import _MAX_WEIGHT, SERIES, SeriesSpec, closed_form_eval, closed_form_grid
 from .errors import DomainError, TrigZetaError, VerificationError
-from .hurwitz import hurwitz_formula_partials, hurwitz_zeta, hurwitz_zeta_sderiv
-from .oracles import (
-    choi_srivastava_grid,
-    direct_sum_grid,
-    lambda_probe_orders,
-    limit_series_eval,
-)
+from .hurwitz import hurwitz_zeta_sderiv
+from .oracles import direct_sum_grid
 
 TOL_ENV_VAR = "TRIGZETA_TOL"
 DEFAULT_TOL = 1e-8
@@ -178,8 +157,8 @@ def _emit_records(records: dict[str, list], fmt: str, out) -> None:
         x_text = {key: f"{x:.17g}" for key, x in xs.items()}
         out.write(",".join(CSV_HEADER) + "\n")
         out.write("".join(
-            f"{family},{m},{x_text[id(x)]},{closed:.17g},{oracle:.17g},"
-            f"{abs_err:.17g},{rel_err:.17g},{method},{terms}\n"
+            "%s,%d,%s,%.17g,%.17g,%.17g,%.17g,%s,%d\n"
+            % (family, m, x_text[id(x)], closed, oracle, abs_err, rel_err, method, terms)
             for family, m, x, closed, oracle, abs_err, rel_err, method, terms in rows
         ))
     elif fmt == "json":
@@ -254,171 +233,13 @@ def cmd_sweep(args, out) -> int:
     return 0
 
 
-# --- verification suites -------------------------------------------------
-
-
-def _suite_special_values():
-    functions = {"zeta": riemann_zeta, "eta": eta, "lambda": dirichlet_lambda, "beta": beta_fn}
-    checks = []
-    for sv in SPECIAL_VALUES:
-        got = functions[sv.function_id](float(sv.argument))
-        ok = abs(got - sv.value) <= 1e-12
-        checks.append(
-            (f"special.{sv.function_id}({sv.argument})", ok,
-             f"got {got!r} want {sv.value!r} [{sv.exactness}]")
-        )
-    return checks
-
-
-def _suite_identities():
-    checks = []
-    xs = [0.4, 1.0, 1.9, 2.7, 3.9]
-    for x in xs:
-        got = closed_form_eval(SeriesSpec.from_family("T2", 1), x).value
-        want = -math.log(2.0 * math.sin(0.5 * x))
-        checks.append((f"identity.T2m1(x={x})", abs(got - want) <= 1e-10,
-                       f"gap {abs(got - want):.3e}"))
-    for x in [-2.5, -1.0, 0.3, 1.4, 2.8]:
-        got = closed_form_eval(SeriesSpec.from_family("T4", 1), x).value
-        want = math.log(2.0 * math.cos(0.5 * x))
-        checks.append((f"identity.T4m1(x={x})", abs(got - want) <= 1e-10,
-                       f"gap {abs(got - want):.3e}"))
-    for n in range(1, 5):
-        got = hurwitz_zeta_sderiv(-2.0 * n, 1.0)
-        want = zeta_prime_neg_even(n)
-        checks.append((f"identity.zeta_sderiv(-{2*n})", abs(got - want) <= 1e-9,
-                       f"gap {abs(got - want):.3e}"))
-    for a in (0.25, 0.5, 0.75, 1.0):
-        got = hurwitz_zeta_sderiv(0.0, a)
-        want = math.lgamma(a) - 0.5 * math.log(2.0 * math.pi)
-        checks.append((f"identity.zeta_sderiv(0,{a})", abs(got - want) <= 1e-10,
-                       f"gap {abs(got - want):.3e}"))
-    # term count kept moderate so the truncation bound stays above the
-    # float64 summation noise floor and the check is meaningful
-    terms = 20_000
-    offsets = (0.25, 0.5, 1.0)
-    for s in (2.0, 3.0):
-        for a, partial in zip(offsets, hurwitz_formula_partials(s, offsets, terms)):
-            want = hurwitz_zeta(1.0 - s, a)
-            bound = (
-                2.0 * math.gamma(s) / (2.0 * math.pi) ** s
-                * terms ** (1.0 - s) / (s - 1.0)
-            )
-            gap = abs(partial - want)
-            checks.append((f"identity.hurwitz_formula(s={s},a={a})", gap <= bound,
-                           f"gap {gap:.3e} bound {bound:.3e}"))
-    # s lambda(1 + s) -> 1/2 extrapolated, and eta(1) = log 2 from both sides
-    o1, lam = lambda_probe_orders()
-    eta_val = 0.5 * (eta(1.0 - 1e-6) + eta(1.0 + 1e-6))
-    checks.append(("identity.lambda_limit", abs(lam - 0.5) <= 1e-6,
-                   f"gap {abs(lam - 0.5):.3e}"))
-    checks.append(("identity.eta_at_1", abs(eta_val - math.log(2.0)) <= 1e-8,
-                   f"gap {abs(eta_val - math.log(2.0)):.3e}"))
-    checks.append(("identity.richardson_consistency", abs(o1 - lam) < 1e-7,
-                   f"gap {abs(o1 - lam):.3e}"))
-    return checks
-
-
-def _suite_choi_srivastava():
-    import numpy as np
-
-    # one grid call per offset a, emitted in (n, a, t) order
-    grids = []
-    for a in (1.0, 0.25, 0.75):
-        ts = (0.04, -0.04, 0.2 * a, -0.2 * a)
-        lhs, rhs = choi_srivastava_grid(range(5), a, ts)
-        grids.append((a, ts, np.abs(lhs - rhs).tolist()))
-    checks = []
-    for n in range(5):
-        for a, ts, gaps in grids:
-            for t, gap in zip(ts, gaps[n]):
-                checks.append(
-                    (f"choi.n{n}.a{a}.t{t:+g}", gap <= 1e-9, f"gap {gap:.3e}")
-                )
-    return checks
-
-
-def _worst_gap(values, refs) -> float:
-    """max |value - ref| / (1 + |ref|) over two (weights, points) arrays."""
-    import numpy as np
-
-    return float((np.abs(values - refs) / (1.0 + np.abs(refs))).max())
-
-
-def _suite_table2(out):
-    """Table II rows against independent routes; emits a deviation report.
-
-    On the acceptance grid (m = 1..8, 9 points each), every row's theorem
-    values -- the row with ``ERRATA`` applied, as ``closed_form_grid``
-    gives them -- must lie within 1e-13 (1 + |value|) of the singular-limit
-    series, which refuses no point of the open interval (a refusal would
-    raise ``ConvergenceError``).  A row deviates when its literal reading
-    disagrees with its theorem values beyond 1e-8; that list is measured,
-    not read off ``ERRATA``.  A deviating row passes only if its theorem
-    values also match the independent summation oracle within 1e-8, and
-    the report names the erratum fields that reconcile it.
-
-    Both readings of a row come from one ``_bracket_grid`` call: the
-    corrected and the literal table agree on every zeta' order and offset,
-    so a row costs one kernel pass, and each reading is assembled from it
-    bit for bit as a call of its own would give it.
-    """
-    import json
-
-    import numpy as np
-
-    checks = []
-    deviations = []
-    weights = range(1, _MAX_WEIGHT + 1)
-    for row in TABLE2_ROWS:
-        family = row.family
-        xs = grid_points(family, 9)
-        theorems, literals = _bracket_grid(
-            (_BRACKET_CONSTANTS, _LITERAL_CONSTANTS), family, weights, xs
-        )
-        worst_vs_theorem = _worst_gap(literals, theorems)
-        specs = [SeriesSpec.from_family(family, m) for m in weights]
-        limits = np.array([[limit_series_eval(spec, x) for x in xs] for spec in specs])
-        worst_vs_limit = _worst_gap(limits, theorems)
-        if worst_vs_theorem <= 1e-8:
-            checks.append((f"table2.{family}.literal", worst_vs_limit <= 1e-13,
-                           f"max rel gap {worst_vs_theorem:.3e}, theorem-vs-limit "
-                           f"{worst_vs_limit:.3e}"))
-            continue
-        worst_vs_oracle = _worst_gap(theorems, direct_sum_grid(family, weights, xs, 1e-10)[0])
-        theorem_ok = worst_vs_oracle <= 1e-8 and worst_vs_limit <= 1e-13
-        deviations.append(
-            {
-                "row": family,
-                "interpretation": "literal parameter substitution into the "
-                "master formula, affine r/k in m, j=0 rows drop the c-terms",
-                "erratum": ERRATA.get(family),
-                "max_rel_gap_vs_theorem": worst_vs_theorem,
-                "theorem_evaluator_max_rel_gap_vs_oracle": worst_vs_oracle,
-                "theorem_evaluator_passes": theorem_ok,
-            }
-        )
-        checks.append(
-            (f"table2.{family}.deviation-covered", theorem_ok,
-             f"literal gap {worst_vs_theorem:.3e}, theorem-vs-oracle "
-             f"{worst_vs_oracle:.3e}, theorem-vs-limit {worst_vs_limit:.3e}")
-        )
-    report = {"suite": "table2", "deviations": deviations}
-    out.write("TABLE2-DEVIATION-REPORT " + json.dumps(report, sort_keys=True) + "\n")
-    return checks
-
-
 def cmd_verify(args, out) -> int:
-    suites = {
-        "special-values": _suite_special_values,
-        "identities": _suite_identities,
-        "choi-srivastava": _suite_choi_srivastava,
-        "table2": lambda: _suite_table2(out),
-    }
-    names = list(suites) if args.suite == "all" else [args.suite]
+    from .verify import SUITES
+
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     all_checks = []
     for name in names:
-        all_checks.extend(suites[name]())
+        all_checks.extend(SUITES[name](out))
     failed = [c for c in all_checks if not c[1]]
     if args.format == "json":
         import json

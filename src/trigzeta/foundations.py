@@ -3,9 +3,12 @@
 Bernoulli numbers (exact rationals), digamma, harmonic numbers,
 Pochhammer symbols and sinpi/cospi.  All functions take real arguments
 only, and sinpi, cospi and digamma raise DomainError at a NaN or
-infinite one.  ``BERNOULLI`` is a tuple of exact Fractions B_0..B_64
-built once at import time from the tangent numbers, in integer
-arithmetic; float readers take ``float(BERNOULLI[n])``.
+infinite one.  ``BERNOULLI`` holds B_0..B_64 as (numerator, denominator)
+integer pairs in lowest terms, denominator > 0, built once at import
+time from the tangent numbers in integer arithmetic.  A float reader
+forms its float as one integer true division, such as ``n / d`` for B_n
+itself, which Python rounds correctly, as ``float(Fraction(n, d))``
+would.
 Gamma and log-gamma come from the standard library
 (``math.gamma``/``math.lgamma``).
 """
@@ -13,7 +16,6 @@ Gamma and log-gamma come from the standard library
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import DomainError, PoleError
 
@@ -28,22 +30,24 @@ __all__ = [
 ]
 
 
-def _bernoulli_numbers(count: int) -> tuple[Fraction, ...]:
-    """B_0..B_{count-1} (count >= 1), exact, from the tangent numbers T_k.
+def _bernoulli_numbers(count: int) -> tuple[tuple[int, int], ...]:
+    """B_0..B_{count-1} (count >= 1) as (numerator, denominator), from the T_k.
 
-    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), with the T_k from the
-    integer recurrence of Brent and Harvey (2011); B_1 = -1/2 and B_n = 0
-    for odd n >= 3.  Only the last step forms Fractions.
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), with the tangent numbers
+    T_k from the integer recurrence of Brent and Harvey (2011), reduced by
+    their gcd; B_1 = -1/2 and B_n = 0/1 for odd n >= 3.
     """
     half = (count - 1) // 2
     t = [0] + [math.factorial(k) for k in range(half)]  # t[k] = (k-1)! to start
     for k in range(2, half + 1):
         for j in range(k, half + 1):
             t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    values = [Fraction(1), Fraction(-1, 2)]
+    values = [(1, 1), (-1, 2)]
     for k in range(1, half + 1):
         q = 4**k
-        values += [Fraction((-1) ** (k - 1) * 2 * k * t[k], q * (q - 1)), Fraction(0)]
+        numerator, denominator = (-1) ** (k - 1) * 2 * k * t[k], q * (q - 1)
+        g = math.gcd(numerator, denominator)
+        values += [(numerator // g, denominator // g), (0, 1)]
     return tuple(values[:count])
 
 
@@ -133,7 +137,8 @@ def digamma(s: float) -> float:
     tail = 0.0
     power = inv2
     for j in range(1, 8):
-        tail += float(BERNOULLI[2 * j]) / (2 * j) * power
+        n, d = BERNOULLI[2 * j]
+        tail += n / d / (2 * j) * power
         power *= inv2
     return acc + math.log(x) - 0.5 / x - tail
 

@@ -76,10 +76,9 @@ __all__ = [
 ]
 
 _MAX_CORRECTION = (len(BERNOULLI) - 1) // 2  # highest usable B_{2j}
-# B_2j/(2j)! for j = 1.._MAX_CORRECTION
+# B_2j/(2j)! for j = 1.._MAX_CORRECTION, B_2j = n/d rounded to a float first
 _EM_COEFFS = tuple(
-    float(BERNOULLI[2 * j]) / math.factorial(2 * j)
-    for j in range(1, _MAX_CORRECTION + 1)
+    n / d / math.factorial(2 * j) for j, (n, d) in enumerate(BERNOULLI[2::2], 1)
 )
 
 _MAX_N = 15  # s = 1 - alpha for weights m <= 8; both integer-order tables stop here
@@ -91,7 +90,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # Row j - 2: the coefficients -C(j+1, k) B_k / (j+1) of zeta(-j, a) =
 # -B_{j+1}(a) / (j+1) for j = 2.._MAX_N, highest power of a first
 _BERNOULLI_ROWS = tuple(
-    tuple(float(-math.comb(j + 1, k) * BERNOULLI[k] / (j + 1)) for k in range(j + 2))
+    tuple(-math.comb(j + 1, k) * n / (d * (j + 1)) for k, (n, d) in enumerate(BERNOULLI[: j + 2]))
     for j in range(2, _MAX_N + 1)
 )
 
@@ -247,7 +246,8 @@ def _zeta_prime_nonpositive(j: int) -> float:
     two_k = j + 1
     psi = harmonic(two_k - 1) - _EULER_GAMMA
     ratio = _em(float(two_k), 1.0)[1] / _zeta_positive(two_k)
-    return float(-BERNOULLI[two_k] / two_k) * (_LOG_2PI - psi - ratio)
+    n, d = BERNOULLI[two_k]
+    return -n / (d * two_k) * (_LOG_2PI - psi - ratio)
 
 
 def _taylor_rows() -> tuple[tuple[float, ...], ...]:
@@ -259,7 +259,7 @@ def _taylor_rows() -> tuple[tuple[float, ...], ...]:
     orders = range(_MAX_N + 1)
     zeta_prime = [_zeta_prime_nonpositive(j) for j in orders]
     # zeta(-j) = (-1)^j B_{j+1} / (j+1), with B_1 = -1/2
-    zeta_neg = [float((-1) ** j * BERNOULLI[j + 1] / (j + 1)) for j in orders]
+    zeta_neg = [(-1) ** j * n / (d * (j + 1)) for j, (n, d) in zip(orders, BERNOULLI[1:])]
     rows = []
     for n in orders:
         sign = -1.0 if n % 2 else 1.0

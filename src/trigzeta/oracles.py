@@ -1,27 +1,15 @@
-"""Independent evaluation paths used to cross-validate the closed forms.
+"""The summation oracle that ``compare`` and ``sweep`` check the closed forms against.
 
-Three routes that do not use the Hurwitz-derivative closed forms.  They
-share with them only the series catalogue (``SeriesSpec``, which gives
-each family's sign, a, b and exponent alpha from ``closedforms.SERIES``)
-and the interval check and parity fold (``_fold``), never Table II, so a
-slip in the brackets' constants cannot move an oracle:
-
-* ``direct_sum_grid`` -- literal summation of the defining series for a
-                         grid of weights and points, returned as columns
-                         (values, error estimates and terms used of shape
-                         (weights, points), and a method per point);
-                         ``direct_sum`` is its one-point call and returns
-                         an ``OracleReport``;
-* ``limit_series_eval`` -- the singular limit of the power series over
-                         zeta/eta/lambda/beta values at integers: a log
-                         term plus one Horner pass over a table per
-                         (family, m), about 0 or, through a symmetry of
-                         the series, about the far end of the interval;
-* ``choi_srivastava_grid`` -- both sides of the identity underpinning
-                         the closed forms for every n and t at one a,
-                         returned for comparison; each value at a is
-                         computed once per call, and the whole domain is
-                         checked before any kernel call.
+It does not use the Hurwitz-derivative closed forms.  It shares with
+them only the series catalogue (``SeriesSpec``, which gives each
+family's sign, a, b and exponent alpha from ``closedforms.SERIES``) and
+the interval check and parity fold (``_fold``), never Table II, so a
+slip in the brackets' constants cannot move it.  ``direct_sum_grid`` is
+the literal summation of the defining series for a grid of weights and
+points, returned as columns (values, error estimates and terms used of
+shape (weights, points), and a method per point); ``direct_sum`` is its
+one-point call and returns an ``OracleReport``.  The check oracles that
+only the ``verify`` suites use live in ``trigzeta.verify``.
 
 ``direct_sum_grid`` sums the defining series in complex form,
 sum_n sign^(n-1) e^{idx} d^{-alpha} with d = an-b, as a head of
@@ -61,27 +49,14 @@ took, while one call for a sweep's 264 points of a family takes about
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import sys
-from fractions import Fraction
 from typing import NamedTuple
 
 from .closedforms import SeriesSpec, _fold
-from .dirichlet import beta_fn, dirichlet_lambda, eta, riemann_zeta
 from .errors import ConvergenceError, DomainError
-from .foundations import BERNOULLI, digamma, harmonic, pochhammer
-from .hurwitz import _TAYLOR_MAX_A, hurwitz_zeta, hurwitz_zeta_sderiv
 
-__all__ = [
-    "OracleReport",
-    "DIRECT_TERM_CAP",
-    "direct_sum",
-    "direct_sum_grid",
-    "limit_series_eval",
-    "choi_srivastava_grid",
-    "lambda_probe_orders",
-]
+__all__ = ["OracleReport", "DIRECT_TERM_CAP", "direct_sum", "direct_sum_grid"]
 
 DIRECT_TERM_CAP = 10**7
 
@@ -357,201 +332,3 @@ def direct_sum(spec: SeriesSpec, x: float, tol: float = 1e-10) -> OracleReport:
     """
     values, errs, terms, methods = direct_sum_grid(spec.family, [spec.m], [x], tol)
     return OracleReport(values[0, 0].item(), methods[0], terms[0, 0].item(), errs[0, 0].item())
-
-
-# --- singular-limit series ----------------------------------------------
-
-# last order -j whose exact value the tables use: B_64 gives zeta(-63)
-_LIMIT_ORDER = 63
-
-
-def _zeta_at_minus(j: int) -> Fraction:
-    """zeta(-j) = (-1)^j B_{j+1} / (j+1), exactly."""
-    return (-1) ** j * BERNOULLI[j + 1] / (j + 1)
-
-
-@functools.cache
-def _euler_numbers() -> tuple[int, ...]:
-    """E_0..E_63 from sum_{i even} C(n, i) E_i = 0 for even n >= 2."""
-    values = [1]
-    for n in range(1, _LIMIT_ORDER + 1):
-        values.append(0 if n % 2 else -sum(math.comb(n, i) * values[i] for i in range(0, n, 2)))
-    return tuple(values)
-
-
-# (sign, a) of the series -> (F, exact F(-j), log factor c, log scale,
-# radius R of the power series in x)
-_LIMIT_ROWS = {
-    (1, 1): (riemann_zeta, _zeta_at_minus, 1.0, 1.0, 2.0 * math.pi),
-    (-1, 1): (eta, lambda j: (1 - 2 ** (j + 1)) * _zeta_at_minus(j), 0.0, 1.0, math.pi),
-    (1, 2): (dirichlet_lambda, lambda j: (1 - 2**j) * _zeta_at_minus(j), 0.5, 0.5, math.pi),
-    (-1, 2): (beta_fn, lambda j: Fraction(_euler_numbers()[j], 2), 0.0, 1.0, 0.5 * math.pi),
-}
-
-
-# family -> (target, sign): at y = E - |x|, E the upper end of the
-# interval, the series is sign times the target's series at y, by the sine
-# or cosine of d(n)(E - y); the weight and so alpha are the same
-_END_SYMMETRIES = {
-    "T1": ("T1", -1.0), "T2": ("T2", 1.0), "T3": ("T1", 1.0), "T4": ("T2", -1.0),
-    "T5": ("T5", 1.0), "T6": ("T6", -1.0), "T7": ("T6", 1.0), "T8": ("T5", 1.0),
-}
-_PI_LO = 1.2246467991473532e-16  # pi - math.pi
-
-
-@functools.cache
-def _limit_table(family: str, m: int) -> tuple:
-    """Horner coefficients in x^2, highest first, and the log-term constants.
-
-    The coefficient of x^(2k+delta) is (-1)^k F(alpha-2k-delta)/(2k+delta)!,
-    exact at order <= 0, from ``dirichlet`` above it, and 0 at the pole
-    index k = m-1 of the rows with a log term.
-    """
-    spec = SeriesSpec.from_family(family, m)
-    f_func, f_exact, c, scale, radius = _LIMIT_ROWS[spec.sign, spec.a]
-    alpha = int(spec.alpha)
-    delta = 1 if spec.kind == "sin" else 0
-    coeffs = []
-    for k in range((_LIMIT_ORDER + alpha - delta) // 2 + 1):
-        order = alpha - 2 * k - delta
-        if c and k == m - 1:
-            coeffs.append(0.0)
-        elif order > 0:
-            coeffs.append((-1) ** k * f_func(float(order)) / math.factorial(2 * k + delta))
-        else:
-            coeffs.append(float((-1) ** k * f_exact(-order) / math.factorial(2 * k + delta)))
-    k_log = alpha - 1
-    log_coeff = c * (-1) ** m / math.factorial(k_log)
-    return tuple(reversed(coeffs)), delta, k_log, log_coeff, harmonic(k_log), scale, radius
-
-
-def limit_series_eval(spec: SeriesSpec, x: float) -> float:
-    """The series of ``spec`` at x as the limit of its power series.
-
-    At the singular alpha the power series over F = zeta, eta, lambda or
-    beta (by family) hits the pole of F at 1; its finite limit is
-
-        sum_{k != m-1} (-1)^k F(alpha-2k-delta) x^(2k+delta)/(2k+delta)!
-          + c (-1)^m x^K (log(scale x) - H_K)/K!,    K = alpha - 1,
-
-    with delta = 1 for sine and 0 for cosine families, and c, scale = 1, 1
-    (zeta), 1/2, 1/2 (lambda) or c = 0 with no skipped index (eta, beta).
-    The sum stops at F(-63), one Horner pass in x^2 over a table built on
-    first use per (family, m).  Of the expansion at 0 and that of the
-    ``_END_SYMMETRIES`` target at y = E - |x|, with y formed from pi in two
-    parts so that it keeps its relative accuracy, the one with the smaller
-    ratio |x|/R or y/R' to its radius of convergence is summed.  That ratio
-    never exceeds 1/2 on the open interval.  The omitted terms are bounded
-    as a geometric series of ratio q = (x/R)^2; where that bound exceeds
-    eps (1 + |value|) it raises ``ConvergenceError`` carrying the value as
-    ``best_value``.  Besides the series catalogue and the parity fold, it
-    shares with the closed forms only the Bernoulli numbers (``BERNOULLI``,
-    for F at order <= 0) and, through ``dirichlet``, the Euler-Maclaurin
-    sum at positive order.
-    """
-    sign, t = _fold(spec, x)
-    target, end_sign = _END_SYMMETRIES[spec.family]
-    table = _limit_table(spec.family, spec.m)
-    far = _limit_table(target, spec.m)
-    end = spec.interval[1]
-    y = (end - t) + end / math.pi * _PI_LO
-    if y * table[-1] < t * far[-1]:  # y/R' < |x|/R
-        table, t, sign = far, y, sign * end_sign
-    coeffs, delta, k_log, log_coeff, h_k, scale, radius = table
-    y = t * t
-    acc = 0.0
-    for coeff in coeffs:
-        acc = acc * y + coeff
-    value = acc * t**delta
-    if log_coeff:
-        value += log_coeff * t**k_log * (math.log(scale * t) - h_k)
-    value *= sign
-    q = y / (radius * radius)
-    omitted = abs(coeffs[0]) * t ** (2 * len(coeffs) - 2 + delta) * q / (1.0 - q)
-    if omitted > _EPS * (1.0 + abs(value)):
-        raise ConvergenceError(
-            f"singular-limit series leaves terms up to {omitted:.3e} at x={x}",
-            best_value=value,
-        )
-    return value
-
-
-# --- Choi-Srivastava identity ------------------------------------------
-
-_CHOI_TERMS = 400  # last k of the lhs series
-
-
-def choi_srivastava_grid(ns, a: float, ts) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the zeta-series identity for every n in ``ns`` and t in ``ts``.
-
-    lhs = sum_{k=2}^{400} zeta(k, a) t^(n+k) / (k)_{n+1}, cut at the first
-          k > 8 whose term is below 1e-19
-    rhs = the closed form over zeta'(-n, a-t), zeta'(-n, a), the binomial
-          sum with harmonic-number weights, and (H_n + psi(a)) t^(n+1)/(n+1)!.
-
-    Returns (lhs, rhs) as two (len(ns), len(ts)) arrays.  Every value at
-    the one offset a is computed once per call: zeta(k, a) and zeta'(k, a)
-    once per integer k, whether the lhs series or the rhs pieces ask for
-    it, (k)_{n+1} once per (k, n), the t-free rhs parts -- zeta'(-n, a)
-    and zeta(k-n, a) (H_n - H_{n-k}) - zeta'(k-n, a) -- once per n, and
-    psi(a) once.  Each entry keeps its own cut, sum and order of
-    operations, so it does not depend on the rest of the grid.
-
-    Domain: integer 0 <= n <= 8, finite a > 0 and |t| < a, and for n >= 2,
-    where the rhs takes zeta'(-n, .) from the Taylor table, a and every
-    a - t below 5/2.  ``DomainError`` is raised before any kernel call
-    outside it, and by the kernels for a value that overflows a float.
-    """
-    import numpy as np
-
-    ns, ts = list(ns), list(ts)
-    if not all(0 <= n <= 8 and n == int(n) for n in ns):
-        raise DomainError(f"choi_srivastava_grid requires integer 0 <= n <= 8, got {ns}")
-    if not 0.0 < a < math.inf:
-        raise DomainError(f"choi_srivastava_grid requires finite a > 0, got a={a}")
-    if not all(abs(t) < a for t in ts):
-        raise DomainError(f"choi_srivastava_grid requires |t| < a, got a={a}, t in {ts}")
-    if max(ns, default=0) >= 2 and not all(a - t < _TAYLOR_MAX_A for t in [0.0] + ts):
-        raise DomainError(f"choi_srivastava_grid at n >= 2 requires a, a - t < {_TAYLOR_MAX_A}")
-    zeta = functools.cache(lambda k: hurwitz_zeta(float(k), a))  # zeta(k, a)
-    deriv = functools.cache(lambda k: hurwitz_zeta_sderiv(float(k), a))  # zeta'(k, a)
-    poch = functools.cache(lambda k, n: pochhammer(float(k), n + 1))  # (k)_{n+1}
-    psi = digamma(a)
-    lhs, rhs = np.empty((len(ns), len(ts))), np.empty((len(ns), len(ts)))
-    for i, n in enumerate(int(n) for n in ns):
-        h_n = harmonic(n)
-        at_a = deriv(-n)
-        pieces = [zeta(k - n) * (h_n - harmonic(n - k)) - deriv(k - n) for k in range(1, n + 1)]
-        for j, t in enumerate(ts):
-            lhs_parts = []
-            for k in range(2, _CHOI_TERMS + 1):
-                term = zeta(k) * t ** (n + k) / poch(k, n)
-                lhs_parts.append(term)
-                if abs(term) < 1e-19 and k > 8:
-                    break
-            lhs[i, j] = math.fsum(lhs_parts)
-            inner = hurwitz_zeta_sderiv(-float(n), a - t) - at_a
-            for k, piece in enumerate(pieces, 1):
-                inner += (-t) ** k * math.comb(n, k) * piece
-            value = (-1.0) ** n / math.factorial(n) * inner
-            rhs[i, j] = value + (h_n + psi) * t ** (n + 1) / math.factorial(n + 1)
-    return lhs, rhs
-
-
-# --- limit probes --------------------------------------------------------
-
-
-def lambda_probe_orders() -> tuple[float, float]:
-    """(order-1, order-2) Richardson extrapolations of s*lambda(1+s) -> 1/2.
-
-    Nodes s in {1e-4, 1e-5, 1e-6} (ratio 10); order 1 uses the two
-    smallest nodes, order 2 all three (Neville to s = 0).
-    """
-    nodes = (1e-4, 1e-5, 1e-6)
-    h = [s * dirichlet_lambda(1.0 + s) for s in nodes]  # s lambda(1 + s)
-    # eliminate the O(s) error term between consecutive nodes
-    r1_ab = (10.0 * h[1] - h[0]) / 9.0
-    r1_bc = (10.0 * h[2] - h[1]) / 9.0
-    # eliminate the O(s^2) term between the two order-1 values
-    r2 = (100.0 * r1_bc - r1_ab) / 99.0
-    return r1_bc, r2

@@ -1,0 +1,393 @@
+"""The ``verify`` suites and the check oracles that only they use.
+
+``SUITES`` maps each suite of ``trigzeta verify`` to a function of the
+output stream returning its (name, passed, detail) checks; only table2
+writes to the stream, its deviation report line.  The check oracles share
+no code with the closed forms' brackets: ``limit_series_eval``, the
+singular limit of the power series over zeta/eta/lambda/beta values at
+integers; ``choi_srivastava_grid``, both sides of the identity under the
+closed forms; and ``lambda_probe_orders``, extrapolations of
+s lambda(1 + s) -> 1/2.  ``trigzeta.cli`` imports this module only when
+``verify`` runs, so the other commands load neither it nor ``fractions``,
+which the limit tables' exact rationals need.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from fractions import Fraction
+
+from .closedforms import (
+    _BRACKET_CONSTANTS, _LITERAL_CONSTANTS, _MAX_WEIGHT, ERRATA, TABLE2_ROWS,
+    SeriesSpec, _bracket_grid, _fold, closed_form_eval,
+)
+from .dirichlet import (
+    SPECIAL_VALUES, beta_fn, dirichlet_lambda, eta, riemann_zeta, zeta_prime_neg_even,
+)
+from .errors import ConvergenceError, DomainError
+from .foundations import BERNOULLI, digamma, harmonic, pochhammer
+from .hurwitz import _TAYLOR_MAX_A, hurwitz_formula_partials, hurwitz_zeta, hurwitz_zeta_sderiv
+from .oracles import _EPS, direct_sum_grid
+
+__all__ = ["SUITES", "limit_series_eval", "choi_srivastava_grid", "lambda_probe_orders"]
+
+# --- singular-limit series ----------------------------------------------
+
+# last order -j whose exact value the tables use: B_64 gives zeta(-63)
+_LIMIT_ORDER = 63
+
+
+def _zeta_at_minus(j: int) -> Fraction:
+    """zeta(-j) = (-1)^j B_{j+1} / (j+1), exactly."""
+    n, d = BERNOULLI[j + 1]
+    return Fraction((-1) ** j * n, d * (j + 1))
+
+
+@functools.cache
+def _euler_numbers() -> tuple[int, ...]:
+    """E_0..E_63 from sum_{i even} C(n, i) E_i = 0 for even n >= 2."""
+    values = [1]
+    for n in range(1, _LIMIT_ORDER + 1):
+        values.append(0 if n % 2 else -sum(math.comb(n, i) * values[i] for i in range(0, n, 2)))
+    return tuple(values)
+
+
+# (sign, a) of the series -> (F, exact F(-j), log factor c, log scale,
+# radius R of the power series in x)
+_LIMIT_ROWS = {
+    (1, 1): (riemann_zeta, _zeta_at_minus, 1.0, 1.0, 2.0 * math.pi),
+    (-1, 1): (eta, lambda j: (1 - 2 ** (j + 1)) * _zeta_at_minus(j), 0.0, 1.0, math.pi),
+    (1, 2): (dirichlet_lambda, lambda j: (1 - 2**j) * _zeta_at_minus(j), 0.5, 0.5, math.pi),
+    (-1, 2): (beta_fn, lambda j: Fraction(_euler_numbers()[j], 2), 0.0, 1.0, 0.5 * math.pi),
+}
+
+
+# family -> (target, sign): at y = E - |x|, E the upper end of the
+# interval, the series is sign times the target's series at y, by the sine
+# or cosine of d(n)(E - y); the weight and so alpha are the same
+_END_SYMMETRIES = {
+    "T1": ("T1", -1.0), "T2": ("T2", 1.0), "T3": ("T1", 1.0), "T4": ("T2", -1.0),
+    "T5": ("T5", 1.0), "T6": ("T6", -1.0), "T7": ("T6", 1.0), "T8": ("T5", 1.0),
+}
+_PI_LO = 1.2246467991473532e-16  # pi - math.pi
+
+
+@functools.cache
+def _limit_table(family: str, m: int) -> tuple:
+    """Horner coefficients in x^2, highest first, and the log-term constants.
+
+    The coefficient of x^(2k+delta) is (-1)^k F(alpha-2k-delta)/(2k+delta)!,
+    exact at order <= 0, from ``dirichlet`` above it, and 0 at the pole
+    index k = m-1 of the rows with a log term.
+    """
+    spec = SeriesSpec.from_family(family, m)
+    f_func, f_exact, c, scale, radius = _LIMIT_ROWS[spec.sign, spec.a]
+    alpha = int(spec.alpha)
+    delta = 1 if spec.kind == "sin" else 0
+    coeffs = []
+    for k in range((_LIMIT_ORDER + alpha - delta) // 2 + 1):
+        order = alpha - 2 * k - delta
+        if c and k == m - 1:
+            coeffs.append(0.0)
+        elif order > 0:
+            coeffs.append((-1) ** k * f_func(float(order)) / math.factorial(2 * k + delta))
+        else:
+            coeffs.append(float((-1) ** k * f_exact(-order) / math.factorial(2 * k + delta)))
+    k_log = alpha - 1
+    log_coeff = c * (-1) ** m / math.factorial(k_log)
+    return tuple(reversed(coeffs)), delta, k_log, log_coeff, harmonic(k_log), scale, radius
+
+
+def limit_series_eval(spec: SeriesSpec, x: float) -> float:
+    """The series of ``spec`` at x as the limit of its power series.
+
+    At the singular alpha the power series over F = zeta, eta, lambda or
+    beta (by family) hits the pole of F at 1; its finite limit is
+
+        sum_{k != m-1} (-1)^k F(alpha-2k-delta) x^(2k+delta)/(2k+delta)!
+          + c (-1)^m x^K (log(scale x) - H_K)/K!,    K = alpha - 1,
+
+    with delta = 1 for sine and 0 for cosine families, and c, scale = 1, 1
+    (zeta), 1/2, 1/2 (lambda) or c = 0 with no skipped index (eta, beta).
+    The sum stops at F(-63), one Horner pass in x^2 over a table built on
+    first use per (family, m).  Of the expansion at 0 and that of the
+    ``_END_SYMMETRIES`` target at y = E - |x|, with y formed from pi in two
+    parts so that it keeps its relative accuracy, the one with the smaller
+    ratio |x|/R or y/R' to its radius of convergence is summed.  That ratio
+    never exceeds 1/2 on the open interval.  The omitted terms are bounded
+    as a geometric series of ratio q = (x/R)^2; where that bound exceeds
+    eps (1 + |value|) it raises ``ConvergenceError`` carrying the value as
+    ``best_value``.  Besides the series catalogue and the parity fold, it
+    shares with the closed forms only the Bernoulli numbers (``BERNOULLI``,
+    for F at order <= 0) and, through ``dirichlet``, the Euler-Maclaurin
+    sum at positive order.
+    """
+    sign, t = _fold(spec, x)
+    target, end_sign = _END_SYMMETRIES[spec.family]
+    table = _limit_table(spec.family, spec.m)
+    far = _limit_table(target, spec.m)
+    end = spec.interval[1]
+    y = (end - t) + end / math.pi * _PI_LO
+    if y * table[-1] < t * far[-1]:  # y/R' < |x|/R
+        table, t, sign = far, y, sign * end_sign
+    coeffs, delta, k_log, log_coeff, h_k, scale, radius = table
+    y = t * t
+    acc = 0.0
+    for coeff in coeffs:
+        acc = acc * y + coeff
+    value = acc * t**delta
+    if log_coeff:
+        value += log_coeff * t**k_log * (math.log(scale * t) - h_k)
+    value *= sign
+    q = y / (radius * radius)
+    omitted = abs(coeffs[0]) * t ** (2 * len(coeffs) - 2 + delta) * q / (1.0 - q)
+    if omitted > _EPS * (1.0 + abs(value)):
+        raise ConvergenceError(
+            f"singular-limit series leaves terms up to {omitted:.3e} at x={x}",
+            best_value=value,
+        )
+    return value
+
+
+# --- Choi-Srivastava identity ------------------------------------------
+
+_CHOI_TERMS = 400  # last k of the lhs series
+
+
+def choi_srivastava_grid(ns, a: float, ts) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the zeta-series identity for every n in ``ns`` and t in ``ts``.
+
+    lhs = sum_{k=2}^{400} zeta(k, a) t^(n+k) / (k)_{n+1}, cut at the first
+          k > 8 whose term is below 1e-19
+    rhs = the closed form over zeta'(-n, a-t), zeta'(-n, a), the binomial
+          sum with harmonic-number weights, and (H_n + psi(a)) t^(n+1)/(n+1)!.
+
+    Returns (lhs, rhs) as two (len(ns), len(ts)) arrays.  Every value at
+    the one offset a is computed once per call: zeta(k, a) and zeta'(k, a)
+    once per integer k, whether the lhs series or the rhs pieces ask for
+    it, (k)_{n+1} once per (k, n), the t-free rhs parts -- zeta'(-n, a)
+    and zeta(k-n, a) (H_n - H_{n-k}) - zeta'(k-n, a) -- once per n, and
+    psi(a) once.  Each entry keeps its own cut, sum and order of
+    operations, so it does not depend on the rest of the grid.
+
+    Domain: integer 0 <= n <= 8, finite a > 0 and |t| < a, and for n >= 2,
+    where the rhs takes zeta'(-n, .) from the Taylor table, a and every
+    a - t below 5/2.  ``DomainError`` is raised before any kernel call
+    outside it, and by the kernels for a value that overflows a float.
+    """
+    import numpy as np
+
+    ns, ts = list(ns), list(ts)
+    if not all(0 <= n <= 8 and n == int(n) for n in ns):
+        raise DomainError(f"choi_srivastava_grid requires integer 0 <= n <= 8, got {ns}")
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"choi_srivastava_grid requires finite a > 0, got a={a}")
+    if not all(abs(t) < a for t in ts):
+        raise DomainError(f"choi_srivastava_grid requires |t| < a, got a={a}, t in {ts}")
+    if max(ns, default=0) >= 2 and not all(a - t < _TAYLOR_MAX_A for t in [0.0] + ts):
+        raise DomainError(f"choi_srivastava_grid at n >= 2 requires a, a - t < {_TAYLOR_MAX_A}")
+    zeta = functools.cache(lambda k: hurwitz_zeta(float(k), a))  # zeta(k, a)
+    deriv = functools.cache(lambda k: hurwitz_zeta_sderiv(float(k), a))  # zeta'(k, a)
+    poch = functools.cache(lambda k, n: pochhammer(float(k), n + 1))  # (k)_{n+1}
+    psi = digamma(a)
+    lhs, rhs = np.empty((len(ns), len(ts))), np.empty((len(ns), len(ts)))
+    for i, n in enumerate(int(n) for n in ns):
+        h_n = harmonic(n)
+        at_a = deriv(-n)
+        pieces = [zeta(k - n) * (h_n - harmonic(n - k)) - deriv(k - n) for k in range(1, n + 1)]
+        for j, t in enumerate(ts):
+            lhs_parts = []
+            for k in range(2, _CHOI_TERMS + 1):
+                term = zeta(k) * t ** (n + k) / poch(k, n)
+                lhs_parts.append(term)
+                if abs(term) < 1e-19 and k > 8:
+                    break
+            lhs[i, j] = math.fsum(lhs_parts)
+            inner = hurwitz_zeta_sderiv(-float(n), a - t) - at_a
+            for k, piece in enumerate(pieces, 1):
+                inner += (-t) ** k * math.comb(n, k) * piece
+            value = (-1.0) ** n / math.factorial(n) * inner
+            rhs[i, j] = value + (h_n + psi) * t ** (n + 1) / math.factorial(n + 1)
+    return lhs, rhs
+
+
+# --- limit probes --------------------------------------------------------
+
+
+def lambda_probe_orders() -> tuple[float, float]:
+    """(order-1, order-2) Richardson extrapolations of s*lambda(1+s) -> 1/2.
+
+    Nodes s in {1e-4, 1e-5, 1e-6} (ratio 10); order 1 uses the two
+    smallest nodes, order 2 all three (Neville to s = 0).
+    """
+    nodes = (1e-4, 1e-5, 1e-6)
+    h = [s * dirichlet_lambda(1.0 + s) for s in nodes]  # s lambda(1 + s)
+    # eliminate the O(s) error term between consecutive nodes
+    r1_ab = (10.0 * h[1] - h[0]) / 9.0
+    r1_bc = (10.0 * h[2] - h[1]) / 9.0
+    # eliminate the O(s^2) term between the two order-1 values
+    r2 = (100.0 * r1_bc - r1_ab) / 99.0
+    return r1_bc, r2
+
+
+# --- verification suites -------------------------------------------------
+
+
+def _suite_special_values():
+    functions = {"zeta": riemann_zeta, "eta": eta, "lambda": dirichlet_lambda, "beta": beta_fn}
+    checks = []
+    for sv in SPECIAL_VALUES:
+        got = functions[sv.function_id](float(sv.argument))
+        ok = abs(got - sv.value) <= 1e-12
+        checks.append(
+            (f"special.{sv.function_id}({sv.argument})", ok,
+             f"got {got!r} want {sv.value!r} [{sv.exactness}]")
+        )
+    return checks
+
+
+def _suite_identities():
+    checks = []
+    xs = [0.4, 1.0, 1.9, 2.7, 3.9]
+    for x in xs:
+        got = closed_form_eval(SeriesSpec.from_family("T2", 1), x).value
+        want = -math.log(2.0 * math.sin(0.5 * x))
+        checks.append((f"identity.T2m1(x={x})", abs(got - want) <= 1e-10,
+                       f"gap {abs(got - want):.3e}"))
+    for x in [-2.5, -1.0, 0.3, 1.4, 2.8]:
+        got = closed_form_eval(SeriesSpec.from_family("T4", 1), x).value
+        want = math.log(2.0 * math.cos(0.5 * x))
+        checks.append((f"identity.T4m1(x={x})", abs(got - want) <= 1e-10,
+                       f"gap {abs(got - want):.3e}"))
+    for n in range(1, 5):
+        got = hurwitz_zeta_sderiv(-2.0 * n, 1.0)
+        want = zeta_prime_neg_even(n)
+        checks.append((f"identity.zeta_sderiv(-{2*n})", abs(got - want) <= 1e-9,
+                       f"gap {abs(got - want):.3e}"))
+    for a in (0.25, 0.5, 0.75, 1.0):
+        got = hurwitz_zeta_sderiv(0.0, a)
+        want = math.lgamma(a) - 0.5 * math.log(2.0 * math.pi)
+        checks.append((f"identity.zeta_sderiv(0,{a})", abs(got - want) <= 1e-10,
+                       f"gap {abs(got - want):.3e}"))
+    # term count kept moderate so the truncation bound stays above the
+    # float64 summation noise floor and the check is meaningful
+    terms = 20_000
+    offsets = (0.25, 0.5, 1.0)
+    for s in (2.0, 3.0):
+        for a, partial in zip(offsets, hurwitz_formula_partials(s, offsets, terms)):
+            want = hurwitz_zeta(1.0 - s, a)
+            bound = 2.0 * math.gamma(s) / (2.0 * math.pi) ** s * terms ** (1.0 - s) / (s - 1.0)
+            gap = abs(partial - want)
+            checks.append((f"identity.hurwitz_formula(s={s},a={a})", gap <= bound,
+                           f"gap {gap:.3e} bound {bound:.3e}"))
+    # s lambda(1 + s) -> 1/2 extrapolated, and eta(1) = log 2 from both sides
+    o1, lam = lambda_probe_orders()
+    eta_val = 0.5 * (eta(1.0 - 1e-6) + eta(1.0 + 1e-6))
+    checks.append(("identity.lambda_limit", abs(lam - 0.5) <= 1e-6,
+                   f"gap {abs(lam - 0.5):.3e}"))
+    checks.append(("identity.eta_at_1", abs(eta_val - math.log(2.0)) <= 1e-8,
+                   f"gap {abs(eta_val - math.log(2.0)):.3e}"))
+    checks.append(("identity.richardson_consistency", abs(o1 - lam) < 1e-7,
+                   f"gap {abs(o1 - lam):.3e}"))
+    return checks
+
+
+def _suite_choi_srivastava():
+    import numpy as np
+
+    # one grid call per offset a, emitted in (n, a, t) order
+    grids = []
+    for a in (1.0, 0.25, 0.75):
+        ts = (0.04, -0.04, 0.2 * a, -0.2 * a)
+        lhs, rhs = choi_srivastava_grid(range(5), a, ts)
+        grids.append((a, ts, np.abs(lhs - rhs).tolist()))
+    checks = []
+    for n in range(5):
+        for a, ts, gaps in grids:
+            for t, gap in zip(ts, gaps[n]):
+                checks.append(
+                    (f"choi.n{n}.a{a}.t{t:+g}", gap <= 1e-9, f"gap {gap:.3e}")
+                )
+    return checks
+
+
+def _worst_gap(values, refs) -> float:
+    """max |value - ref| / (1 + |ref|) over two (weights, points) arrays."""
+    import numpy as np
+
+    return float((np.abs(values - refs) / (1.0 + np.abs(refs))).max())
+
+
+def _suite_table2(out):
+    """Table II rows against independent routes; emits a deviation report.
+
+    On the acceptance grid (m = 1..8, 9 points each), every row's theorem
+    values -- the row with ``ERRATA`` applied, as ``closed_form_grid``
+    gives them -- must lie within 1e-13 (1 + |value|) of the singular-limit
+    series, which refuses no point of the open interval (a refusal would
+    raise ``ConvergenceError``).  A row deviates when its literal reading
+    disagrees with its theorem values beyond 1e-8; that list is measured,
+    not read off ``ERRATA``.  A deviating row passes only if its theorem
+    values also match the independent summation oracle within 1e-8, and
+    the report names the erratum fields that reconcile it.
+
+    Both readings of a row come from one ``_bracket_grid`` call: the
+    corrected and the literal table agree on every zeta' order and offset,
+    so a row costs one kernel pass, and each reading is assembled from it
+    bit for bit as a call of its own would give it.
+    """
+    import json
+
+    import numpy as np
+
+    from .cli import grid_points
+
+    checks = []
+    deviations = []
+    weights = range(1, _MAX_WEIGHT + 1)
+    for row in TABLE2_ROWS:
+        family = row.family
+        xs = grid_points(family, 9)
+        theorems, literals = _bracket_grid(
+            (_BRACKET_CONSTANTS, _LITERAL_CONSTANTS), family, weights, xs
+        )
+        worst_vs_theorem = _worst_gap(literals, theorems)
+        specs = [SeriesSpec.from_family(family, m) for m in weights]
+        limits = np.array([[limit_series_eval(spec, x) for x in xs] for spec in specs])
+        worst_vs_limit = _worst_gap(limits, theorems)
+        if worst_vs_theorem <= 1e-8:
+            checks.append((f"table2.{family}.literal", worst_vs_limit <= 1e-13,
+                           f"max rel gap {worst_vs_theorem:.3e}, theorem-vs-limit "
+                           f"{worst_vs_limit:.3e}"))
+            continue
+        worst_vs_oracle = _worst_gap(theorems, direct_sum_grid(family, weights, xs, 1e-10)[0])
+        theorem_ok = worst_vs_oracle <= 1e-8 and worst_vs_limit <= 1e-13
+        deviations.append(
+            {
+                "row": family,
+                "interpretation": "literal parameter substitution into the "
+                "master formula, affine r/k in m, j=0 rows drop the c-terms",
+                "erratum": ERRATA.get(family),
+                "max_rel_gap_vs_theorem": worst_vs_theorem,
+                "theorem_evaluator_max_rel_gap_vs_oracle": worst_vs_oracle,
+                "theorem_evaluator_passes": theorem_ok,
+            }
+        )
+        checks.append(
+            (f"table2.{family}.deviation-covered", theorem_ok,
+             f"literal gap {worst_vs_theorem:.3e}, theorem-vs-oracle "
+             f"{worst_vs_oracle:.3e}, theorem-vs-limit {worst_vs_limit:.3e}")
+        )
+    report = {"suite": "table2", "deviations": deviations}
+    out.write("TABLE2-DEVIATION-REPORT " + json.dumps(report, sort_keys=True) + "\n")
+    return checks
+
+
+# suite name -> function of the output stream returning the suite's checks
+SUITES = {
+    "special-values": lambda out: _suite_special_values(),
+    "identities": lambda out: _suite_identities(),
+    "choi-srivastava": lambda out: _suite_choi_srivastava(),
+    "table2": _suite_table2,
+}

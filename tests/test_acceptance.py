@@ -25,11 +25,8 @@ from trigzeta.hurwitz import (
     hurwitz_zeta,
     hurwitz_zeta_sderiv,
 )
-from trigzeta.oracles import (
-    choi_srivastava_grid,
-    direct_sum,
-    lambda_probe_orders,
-)
+from trigzeta.oracles import direct_sum
+from trigzeta.verify import choi_srivastava_grid, lambda_probe_orders
 
 FAMILIES = tuple(f"T{i}" for i in range(1, 9))
 

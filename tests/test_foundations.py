@@ -32,19 +32,24 @@ def full_recurrence(count):
 class TestBernoulli:
     def test_known_exact_values(self):
         # [TRIVIAL] textbook rationals, recurrence-checkable by hand
-        assert BERNOULLI[0] == 1
-        assert BERNOULLI[1] == Fraction(-1, 2)
-        assert BERNOULLI[2] == Fraction(1, 6)
-        assert BERNOULLI[4] == Fraction(-1, 30)
-        assert BERNOULLI[12] == Fraction(-691, 2730)
+        assert BERNOULLI[0] == (1, 1)
+        assert BERNOULLI[1] == (-1, 2)
+        assert BERNOULLI[2] == (1, 6)
+        assert BERNOULLI[4] == (-1, 30)
+        assert BERNOULLI[12] == (-691, 2730)
 
     def test_odd_vanish(self):
         for n in range(3, 63, 2):
-            assert BERNOULLI[n] == 0
+            assert BERNOULLI[n] == (0, 1)
 
     def test_table_matches_full_recurrence(self):
         assert len(BERNOULLI) == 65
-        assert BERNOULLI == full_recurrence(65)
+        assert tuple(Fraction(n, d) for n, d in BERNOULLI) == full_recurrence(65)
+
+    def test_pairs_are_integers_in_lowest_terms(self):
+        for n, d in BERNOULLI:
+            assert type(n) is int and type(d) is int
+            assert d > 0 and math.gcd(n, d) == 1, (n, d)
 
 
 class TestHarmonicAndPochhammer:

@@ -162,7 +162,7 @@ class TestCorrections:
         assert len(weights) == 32
         for j, (coeff, poch, dpoch) in enumerate(weights, 1):
             n = 2 * j - 1
-            assert coeff == float(BERNOULLI[2 * j]) / math.factorial(2 * j)
+            assert coeff == float(Fraction(*BERNOULLI[2 * j])) / math.factorial(2 * j)
             assert poch == pochhammer(s, n)
             ref, scale = prefix_suffix_sderiv(s, n)
             assert abs(dpoch - ref) <= 2 * n * 2.0**-52 * scale, (j, dpoch, ref)
@@ -229,7 +229,9 @@ def bernoulli_zeta(j, a):
     """zeta(-j, a) = -B_{j+1}(a) / (j+1) as an exact Fraction at the float a."""
     n = j + 1
     a = Fraction(a)
-    return -sum(math.comb(n, k) * BERNOULLI[k] * a ** (n - k) for k in range(n + 1)) / n
+    return -sum(
+        math.comb(n, k) * Fraction(*BERNOULLI[k]) * a ** (n - k) for k in range(n + 1)
+    ) / n
 
 
 class TestBernoulliRoute:
@@ -246,6 +248,32 @@ class TestBernoulliRoute:
             want = bernoulli_zeta(j, a)
             got = hurwitz_zeta(s, a)
             assert abs(Fraction(got) - want) <= gate * (1 + abs(want)), (j, a, got)
+
+
+class TestTablesFromPairs:
+    # each float reader of the (numerator, denominator) pairs gives, bit for
+    # bit, the float computed from B_n as an exact Fraction, rounded at the
+    # same step
+    FRACTIONS = [Fraction(n, d) for n, d in BERNOULLI]
+
+    def test_euler_maclaurin_coefficients(self):
+        want = tuple(float(self.FRACTIONS[2 * j]) / math.factorial(2 * j) for j in range(1, 33))
+        assert hurwitz._EM_COEFFS == want
+
+    def test_bernoulli_rows(self):
+        want = tuple(
+            tuple(float(-math.comb(j + 1, k) * self.FRACTIONS[k] / (j + 1)) for k in range(j + 2))
+            for j in range(2, 16)
+        )
+        assert hurwitz._BERNOULLI_ROWS == want
+
+    def test_taylor_rows(self, monkeypatch):
+        # with B_n held as the pair (B_n as a Fraction, 1), each n / (d ...)
+        # of the build stays an exact Fraction until it meets a float, and
+        # is rounded once there
+        monkeypatch.setattr(hurwitz, "BERNOULLI", tuple((b, 1) for b in self.FRACTIONS))
+        hurwitz._zeta_positive.cache_clear()
+        assert hurwitz._taylor_rows() == hurwitz._TAYLOR
 
 
 REFERENCE = json.loads(Path(__file__).with_name("reference.json").read_text())

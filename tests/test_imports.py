@@ -1,7 +1,9 @@
 """Each route loads only the modules it uses, checked in a fresh interpreter.
 
 Only the grid routes load numpy, only the routes that write JSON load
-json, and no route loads dataclasses.
+json, only ``verify`` loads the suites (``trigzeta.verify``) and the
+exact rationals of ``fractions`` and ``decimal``, and no route loads
+dataclasses.
 """
 
 import os
@@ -56,3 +58,19 @@ def test_numpy_is_loaded_only_by_grid_routes(route):
 @pytest.mark.parametrize("route", ROUTES)
 def test_json_only_where_json_is_written_and_never_dataclasses(route):
     assert run_fresh(ROUTES[route], ["json", "dataclasses"]) == f"0 {route == 'eval-json'} False"
+
+
+@pytest.mark.parametrize("route", [route for route in ROUTES if not route.startswith("verify")])
+def test_only_verify_loads_the_suites_and_exact_rationals(route):
+    modules = ["fractions", "decimal", "trigzeta.verify"]
+    assert run_fresh(ROUTES[route], modules) == "0 False False False"
+
+
+def test_verify_loads_the_suites():
+    assert run_fresh(ROUTES["verify-special-values"], ["trigzeta.verify"]) == "0 True"
+
+
+def test_import_cli_loads_dirichlet():
+    # the benchmark tracer reads sys.modules["trigzeta.dirichlet"] when it
+    # installs, so the package must not load dirichlet lazily
+    assert run_fresh(ROUTES["import-cli"], ["trigzeta.dirichlet"]) == "0 True"

@@ -12,19 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trigzeta import oracles
-from trigzeta.cli import _suite_choi_srivastava, grid_points, make_records
+from trigzeta import oracles, verify
+from trigzeta.cli import grid_points, make_records
 from trigzeta.closedforms import SeriesSpec, closed_form_eval
 from trigzeta.dirichlet import eta
 from trigzeta.errors import ConvergenceError, DomainError
 from trigzeta.foundations import digamma, harmonic, pochhammer
 from trigzeta.hurwitz import hurwitz_zeta, hurwitz_zeta_sderiv
-from trigzeta.oracles import (
-    DIRECT_TERM_CAP,
-    OracleReport,
+from trigzeta.oracles import DIRECT_TERM_CAP, OracleReport, direct_sum, direct_sum_grid
+from trigzeta.verify import (
+    _suite_choi_srivastava,
     choi_srivastava_grid,
-    direct_sum,
-    direct_sum_grid,
     lambda_probe_orders,
     limit_series_eval,
 )
@@ -695,8 +693,8 @@ class TestChoiSrivastava:
         def spy(kernel):
             return lambda s, x: calls.append((kernel.__name__, s, x)) or kernel(s, x)
 
-        monkeypatch.setattr(oracles, "hurwitz_zeta", spy(hurwitz_zeta))
-        monkeypatch.setattr(oracles, "hurwitz_zeta_sderiv", spy(hurwitz_zeta_sderiv))
+        monkeypatch.setattr(verify, "hurwitz_zeta", spy(hurwitz_zeta))
+        monkeypatch.setattr(verify, "hurwitz_zeta_sderiv", spy(hurwitz_zeta_sderiv))
         with pytest.raises(DomainError):
             choi_srivastava_grid(ns, a, ts)
         assert calls == []
@@ -710,7 +708,7 @@ class TestChoiSrivastava:
             calls.append((s, a))
             return hurwitz_zeta(s, a)
 
-        monkeypatch.setattr(oracles, "hurwitz_zeta", counted)
+        monkeypatch.setattr(verify, "hurwitz_zeta", counted)
         first = _suite_choi_srivastava()
         count = len(calls)
         assert count == len(set(calls)) > 0
