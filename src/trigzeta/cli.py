@@ -12,12 +12,12 @@ Exit codes: 0 success, 2 domain error, 3 convergence error,
 ordered by (family, m, x) and numbers are printed with 17 significant
 digits in machine formats (12 in human format).
 
-Each call builds the parser of the one subcommand it names (``COMMANDS``
-holds each subcommand's arguments once); the full parser of
-``build_parser`` is built only for root help and root-level errors.
-The suites and the check oracles that only they use live in
-``trigzeta.verify``, which ``verify`` imports when it runs, so the other
-subcommands never load them.
+Each call builds the parser of the one subcommand it names from
+``COMMANDS``, the one table of each subcommand's help line, function and
+arguments; the full parser is built only for root help and root-level
+errors.  ``read_tol`` gives the tolerance: --tol, $TRIGZETA_TOL or
+``DEFAULT_TOL``.  The suites live in ``trigzeta.verify``, which only
+``verify`` imports, when it runs.
 """
 
 from __future__ import annotations
@@ -28,14 +28,15 @@ import math
 import os
 import sys
 
-from .closedforms import _MAX_WEIGHT, SERIES, SeriesSpec, closed_form_eval, closed_form_grid
+from .closedforms import (  # MAX_GRID for the callers that read it as cli.MAX_GRID
+    _MAX_WEIGHT, MAX_GRID, SERIES, SeriesSpec, closed_form_eval, closed_form_grid, grid_points,
+)
 from .errors import DomainError, TrigZetaError, VerificationError
 from .hurwitz import hurwitz_zeta_sderiv
 from .oracles import direct_sum_grid
 
 TOL_ENV_VAR = "TRIGZETA_TOL"
 DEFAULT_TOL = 1e-8
-MAX_GRID = 10_000
 
 FAMILIES = tuple(SERIES)
 
@@ -89,8 +90,13 @@ def parse_m_range(text: str) -> list[int]:
     return list(range(lo, hi + 1)) if ".." in t else sorted(set(weights))
 
 
-def parse_tol(text: str, source: str) -> float:
-    """A tolerance from --tol or the environment: finite and positive."""
+def read_tol(flag: str | None) -> float:
+    """--tol if given, else $TRIGZETA_TOL, else ``DEFAULT_TOL``: finite and positive."""
+    source, text = "--tol", flag
+    if flag is None:
+        source, text = TOL_ENV_VAR, os.environ.get(TOL_ENV_VAR)
+    if text is None:
+        return DEFAULT_TOL
     try:
         tol = float(text)
     except ValueError:
@@ -98,23 +104,6 @@ def parse_tol(text: str, source: str) -> float:
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"{source} must be a finite positive number, got {text!r}")
     return tol
-
-
-def default_tol() -> float:
-    raw = os.environ.get(TOL_ENV_VAR)
-    if raw is None:
-        return DEFAULT_TOL
-    return parse_tol(raw, TOL_ENV_VAR)
-
-
-def grid_points(family: str, count: int) -> list[float]:
-    """count interior points with a 5% endpoint offset on each side."""
-    lo, hi = SeriesSpec.from_family(family, 1).interval
-    if not 1 <= count <= MAX_GRID:
-        raise DomainError(f"grid count must lie in [1, {MAX_GRID}], got {count}")
-    if count == 1:
-        return [lo + 0.5 * (hi - lo)]
-    return [lo + (0.05 + 0.9 * i / (count - 1)) * (hi - lo) for i in range(count)]
 
 
 def make_records(family: str, weights, xs, tol: float) -> dict[str, list]:
@@ -147,6 +136,13 @@ def make_records(family: str, weights, xs, tol: float) -> dict[str, list]:
     return dict(zip(CSV_HEADER, columns))
 
 
+def _write_json(doc, out) -> None:
+    import json
+
+    json.dump(doc, out, indent=2)
+    out.write("\n")
+
+
 def _emit_records(records: dict[str, list], fmt: str, out) -> None:
     rows = zip(*(records[name] for name in CSV_HEADER))
     if fmt == "csv":
@@ -162,10 +158,7 @@ def _emit_records(records: dict[str, list], fmt: str, out) -> None:
             for family, m, x, closed, oracle, abs_err, rel_err, method, terms in rows
         ))
     elif fmt == "json":
-        import json
-
-        json.dump([dict(zip(CSV_HEADER, row)) for row in rows], out, indent=2)
-        out.write("\n")
+        _write_json([dict(zip(CSV_HEADER, row)) for row in rows], out)
     else:
         for family, m, x, closed, oracle, _, rel_err, method, terms in rows:
             out.write(
@@ -181,9 +174,7 @@ def cmd_eval(args, out) -> int:
     spec = SeriesSpec.from_family(args.family, args.m)
     result = closed_form_eval(spec, x)
     if args.format == "json":
-        import json
-
-        doc = {
+        _write_json({
             "family": args.family,
             "m": args.m,
             "x": x,
@@ -193,9 +184,7 @@ def cmd_eval(args, out) -> int:
                 {"coeff": c, "s": s, "a": a, "zeta_sderiv": hurwitz_zeta_sderiv(s, a)}
                 for c, s, a in result.terms
             ],
-        }
-        json.dump(doc, out, indent=2)
-        out.write("\n")
+        }, out)
     else:
         machine = args.format == "csv"
         out.write(f"family={args.family} m={args.m} x={_fmt(x, machine)}\n")
@@ -212,7 +201,7 @@ def cmd_eval(args, out) -> int:
 def cmd_compare(args, out) -> int:
     import numpy as np
 
-    tol = default_tol() if args.tol is None else parse_tol(args.tol, "--tol")
+    tol = read_tol(args.tol)
     records = make_records(args.family, [args.m], grid_points(args.family, args.grid), tol)
     _emit_records(records, args.format, out)
     max_rel = float(np.max(records["rel_err"]))  # nan if any rel_err is nan
@@ -226,7 +215,7 @@ def cmd_compare(args, out) -> int:
 
 
 def cmd_sweep(args, out) -> int:
-    tol = default_tol() if args.tol is None else parse_tol(args.tol, "--tol")
+    tol = read_tol(args.tol)
     weights = parse_m_range(args.m)
     records = make_records(args.family, weights, grid_points(args.family, args.grid), tol)
     _emit_records(records, args.format if args.format != "text" else "csv", out)
@@ -242,14 +231,10 @@ def cmd_verify(args, out) -> int:
         all_checks.extend(SUITES[name](out))
     failed = [c for c in all_checks if not c[1]]
     if args.format == "json":
-        import json
-
-        doc = [
+        _write_json([
             {"check": name, "passed": ok, "detail": detail}
             for name, ok, detail in all_checks
-        ]
-        json.dump(doc, out, indent=2)
-        out.write("\n")
+        ], out)
     else:
         for name, ok, detail in all_checks:
             out.write(f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n")
@@ -259,58 +244,35 @@ def cmd_verify(args, out) -> int:
     return 0
 
 
-def _add_common(p, need_family=True):
-    if need_family:
-        p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--format", choices=("csv", "json", "text"), default="text")
-    p.add_argument("--out", default=None, help="write output to this file")
+# argument specs: (flag, keywords of ``add_argument``)
+_FAMILY = ("--family", {"required": True, "choices": FAMILIES})
+_FORMAT = ("--format", {"choices": ("csv", "json", "text"), "default": "text"})
+_OUT = ("--out", {"help": "write output to this file"})
+_M = ("--m", {"type": int, "required": True})
+_WEIGHTS = ("--m", {"required": True, "help": "weight range: 2, 1..3, or 1,2,3"})
+_X = ("--x", {"required": True, "help": "number or pi-multiple, e.g. 0.5pi"})
+_GRID = ("--grid", {"type": int, "default": 9})
+_TOL = ("--tol", {"help": f"tolerance (default from ${TOL_ENV_VAR} or {DEFAULT_TOL})"})
+_SUITE = ("--suite", {"default": "all", "choices": (
+    "special-values", "identities", "choi-srivastava", "table2", "all")})
 
-
-def _add_tol(p):  # for the two subcommands that compare
-    p.add_argument("--tol", default=None,
-                   help=f"tolerance (default from ${TOL_ENV_VAR} or {DEFAULT_TOL})")
-
-
-def _add_eval(p):
-    _add_common(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--x", required=True, help="number or pi-multiple, e.g. 0.5pi")
-    p.set_defaults(func=cmd_eval)
-
-
-def _add_compare(p):
-    _add_common(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--grid", type=int, default=9)
-    _add_tol(p)
-    p.set_defaults(func=cmd_compare)
-
-
-def _add_sweep(p):
-    _add_common(p)
-    p.add_argument("--m", required=True, help="weight range: 2, 1..3, or 1,2,3")
-    p.add_argument("--grid", type=int, default=9)
-    _add_tol(p)
-    p.set_defaults(func=cmd_sweep)
-
-
-def _add_verify(p):
-    _add_common(p, need_family=False)
-    p.add_argument(
-        "--suite",
-        choices=("special-values", "identities", "choi-srivastava", "table2", "all"),
-        default="all",
-    )
-    p.set_defaults(func=cmd_verify)
-
-
-# subcommand name -> (its line in the root help, the function adding its arguments)
+# subcommand name -> (its line in the root help, its function, its argument specs in order)
 COMMANDS = {
-    "eval": ("closed form at one point", _add_eval),
-    "compare": ("closed form vs oracle on a grid", _add_compare),
-    "sweep": ("compare over a weight range, CSV/JSON", _add_sweep),
-    "verify": ("run property suites", _add_verify),
+    "eval": ("closed form at one point", cmd_eval, (_FAMILY, _FORMAT, _OUT, _M, _X)),
+    "compare": ("closed form vs oracle on a grid", cmd_compare,
+                (_FAMILY, _FORMAT, _OUT, _M, _GRID, _TOL)),
+    "sweep": ("compare over a weight range, CSV/JSON", cmd_sweep,
+              (_FAMILY, _FORMAT, _OUT, _WEIGHTS, _GRID, _TOL)),
+    "verify": ("run property suites", cmd_verify, (_FORMAT, _OUT, _SUITE)),
 }
+
+
+def _add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
+    """Give ``parser`` the arguments of ``command`` from ``COMMANDS``, in order."""
+    _, func, specs = COMMANDS[command]
+    for flag, keywords in specs:
+        parser.add_argument(flag, **keywords)
+    parser.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
         "derivatives, with independent summation oracles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+    for name, (help_text, _, _) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
@@ -338,7 +300,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     if argv and argv[0] in COMMANDS:
         command = argv[0]
         parser = argparse.ArgumentParser(prog=f"trigzeta {command}")
-        COMMANDS[command][1](parser)
+        _add_arguments(parser, command)
         args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=command))
         if not extras:
             return args
@@ -367,12 +329,9 @@ def main(argv=None) -> int:
     code = 0
     try:
         code = args.func(args, buffer)
-    except TrigZetaError as exc:
+    except (TrigZetaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        code = exc.exit_code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = 1
+        code = exc.exit_code if isinstance(exc, TrigZetaError) else 1
     text = buffer.getvalue()
     if args.out is not None:
         try:

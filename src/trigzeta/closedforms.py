@@ -50,6 +50,7 @@ __all__ = [
     "ClosedFormResult",
     "closed_form_eval",
     "closed_form_grid",
+    "grid_points",
     "GeneralFormulaParams",
     "TABLE2_ROWS",
     "general_closed_form",
@@ -58,6 +59,7 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 _TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - _TWO_PI
 _MAX_WEIGHT = 8
+MAX_GRID = 10_000  # most points of a grid_points grid
 
 
 class GeneralFormulaParams(NamedTuple):
@@ -143,6 +145,16 @@ class SeriesSpec(NamedTuple):
         # between consecutive zeros of 1 - sign e^{iax}, where the series is singular
         hi = _TWO_PI / (a * (2 if sign < 0 else 1))
         return cls(family, m, kind, sign, a, b, 2 * m + p - 1, (-hi if sign < 0 else 0.0, hi))
+
+
+def grid_points(family: str, count: int) -> list[float]:
+    """count interior points with a 5% endpoint offset on each side."""
+    lo, hi = SeriesSpec.from_family(family, 1).interval
+    if not 1 <= count <= MAX_GRID:
+        raise DomainError(f"grid count must lie in [1, {MAX_GRID}], got {count}")
+    if count == 1:
+        return [lo + 0.5 * (hi - lo)]
+    return [lo + (0.05 + 0.9 * i / (count - 1)) * (hi - lo) for i in range(count)]
 
 
 class ClosedFormResult(NamedTuple):

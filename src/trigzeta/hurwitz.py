@@ -84,6 +84,9 @@ _EM_COEFFS = tuple(
 _MAX_N = 15  # s = 1 - alpha for weights m <= 8; both integer-order tables stop here
 _TAYLOR_MAX_A = 2.5  # one recentring step keeps |t| <= 1/2
 _EULER_GAMMA = 0.5772156649015329
+# above this order every term (k + a)^-s with k + a >= 2 underflows to 0.0,
+# so 16 direct terms give the bits of the ceil(s) + 12 that serve below it
+_EM_UNDERFLOW_S = 1100.0
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -126,7 +129,7 @@ def _em(s: float, a: float) -> tuple[float, float, EulerMaclaurinPlan]:
         raise DomainError(f"Hurwitz zeta needs finite s and a, got s={s}, a={a}")
     if s <= -2.0:
         raise DomainError(f"no route serves s={s} at a={a}: Euler-Maclaurin needs s > -2")
-    shift_n = max(16, math.ceil(abs(s)) + 12)
+    shift_n = 16 if s > _EM_UNDERFLOW_S else max(16, math.ceil(abs(s)) + 12)
     log_base = math.log(shift_n + a)
     parts, dparts = [], []
     for k in range(shift_n):
@@ -139,7 +142,8 @@ def _em(s: float, a: float) -> tuple[float, float, EulerMaclaurinPlan]:
     half = 0.5 * math.exp(-s * log_base)
     parts += [tail_pow / (s - 1.0), half]
     dparts += [
-        -tail_pow * (log_base / (s - 1.0) + 1.0 / (s - 1.0) ** 2),
+        # -0.0 once tail_pow underflows; (s - 1)**2 would overflow from s ~ 1.34e154
+        -tail_pow * (log_base / (s - 1.0) + 1.0 / (s - 1.0) ** 2) if tail_pow else -tail_pow,
         -log_base * half,
     ]
     # Optimal truncation of the asymptotic correction series: cut at the

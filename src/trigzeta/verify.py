@@ -7,9 +7,9 @@ no code with the closed forms' brackets: ``limit_series_eval``, the
 singular limit of the power series over zeta/eta/lambda/beta values at
 integers; ``choi_srivastava_grid``, both sides of the identity under the
 closed forms; and ``lambda_probe_orders``, extrapolations of
-s lambda(1 + s) -> 1/2.  ``trigzeta.cli`` imports this module only when
-``verify`` runs, so the other commands load neither it nor ``fractions``,
-which the limit tables' exact rationals need.
+s lambda(1 + s) -> 1/2.  It imports nothing from ``trigzeta.cli``, which
+imports it only when ``verify`` runs, so the other commands load neither
+it nor ``fractions``, which the limit tables' exact rationals need.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .closedforms import (
     _BRACKET_CONSTANTS, _LITERAL_CONSTANTS, _MAX_WEIGHT, ERRATA, TABLE2_ROWS,
-    SeriesSpec, _bracket_grid, _fold, closed_form_eval,
+    SeriesSpec, _bracket_grid, _fold, closed_form_eval, grid_points,
 )
 from .dirichlet import (
     SPECIAL_VALUES, beta_fn, dirichlet_lambda, eta, riemann_zeta, zeta_prime_neg_even,
@@ -234,6 +234,12 @@ def lambda_probe_orders() -> tuple[float, float]:
 # --- verification suites -------------------------------------------------
 
 
+def _close(name: str, got: float, want: float, bound: float) -> tuple[str, bool, str]:
+    """The check that |got - want| <= bound, with the gap as its detail."""
+    gap = abs(got - want)
+    return name, gap <= bound, f"gap {gap:.3e}"
+
+
 def _suite_special_values():
     functions = {"zeta": riemann_zeta, "eta": eta, "lambda": dirichlet_lambda, "beta": beta_fn}
     checks = []
@@ -248,28 +254,18 @@ def _suite_special_values():
 
 
 def _suite_identities():
-    checks = []
-    xs = [0.4, 1.0, 1.9, 2.7, 3.9]
-    for x in xs:
-        got = closed_form_eval(SeriesSpec.from_family("T2", 1), x).value
-        want = -math.log(2.0 * math.sin(0.5 * x))
-        checks.append((f"identity.T2m1(x={x})", abs(got - want) <= 1e-10,
-                       f"gap {abs(got - want):.3e}"))
-    for x in [-2.5, -1.0, 0.3, 1.4, 2.8]:
-        got = closed_form_eval(SeriesSpec.from_family("T4", 1), x).value
-        want = math.log(2.0 * math.cos(0.5 * x))
-        checks.append((f"identity.T4m1(x={x})", abs(got - want) <= 1e-10,
-                       f"gap {abs(got - want):.3e}"))
-    for n in range(1, 5):
-        got = hurwitz_zeta_sderiv(-2.0 * n, 1.0)
-        want = zeta_prime_neg_even(n)
-        checks.append((f"identity.zeta_sderiv(-{2*n})", abs(got - want) <= 1e-9,
-                       f"gap {abs(got - want):.3e}"))
-    for a in (0.25, 0.5, 0.75, 1.0):
-        got = hurwitz_zeta_sderiv(0.0, a)
-        want = math.lgamma(a) - 0.5 * math.log(2.0 * math.pi)
-        checks.append((f"identity.zeta_sderiv(0,{a})", abs(got - want) <= 1e-10,
-                       f"gap {abs(got - want):.3e}"))
+    t2, t4 = SeriesSpec.from_family("T2", 1), SeriesSpec.from_family("T4", 1)
+    checks = [_close(f"identity.T2m1(x={x})", closed_form_eval(t2, x).value,
+                     -math.log(2.0 * math.sin(0.5 * x)), 1e-10)
+              for x in [0.4, 1.0, 1.9, 2.7, 3.9]]
+    checks += [_close(f"identity.T4m1(x={x})", closed_form_eval(t4, x).value,
+                      math.log(2.0 * math.cos(0.5 * x)), 1e-10)
+               for x in [-2.5, -1.0, 0.3, 1.4, 2.8]]
+    checks += [_close(f"identity.zeta_sderiv(-{2*n})", hurwitz_zeta_sderiv(-2.0 * n, 1.0),
+                      zeta_prime_neg_even(n), 1e-9) for n in range(1, 5)]
+    checks += [_close(f"identity.zeta_sderiv(0,{a})", hurwitz_zeta_sderiv(0.0, a),
+                      math.lgamma(a) - 0.5 * math.log(2.0 * math.pi), 1e-10)
+               for a in (0.25, 0.5, 0.75, 1.0)]
     # term count kept moderate so the truncation bound stays above the
     # float64 summation noise floor and the check is meaningful
     terms = 20_000
@@ -284,36 +280,30 @@ def _suite_identities():
     # s lambda(1 + s) -> 1/2 extrapolated, and eta(1) = log 2 from both sides
     o1, lam = lambda_probe_orders()
     eta_val = 0.5 * (eta(1.0 - 1e-6) + eta(1.0 + 1e-6))
-    checks.append(("identity.lambda_limit", abs(lam - 0.5) <= 1e-6,
-                   f"gap {abs(lam - 0.5):.3e}"))
-    checks.append(("identity.eta_at_1", abs(eta_val - math.log(2.0)) <= 1e-8,
-                   f"gap {abs(eta_val - math.log(2.0)):.3e}"))
+    checks.append(_close("identity.lambda_limit", lam, 0.5, 1e-6))
+    checks.append(_close("identity.eta_at_1", eta_val, math.log(2.0), 1e-8))
     checks.append(("identity.richardson_consistency", abs(o1 - lam) < 1e-7,
                    f"gap {abs(o1 - lam):.3e}"))
     return checks
 
 
 def _suite_choi_srivastava():
-    import numpy as np
-
     # one grid call per offset a, emitted in (n, a, t) order
     grids = []
     for a in (1.0, 0.25, 0.75):
         ts = (0.04, -0.04, 0.2 * a, -0.2 * a)
         lhs, rhs = choi_srivastava_grid(range(5), a, ts)
-        grids.append((a, ts, np.abs(lhs - rhs).tolist()))
-    checks = []
-    for n in range(5):
-        for a, ts, gaps in grids:
-            for t, gap in zip(ts, gaps[n]):
-                checks.append(
-                    (f"choi.n{n}.a{a}.t{t:+g}", gap <= 1e-9, f"gap {gap:.3e}")
-                )
-    return checks
+        grids.append((a, ts, lhs.tolist(), rhs.tolist()))
+    return [
+        _close(f"choi.n{n}.a{a}.t{t:+g}", got, want, 1e-9)
+        for n in range(5)
+        for a, ts, lhs, rhs in grids
+        for t, got, want in zip(ts, lhs[n], rhs[n])
+    ]
 
 
 def _worst_gap(values, refs) -> float:
-    """max |value - ref| / (1 + |ref|) over two (weights, points) arrays."""
+    """max |value - ref| / (1 + |ref|) over (weights, points) arrays; refs an ndarray."""
     import numpy as np
 
     return float((np.abs(values - refs) / (1.0 + np.abs(refs))).max())
@@ -339,10 +329,6 @@ def _suite_table2(out):
     """
     import json
 
-    import numpy as np
-
-    from .cli import grid_points
-
     checks = []
     deviations = []
     weights = range(1, _MAX_WEIGHT + 1)
@@ -354,7 +340,7 @@ def _suite_table2(out):
         )
         worst_vs_theorem = _worst_gap(literals, theorems)
         specs = [SeriesSpec.from_family(family, m) for m in weights]
-        limits = np.array([[limit_series_eval(spec, x) for x in xs] for spec in specs])
+        limits = [[limit_series_eval(spec, x) for x in xs] for spec in specs]
         worst_vs_limit = _worst_gap(limits, theorems)
         if worst_vs_theorem <= 1e-8:
             checks.append((f"table2.{family}.literal", worst_vs_limit <= 1e-13,

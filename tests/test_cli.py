@@ -95,6 +95,14 @@ class TestEval:
         assert code == 2
         assert "error" in err
 
+    def test_os_error_exit_code(self, capsys, monkeypatch):
+        def full_disk(spec, x):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "closed_form_eval", full_disk)
+        code, out, err = run_cli(["eval", "--family", "T1", "--m", "1", "--x", "0.3"], capsys)
+        assert (code, out, err) == (1, "", "error: [Errno 28] No space left on device\n")
+
     @pytest.mark.parametrize("x, want_code", [
         ("-0.25pi", 0), ("-0.5pi", 0), ("-0.1", 0), ("0.5pi", 0),
         # -pi is outside every family's open interval: refused by the
@@ -571,6 +579,87 @@ class TestParseRoute:
                               "--format", "csv"], capsys)
         assert code == 0
         assert built == ["trigzeta sweep"]
+
+
+# `trigzeta -h` and `trigzeta <command> -h` at COLUMNS=80, as argparse prints
+# them on Python 3.10-3.12: an option dropped, renamed or moved changes them
+HELP = {
+    "": """\
+usage: trigzeta [-h] {eval,compare,sweep,verify} ...
+
+Closed forms of trigonometric series over Hurwitz zeta derivatives, with
+independent summation oracles.
+
+positional arguments:
+  {eval,compare,sweep,verify}
+    eval                closed form at one point
+    compare             closed form vs oracle on a grid
+    sweep               compare over a weight range, CSV/JSON
+    verify              run property suites
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "eval": """\
+usage: trigzeta eval [-h] --family {T1,T2,T3,T4,T5,T6,T7,T8}
+                     [--format {csv,json,text}] [--out OUT] --m M --x X
+
+options:
+  -h, --help            show this help message and exit
+  --family {T1,T2,T3,T4,T5,T6,T7,T8}
+  --format {csv,json,text}
+  --out OUT             write output to this file
+  --m M
+  --x X                 number or pi-multiple, e.g. 0.5pi
+""",
+    "compare": """\
+usage: trigzeta compare [-h] --family {T1,T2,T3,T4,T5,T6,T7,T8}
+                        [--format {csv,json,text}] [--out OUT] --m M
+                        [--grid GRID] [--tol TOL]
+
+options:
+  -h, --help            show this help message and exit
+  --family {T1,T2,T3,T4,T5,T6,T7,T8}
+  --format {csv,json,text}
+  --out OUT             write output to this file
+  --m M
+  --grid GRID
+  --tol TOL             tolerance (default from $TRIGZETA_TOL or 1e-08)
+""",
+    "sweep": """\
+usage: trigzeta sweep [-h] --family {T1,T2,T3,T4,T5,T6,T7,T8}
+                      [--format {csv,json,text}] [--out OUT] --m M
+                      [--grid GRID] [--tol TOL]
+
+options:
+  -h, --help            show this help message and exit
+  --family {T1,T2,T3,T4,T5,T6,T7,T8}
+  --format {csv,json,text}
+  --out OUT             write output to this file
+  --m M                 weight range: 2, 1..3, or 1,2,3
+  --grid GRID
+  --tol TOL             tolerance (default from $TRIGZETA_TOL or 1e-08)
+""",
+    "verify": """\
+usage: trigzeta verify [-h] [--format {csv,json,text}] [--out OUT]
+                       [--suite {special-values,identities,choi-srivastava,table2,all}]
+
+options:
+  -h, --help            show this help message and exit
+  --format {csv,json,text}
+  --out OUT             write output to this file
+  --suite {special-values,identities,choi-srivastava,table2,all}
+""",
+}
+
+
+@pytest.mark.parametrize("command", HELP)
+def test_help_text_is_pinned(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"] if command else ["-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (HELP[command], "")
 
 
 # digit-free text: float() reads none of it as a finite number, and

@@ -2,7 +2,12 @@
 
 import json
 import math
+import os
+import random
 import re
+import struct
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -223,6 +228,54 @@ class TestSinglePassKernel:
             em_only = s <= 0.0 and s == int(s)
             got = _em(s, a)[1] if em_only else hurwitz_zeta_sderiv(s, a)
             assert got == deriv, (s, a)
+
+
+def _outcome(fn, *args):
+    """The bits of each float fn returns, or the name of what it raises."""
+    try:
+        return [struct.pack("<d", v) for v in fn(*args)[:2]]
+    except ArithmeticError as exc:
+        return type(exc).__name__
+
+
+class TestHugeOrders:
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    def test_huge_orders_return(self):
+        # run apart, so that a hang fails this test and not the whole run: the
+        # direct sum used to take ceil(s) + 12 terms, forever at s = 1e300
+        script = (
+            "from trigzeta.errors import DomainError\n"
+            "from trigzeta.hurwitz import hurwitz_zeta, hurwitz_zeta_sderiv\n"
+            "assert hurwitz_zeta(1e300, 1.0) == 1.0\n"
+            "assert hurwitz_zeta_sderiv(1e300, 1.0) == 0.0\n"
+            "assert hurwitz_zeta(1e6, 1.5) == 0.0\n"
+            "try:\n"
+            "    hurwitz_zeta(2000.0, 0.6)\n"
+            "    raise SystemExit('no DomainError at s=2000, a=0.6')\n"
+            "except DomainError:\n"
+            "    pass\n"
+        )
+        path = os.pathsep.join(filter(None, [str(self.SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_short_sum_equals_the_full_one(self):
+        # above s = 1100 every term with k + a >= 2 underflows to 0.0, so 16
+        # direct terms give the bits of two_pass_kernel's ceil(s) + 12, signs
+        # of zero included, and overflow where it overflows
+        rng = random.Random(29)
+        points = [(math.nextafter(1100.0, math.inf), a) for a in (0.5, 1.0, 2.0, 8.0)]
+        points += [(3e4, a) for a in (1e-3, 1.0, math.nextafter(2.0, 0.0), 2.0)]
+        # half the offsets in [1/2, 2], where a^-s may be neither 0.0 nor overflow
+        points += [(math.exp(rng.uniform(math.log(1100.0), math.log(3e4))),
+                    rng.uniform(0.5, 2.0) if i % 2 else rng.uniform(1e-3, 8.0)) for i in range(80)]
+        for s, a in points:
+            assert _outcome(_em, s, a) == _outcome(two_pass_kernel, s, a), (s, a)
+            assert plan_for(s, 1.0).shift_n == 16
 
 
 def bernoulli_zeta(j, a):

@@ -2,8 +2,8 @@
 
 Only the grid routes load numpy, only the routes that write JSON load
 json, only ``verify`` loads the suites (``trigzeta.verify``) and the
-exact rationals of ``fractions`` and ``decimal``, and no route loads
-dataclasses.
+exact rationals of ``fractions`` and ``decimal``, no route loads
+dataclasses, and the suites load no CLI.
 """
 
 import os
@@ -74,3 +74,16 @@ def test_import_cli_loads_dirichlet():
     # the benchmark tracer reads sys.modules["trigzeta.dirichlet"] when it
     # installs, so the package must not load dirichlet lazily
     assert run_fresh(ROUTES["import-cli"], ["trigzeta.dirichlet"]) == "0 True"
+
+
+def test_verify_loads_no_cli():
+    # the table2 suite reads its grids from closedforms, not from the CLI
+    statement = "import io\nfrom trigzeta import verify\nverify.SUITES['table2'](io.StringIO())"
+    assert run_fresh(statement, ["trigzeta.cli"]) == "0 False"
+
+
+def test_cli_reexports_the_grid():
+    from trigzeta import cli, closedforms
+
+    assert cli.grid_points is closedforms.grid_points
+    assert cli.MAX_GRID == closedforms.MAX_GRID
