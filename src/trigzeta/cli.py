@@ -12,10 +12,11 @@ Exit codes: 0 success, 2 domain error, 3 convergence error,
 ordered by (family, m, x) and numbers are printed with 17 significant
 digits in machine formats (12 in human format).
 
-Each call builds the parser of the one subcommand it names from
-``COMMANDS``, the one table of each subcommand's help line, function and
-arguments; the full parser is built only for root help and root-level
-errors.  ``read_tol`` gives the tolerance: --tol, $TRIGZETA_TOL or
+``build_parser`` builds the one parser from ``COMMANDS``, the one table
+of each subcommand's help line, function and arguments.  ``parse_args``
+parses with one parser per process, built on its first call and reused
+by every later ``main`` call; argparse keeps no state between parses.
+``read_tol`` gives the tolerance: --tol, $TRIGZETA_TOL or
 ``DEFAULT_TOL``.  The suites live in ``trigzeta.verify``, which only
 ``verify`` imports, when it runs.
 """
@@ -23,6 +24,7 @@ errors.  ``read_tol`` gives the tolerance: --tol, $TRIGZETA_TOL or
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import math
 import os
@@ -267,44 +269,38 @@ COMMANDS = {
 }
 
 
-def _add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
-    """Give ``parser`` the arguments of ``command`` from ``COMMANDS``, in order."""
-    _, func, specs = COMMANDS[command]
-    for flag, keywords in specs:
-        parser.add_argument(flag, **keywords)
-    parser.set_defaults(func=func)
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads ``--opt=--`` as the value "--", as Python 3.13 does; older ones store []."""
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="trigzeta",
         description="Closed forms of trigonometric series over Hurwitz zeta "
         "derivatives, with independent summation oracles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=help_text), name)
+    for name, (help_text, func, specs) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, keywords in specs:
+            command.add_argument(flag, **keywords)
+        command.set_defaults(func=func)
     return parser
 
 
-def parse_args(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, building one subcommand's parser.
+_parser = functools.cache(build_parser)
 
-    When argv[0] names a command, that command's parser alone parses the
-    rest, as the full parser's subparser would.  Whatever it leaves over,
-    and any argv that does not start with a command, goes to the full
-    parser, so root help and root-level errors ("unrecognized arguments",
-    "invalid choice", a missing command) come from it.  No parser outlives
-    the call.
-    """
-    if argv and argv[0] in COMMANDS:
-        command = argv[0]
-        parser = argparse.ArgumentParser(prog=f"trigzeta {command}")
-        _add_arguments(parser, command)
-        args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=command))
-        if not extras:
-            return args
-    return build_parser().parse_args(argv)
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, by the one parser of this process."""
+    return _parser().parse_args(argv)
 
 
 def _join_x(argv: list[str]) -> list[str]:

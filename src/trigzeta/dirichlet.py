@@ -17,8 +17,8 @@ a power-of-two factor, and +0.0 at zeta's trivial zeros as zeta is.
   exact -s, so a u that needs one more bit than s is read only by F(u).
   zeta takes it below s = -1/32; beta below s = -1/2, and within 1e-3 of
   s = 1, where its two Hurwitz terms cancel and u is exact.
-- Euler-Maclaurin in between: zeta(s, 1) for zeta, 4^-s (zeta(s, 1/4) -
-  zeta(s, 3/4)) for beta.
+- Hurwitz zeta in between (the Bernoulli row at s = 0, else Euler-Maclaurin):
+  zeta(s, 1) for zeta, 4^-s (zeta(s, 1/4) - zeta(s, 3/4)) for beta.
 - From s = 20 on, the Dirichlet series sum chi(n) n^-s itself, summed
   by ``math.fsum``, which answers at any order in a few terms.
 

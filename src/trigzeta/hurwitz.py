@@ -26,7 +26,7 @@
   each power base**n stay scalar ``math.log`` and ``**`` calls, because
   ``np.log`` and ``np.power`` do not always round as they do.
 
-* ``hurwitz_zeta(s, a)`` at integer order s = -j, 2 <= j <= 15, and any
+* ``hurwitz_zeta(s, a)`` at integer order s = -j, 0 <= j <= 15, and any
   finite a > 0 is the Bernoulli polynomial
 
       zeta(-j, a) = -B_{j+1}(a) / (j+1)        (DLMF 25.11.14),
@@ -90,11 +90,11 @@ _EM_UNDERFLOW_S = 1100.0
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-# Row j - 2: the coefficients -C(j+1, k) B_k / (j+1) of zeta(-j, a) =
-# -B_{j+1}(a) / (j+1) for j = 2.._MAX_N, highest power of a first
+# Row j: the coefficients -C(j+1, k) B_k / (j+1) of zeta(-j, a) =
+# -B_{j+1}(a) / (j+1) for j = 0.._MAX_N, highest power of a first
 _BERNOULLI_ROWS = tuple(
     tuple(-math.comb(j + 1, k) * n / (d * (j + 1)) for k, (n, d) in enumerate(BERNOULLI[: j + 2]))
-    for j in range(2, _MAX_N + 1)
+    for j in range(_MAX_N + 1)
 )
 
 
@@ -199,14 +199,15 @@ def _em_entry(s: float, a: float, index: int) -> float:
 
 
 def hurwitz_zeta(s: float, a: float) -> float:
-    """zeta(s, a) for finite a > 0 and s > -2 (s != 1) or integer s in [-15, -2].
+    """zeta(s, a) for finite a > 0 and s > -2 (s != 1) or integer s in [-15, 0].
 
-    Integer s <= -2 takes the Bernoulli rows, s > -2 Euler-Maclaurin; any
-    other s, and a value that overflows a float, raises ``DomainError``.
+    Integer s in [-15, 0] takes the Bernoulli rows, every other s > -2
+    Euler-Maclaurin; any other s, and a value that overflows a float,
+    raises ``DomainError``.
     """
-    if -_MAX_N <= s <= -2.0 and s == int(s) and 0.0 < a < math.inf:
+    if -_MAX_N <= s <= 0.0 and s == int(s) and 0.0 < a < math.inf:
         acc = 0.0
-        for c in _BERNOULLI_ROWS[int(-s) - 2]:
+        for c in _BERNOULLI_ROWS[int(-s)]:
             acc = acc * a + c
         return _fits(acc, s, a)
     return _em_entry(s, a, 0)

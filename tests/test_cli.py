@@ -462,7 +462,8 @@ class TestSharedWork:
     def test_identities_run_each_lambda_probe_once(self, capsys, monkeypatch):
         # lambda(1 + s) at s = 1e-4, 1e-5, 1e-6 serves both the limit and
         # the Richardson check; lambda(1 + 1e-6) and eta(1 + 1e-6) each take
-        # zeta(1 + 1e-6, 1), so one (s, a) repeats
+        # zeta(1 + 1e-6, 1), so one (s, a) repeats.  The Hurwitz-formula
+        # checks read zeta(-1, a) and zeta(-2, a) from the Bernoulli rows
         calls = []
         em = hurwitz._em
 
@@ -473,12 +474,12 @@ class TestSharedWork:
         monkeypatch.setattr(hurwitz, "_em", spy)
         code, _, _ = run_cli(["verify", "--suite", "identities"], capsys)
         assert code == 0
-        assert len(calls) == 12
-        assert len(set(calls)) == 11
+        assert len(calls) == 9
+        assert len(set(calls)) == 8
 
 
 class TestParseRoute:
-    """``parse_args`` against ``build_parser().parse_args`` on the same argv.
+    """``parse_args``, whose parser is reused, against a fresh ``build_parser()``.
 
     Both must give equal namespaces, or exit with the same code, stdout
     and stderr; COLUMNS fixes the width of help and usage text.
@@ -566,7 +567,7 @@ class TestParseRoute:
     def test_token_sequences(self, tokens):
         self.assert_same_parse(tokens)
 
-    def test_one_parser_per_call(self, capsys, monkeypatch):
+    def test_one_parser_per_process(self, capsys, monkeypatch):
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -575,10 +576,42 @@ class TestParseRoute:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        code, _, _ = run_cli(["sweep", "--family", "T1", "--m", "1..8", "--grid", "3",
-                              "--format", "csv"], capsys)
-        assert code == 0
-        assert built == ["trigzeta sweep"]
+        cli._parser.cache_clear()
+        sweep = ["sweep", "--family", "T1", "--m", "1..8", "--grid", "3", "--format", "csv"]
+        assert run_cli(sweep, capsys)[0] == 0
+        assert built == ["trigzeta", *(f"trigzeta {name}" for name in cli.COMMANDS)]
+        built.clear()
+        assert run_cli(sweep, capsys)[0] == 0
+        assert run_cli(["eval", "--family", "T2", "--m", "1", "--x", "0.3"], capsys)[0] == 0
+        assert built == []
+
+    def test_main_reuses_the_parser(self, capsys):
+        # errors and help leave the reused parser as a fresh one would be
+        argvs = [
+            ["sweep", "--family", "T9", "--m", "1"],
+            ["-h"],
+            ["sweep", "--family", "T1", "--m", "1..2", "--grid", "3", "--format", "csv"],
+            ["eval", "--family", "T1", "--m", "1", "--x", "0.5pi"],
+        ]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        def fresh(argv):
+            cli._parser.cache_clear()
+            return outcome(argv)
+
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            want = [fresh(argv) for argv in argvs]
+            cli._parser.cache_clear()
+            got = [outcome(argv) for argv in argvs]
+        assert [code for code, _, _ in want] == [2, 0, 0, 0]
+        assert got == want
 
 
 # `trigzeta -h` and `trigzeta <command> -h` at COLUMNS=80, as argparse prints
@@ -714,9 +747,26 @@ class TestHostileInput:
         (["compare", "--family", "T1", "--m", "1", "--grid", "0"], None),
         (["sweep", "--family", "T1", "--m", "1", "--grid", "-3"], None),
         (["sweep", "--family", "T1", "--m", "1..100000000000"], None),
+        (["sweep", "--family", "T4", "--m=--", "--grid", "1"], None),
+        (["eval", "--family", "T1", "--m", "1", "--x=--"], None),
+        (["compare", "--family", "T1", "--m", "1", "--tol=--"], None),
     ])
     def test_reproduced_cases(self, argv, env_tol):
         assert_rejected(argv, env_tol)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--family=--", "--m", "1"],
+        ["sweep", "--family", "T1", "--m", "1", "--format=--"],
+        ["sweep", "--family", "T1", "--m", "1", "--grid=--"],
+        ["verify", "--suite=--"],
+    ])
+    def test_double_dash_value_is_checked(self, argv, capsys):
+        # argparse before Python 3.13 stores [] for --opt=--, past its
+        # choices and type checks
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error: argument --" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--tol", "1e-6"],

@@ -658,6 +658,15 @@ class TestChoiSrivastava:
             assert lhs.shape == rhs.shape == (5, 4)
             assert np.abs(lhs - rhs).max() <= 1e-14, a
 
+    def test_suite_gaps_from_n2(self):
+        # from n = 2 the right side reads zeta(0, a) and zeta(-1, a), which
+        # the Bernoulli rows give to within a quarter of an eps
+        gaps = {name: float(detail.split()[1])
+                for name, _, detail in _suite_choi_srivastava()
+                if not name.startswith(("choi.n0.", "choi.n1."))}
+        assert len(gaps) == 36
+        assert max(gaps.values()) <= 1e-16, gaps
+
     @pytest.mark.parametrize("a", [1.0, 0.25, 0.75, 2.0])
     def test_grid_equals_scalar(self, a):
         # every entry, bit for bit, is the per-point loop and the 1 x 1 grid
