@@ -33,7 +33,6 @@ from .errors import (
 )
 from .hurwitz import (
     EulerMaclaurinPlan,
-    hurwitz_formula_partials,
     hurwitz_zeta,
     hurwitz_zeta_sderiv,
     hurwitz_zeta_sderiv_grid,
@@ -66,7 +65,6 @@ __all__ = [
     "direct_sum_grid",
     "eta",
     "general_closed_form",
-    "hurwitz_formula_partials",
     "hurwitz_zeta",
     "hurwitz_zeta_sderiv",
     "hurwitz_zeta_sderiv_grid",

@@ -22,19 +22,20 @@ the row constants of its Table II (``TABLE2_ROWS``), corrected by
 bracket that vanishes at x = 0 where the series does not; it needs
 j = +1 and the opposite overall sign.  ``closed_form_eval`` reads the
 corrected table; ``general_closed_form`` reads the same rows literally,
-through the same evaluator, which is what the ``table2`` verification
-suite reports.  Table II feeds only the brackets, zeta' orders included:
-its a, b, sign and kind columns are kept as printed, and the tests hold
-them, with its p, to ``SERIES``.
+through the same evaluator.  The ``table2`` verification suite reports
+where the two readings differ.  Table II feeds only the brackets, zeta'
+orders included: its a, b, sign and kind columns are kept as printed,
+and the tests hold them, with its p, to ``SERIES``.
 
 ``closed_form_grid`` gives the same values for a grid of weights and
 points, as a (weights, points) array.  The offsets of the zeta' terms
 depend on x alone, so it forms each once for all weights and evaluates
-every zeta' of the grid in one ``hurwitz_zeta_sderiv_grid`` call.  The
-corrected and the literal table share every zeta' order and offset, so
-``_bracket_grid`` assembles both readings from that one call.
-``closed_form_eval`` stays the one-point route: it returns the
-decomposition, and costs less than a one-point grid.
+every zeta' of the grid in one ``hurwitz_zeta_sderiv_grid`` call.  Its
+assembly, ``_bracket_grid``, reads one table: the corrected one, or the
+literal one for the ``table2`` suite.  ``closed_form_eval`` stays the
+one-point route: it returns the decomposition, costs less than a
+one-point grid, and holds the rule for x = 0, where some brackets have
+no zeta' terms.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError
-from .hurwitz import hurwitz_zeta_sderiv, hurwitz_zeta_sderiv_grid
+from .hurwitz import _MAX_WEIGHT, hurwitz_zeta_sderiv, hurwitz_zeta_sderiv_grid
 
 __all__ = [
     "SeriesSpec",
@@ -58,7 +59,6 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - _TWO_PI
-_MAX_WEIGHT = 8
 MAX_GRID = 10_000  # most points of a grid_points grid
 
 
@@ -276,47 +276,35 @@ def closed_form_eval(spec: SeriesSpec, x: float) -> ClosedFormResult:
     return _bracket_eval(_BRACKET_CONSTANTS, spec, x)
 
 
-def _bracket_grid(tables, family: str, weights, xs) -> list[np.ndarray]:
-    """``closed_form_grid`` once for each table of ``tables``, from one kernel pass.
+def _bracket_grid(constants: dict, family: str, weights, xs) -> np.ndarray:
+    """``closed_form_grid`` of ``family`` with its brackets read from ``constants``.
 
-    The tables must agree on the zeta' order s and the offsets (a0, a_y) at
-    every (family, m) of the grid, as the corrected and the literal readings
-    of Table II do, so the offsets are formed once and one kernel call
-    evaluates every zeta' for all of them; ``ValueError`` otherwise.  Each
-    table gets its own (weights, points) array, assembled with its own
-    prefactors and coefficients, bit for bit as a one-table call gives it.
+    Each value is, bit for bit, ``_bracket_eval(constants, spec, x).value``.
+    The offsets are formed once for all weights, and one kernel call
+    evaluates every zeta' of the grid.  A point at x = 0 takes
+    ``_bracket_eval``, which holds the rule for the brackets that have
+    none there.
     """
     import numpy as np
 
     specs = [SeriesSpec.from_family(family, m) for m in weights]
-    layouts = []  # per table, each weight's zeta' order and offsets (a0, a_y)
-    for constants in tables:
-        entries = [constants[family, spec.m] for spec in specs]
-        layouts.append([(s, [term[1:] for term in terms]) for _, s, terms in entries])
-    if any(layout != layouts[0] for layout in layouts):
-        raise ValueError(f"bracket tables disagree on the zeta' orders or offsets of {family}")
     spec = SeriesSpec.from_family(family, 1)
     folds = [_fold(spec, x) for x in xs]
-    # x = 0 of a sine family (value 0) or of T4 (_t4_at_zero) has no bracket
-    own_zero = spec.kind == "sin" or family == "T4"
-    bracketed = [j for j, (_, x) in enumerate(folds) if x != 0.0 or not own_zero]
-    t4_zero = family == "T4" and len(bracketed) < len(folds)
-    terms = tables[0][family, 1][2]  # (a0, a_y) do not depend on the weight
+    zeros = [j for j, (_, x) in enumerate(folds) if x == 0.0]
+    bracketed = [j for j, (_, x) in enumerate(folds) if x != 0.0]
+    terms = constants[family, 1][2]  # (a0, a_y) do not depend on the weight
     offsets = [_offset(a0, a_y, folds[j][1]) for j in bracketed for _, a0, a_y in terms]
-    zetas = hurwitz_zeta_sderiv_grid([-s for s, _ in layouts[0]], offsets)
-    grids = [np.zeros((len(specs), len(folds))) for _ in tables]
-    for w, (s, row) in enumerate(zip(specs, zetas)):
-        row = row.reshape(-1, len(terms))
-        unbracketed = _t4_at_zero(s.m).value if t4_zero else 0.0
-        for constants, values in zip(tables, grids):
-            pref, _, coefficients = constants[family, s.m]
-            products = row * [c for c, _, _ in coefficients]
-            values[w] = unbracketed
-            values[w, bracketed] = [
-                folds[j][0] * (pref * math.fsum(point))
-                for j, point in zip(bracketed, products.tolist())
-            ]
-    return grids
+    entries = [constants[family, s.m] for s in specs]
+    zetas = hurwitz_zeta_sderiv_grid([-order for _, order, _ in entries], offsets)
+    values = np.empty((len(specs), len(folds)))
+    for w, (s, (pref, _, coefficients), row) in enumerate(zip(specs, entries, zetas)):
+        products = row.reshape(-1, len(terms)) * [c for c, _, _ in coefficients]
+        values[w, zeros] = [_bracket_eval(constants, s, 0.0).value for _ in zeros]
+        values[w, bracketed] = [
+            folds[j][0] * (pref * math.fsum(point))
+            for j, point in zip(bracketed, products.tolist())
+        ]
+    return values
 
 
 def closed_form_grid(family: str, weights, xs) -> np.ndarray:
@@ -329,7 +317,7 @@ def closed_form_grid(family: str, weights, xs) -> np.ndarray:
     each is formed once, and one kernel call evaluates zeta' at every
     (order, offset) pair.
     """
-    return _bracket_grid((_BRACKET_CONSTANTS,), family, weights, xs)[0]
+    return _bracket_grid(_BRACKET_CONSTANTS, family, weights, xs)
 
 
 def general_closed_form(family: str, m: int, x: float) -> float:

@@ -50,11 +50,6 @@
 Every other point -- non-integer s <= -2, integer s < -15, and the
 derivative at s <= -2 outside the Taylor domain -- raises ``DomainError``,
 and so does a value that overflows a float.
-
-``hurwitz_formula_partials(s, offsets, terms)`` is no route but an
-identity-check oracle: the Hurwitz formula for zeta(1-s, a), truncated
-after ``terms`` terms, at every offset a, with n and n^-s formed once
-per order s for all the offsets.
 """
 
 from __future__ import annotations
@@ -72,7 +67,6 @@ __all__ = [
     "hurwitz_zeta",
     "hurwitz_zeta_sderiv",
     "hurwitz_zeta_sderiv_grid",
-    "hurwitz_formula_partials",
 ]
 
 _MAX_CORRECTION = (len(BERNOULLI) - 1) // 2  # highest usable B_{2j}
@@ -81,7 +75,9 @@ _EM_COEFFS = tuple(
     n / d / math.factorial(2 * j) for j, (n, d) in enumerate(BERNOULLI[2::2], 1)
 )
 
-_MAX_N = 15  # s = 1 - alpha for weights m <= 8; both integer-order tables stop here
+_MAX_WEIGHT = 8  # highest weight m of the closed forms
+# the lowest zeta' order of their brackets, s = 1 - 2m; both integer-order tables stop there
+_MAX_N = 2 * _MAX_WEIGHT - 1
 _TAYLOR_MAX_A = 2.5  # one recentring step keeps |t| <= 1/2
 _EULER_GAMMA = 0.5772156649015329
 # above this order every term (k + a)^-s with k + a >= 2 underflows to 0.0,
@@ -365,37 +361,3 @@ def hurwitz_zeta_sderiv_grid(orders, offsets) -> np.ndarray:
         np.multiply(acc, t, out=acc)
         np.add(acc, rows[:, k, None], out=acc)
     return acc + shift
-
-
-def hurwitz_formula_partials(s: float, offsets, terms: int) -> list[float]:
-    """Truncated right sides of the Hurwitz formula for zeta(1-s, a), a in ``offsets``.
-
-    2 Gamma(s)/(2 pi)^s * sum_{n=1}^{terms} cos(pi s/2 - 2 n pi a) / n^s
-    for each a, restricted to s > 1, 0 < a <= 1 and integer terms >= 1,
-    where the series converges absolutely.  Used purely as an
-    identity-check oracle.  The terms n and n^-s and the prefactor are
-    formed once for all offsets; each offset's phases, cosines and
-    products are formed in one buffer by the same operations as a lone
-    offset's, so every sum is the same float whatever the other offsets.
-    """
-    import numpy as np
-
-    offsets = list(offsets)
-    if not s > 1.0:
-        raise DomainError(f"hurwitz_formula_partials requires s > 1, got s={s}")
-    if not all(0.0 < a <= 1.0 for a in offsets):
-        raise DomainError("hurwitz_formula_partials requires 0 < a <= 1")
-    if not (terms >= 1 and terms % 1 == 0):
-        raise DomainError(f"terms must be a positive integer, got {terms}")
-    n = np.arange(1, terms + 1, dtype=np.float64)
-    power = n ** (-s)
-    scale = 2.0 * math.gamma(s) / (2.0 * math.pi) ** s
-    buffer = np.empty_like(n)
-    partials = []
-    for a in offsets:
-        np.multiply(2.0 * math.pi * a, n, out=buffer)
-        np.subtract(0.5 * math.pi * s, buffer, out=buffer)  # the phases
-        np.cos(buffer, out=buffer)
-        np.multiply(buffer, power, out=buffer)
-        partials.append(scale * float(np.sum(buffer)))
-    return partials

@@ -6,7 +6,8 @@ writes to the stream, its deviation report line.  The check oracles share
 no code with the closed forms' brackets: ``limit_series_eval``, the
 singular limit of the power series over zeta/eta/lambda/beta values at
 integers; ``choi_srivastava_grid``, both sides of the identity under the
-closed forms; and ``lambda_probe_orders``, extrapolations of
+closed forms; ``_hurwitz_formula_partials``, the Hurwitz formula for
+zeta(1 - s, a) truncated; and ``lambda_probe_orders``, extrapolations of
 s lambda(1 + s) -> 1/2.  It imports nothing from ``trigzeta.cli``, which
 imports it only when ``verify`` runs, so the other commands load neither
 it nor ``fractions``, which the limit tables' exact rationals need.
@@ -27,7 +28,7 @@ from .dirichlet import (
 )
 from .errors import ConvergenceError, DomainError
 from .foundations import BERNOULLI, digamma, harmonic, pochhammer
-from .hurwitz import _TAYLOR_MAX_A, hurwitz_formula_partials, hurwitz_zeta, hurwitz_zeta_sderiv
+from .hurwitz import _TAYLOR_MAX_A, hurwitz_zeta, hurwitz_zeta_sderiv
 from .oracles import _EPS, direct_sum_grid
 
 __all__ = ["SUITES", "limit_series_eval", "choi_srivastava_grid", "lambda_probe_orders"]
@@ -35,7 +36,7 @@ __all__ = ["SUITES", "limit_series_eval", "choi_srivastava_grid", "lambda_probe_
 # --- singular-limit series ----------------------------------------------
 
 # last order -j whose exact value the tables use: B_64 gives zeta(-63)
-_LIMIT_ORDER = 63
+_LIMIT_ORDER = len(BERNOULLI) - 2
 
 
 def _zeta_at_minus(j: int) -> Fraction:
@@ -212,6 +213,43 @@ def choi_srivastava_grid(ns, a: float, ts) -> tuple[np.ndarray, np.ndarray]:
     return lhs, rhs
 
 
+# --- Hurwitz formula ----------------------------------------------------
+
+
+def _hurwitz_formula_partials(s: float, offsets, terms: int) -> list[float]:
+    """Truncated right sides of the Hurwitz formula for zeta(1-s, a), a in ``offsets``.
+
+    2 Gamma(s)/(2 pi)^s * sum_{n=1}^{terms} cos(pi s/2 - 2 n pi a) / n^s
+    for each a, restricted to s > 1, 0 < a <= 1 and integer terms >= 1,
+    where the series converges absolutely.  The terms n and n^-s and the
+    prefactor are formed once for all offsets; each offset's phases,
+    cosines and products are formed in one buffer by the same operations
+    as a lone offset's, so every sum is the same float whatever the other
+    offsets.
+    """
+    import numpy as np
+
+    offsets = list(offsets)
+    if not s > 1.0:
+        raise DomainError(f"hurwitz_formula_partials requires s > 1, got s={s}")
+    if not all(0.0 < a <= 1.0 for a in offsets):
+        raise DomainError("hurwitz_formula_partials requires 0 < a <= 1")
+    if not (terms >= 1 and terms % 1 == 0):
+        raise DomainError(f"terms must be a positive integer, got {terms}")
+    n = np.arange(1, terms + 1, dtype=np.float64)
+    power = n ** (-s)
+    scale = 2.0 * math.gamma(s) / (2.0 * math.pi) ** s
+    buffer = np.empty_like(n)
+    partials = []
+    for a in offsets:
+        np.multiply(2.0 * math.pi * a, n, out=buffer)
+        np.subtract(0.5 * math.pi * s, buffer, out=buffer)  # the phases
+        np.cos(buffer, out=buffer)
+        np.multiply(buffer, power, out=buffer)
+        partials.append(scale * float(np.sum(buffer)))
+    return partials
+
+
 # --- limit probes --------------------------------------------------------
 
 
@@ -271,7 +309,7 @@ def _suite_identities():
     terms = 20_000
     offsets = (0.25, 0.5, 1.0)
     for s in (2.0, 3.0):
-        for a, partial in zip(offsets, hurwitz_formula_partials(s, offsets, terms)):
+        for a, partial in zip(offsets, _hurwitz_formula_partials(s, offsets, terms)):
             want = hurwitz_zeta(1.0 - s, a)
             bound = 2.0 * math.gamma(s) / (2.0 * math.pi) ** s * terms ** (1.0 - s) / (s - 1.0)
             gap = abs(partial - want)
@@ -322,10 +360,10 @@ def _suite_table2(out):
     values also match the independent summation oracle within 1e-8, and
     the report names the erratum fields that reconcile it.
 
-    Both readings of a row come from one ``_bracket_grid`` call: the
-    corrected and the literal table agree on every zeta' order and offset,
-    so a row costs one kernel pass, and each reading is assembled from it
-    bit for bit as a call of its own would give it.
+    Each reading takes its own ``_bracket_grid`` call, and so its own
+    kernel pass.  The literal one is called only for a row whose literal
+    table entries differ from the corrected ones at some weight; for every
+    other row the literal values are the theorem values.
     """
     import json
 
@@ -335,9 +373,9 @@ def _suite_table2(out):
     for row in TABLE2_ROWS:
         family = row.family
         xs = grid_points(family, 9)
-        theorems, literals = _bracket_grid(
-            (_BRACKET_CONSTANTS, _LITERAL_CONSTANTS), family, weights, xs
-        )
+        theorems = literals = _bracket_grid(_BRACKET_CONSTANTS, family, weights, xs)
+        if any(_LITERAL_CONSTANTS[family, m] != _BRACKET_CONSTANTS[family, m] for m in weights):
+            literals = _bracket_grid(_LITERAL_CONSTANTS, family, weights, xs)
         worst_vs_theorem = _worst_gap(literals, theorems)
         specs = [SeriesSpec.from_family(family, m) for m in weights]
         limits = [[limit_series_eval(spec, x) for x in xs] for spec in specs]

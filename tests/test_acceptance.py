@@ -20,13 +20,13 @@ from trigzeta.dirichlet import (
     riemann_zeta,
     zeta_prime_neg_even,
 )
-from trigzeta.hurwitz import (
-    hurwitz_formula_partials,
-    hurwitz_zeta,
-    hurwitz_zeta_sderiv,
-)
+from trigzeta.hurwitz import hurwitz_zeta, hurwitz_zeta_sderiv
 from trigzeta.oracles import direct_sum
-from trigzeta.verify import choi_srivastava_grid, lambda_probe_orders
+from trigzeta.verify import (
+    _hurwitz_formula_partials,
+    choi_srivastava_grid,
+    lambda_probe_orders,
+)
 
 FAMILIES = tuple(f"T{i}" for i in range(1, 9))
 
@@ -127,7 +127,7 @@ def test_criterion_7_hurwitz_formula_truncated():
     for s in (2.0, 3.0):
         for a in (0.25, 0.5, 1.0):
             terms = 20_000
-            partial = hurwitz_formula_partials(s, [a], terms)[0]
+            partial = _hurwitz_formula_partials(s, [a], terms)[0]
             want = hurwitz_zeta(1.0 - s, a)
             bound = (
                 2.0 * math.gamma(s) / (2.0 * math.pi) ** s

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trigzeta import cli, closedforms, hurwitz
+from trigzeta import cli, closedforms, hurwitz, verify
 from trigzeta.cli import (
     CSV_HEADER,
     FAMILIES,
@@ -76,6 +76,15 @@ class TestEval:
         assert code == 0
         value_line = [ln for ln in out.splitlines() if ln.startswith("value")][0]
         assert float(value_line.split("=")[1]) == pytest.approx(CATALAN, abs=1e-10)
+        code, out, _ = run_cli(
+            ["eval", "--family", "T1", "--m", "1", "--x", "0.5pi", "--format", "json"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        value = doc["value"]
+        assert abs(value - 0.915965594177219015) <= 1e-15
+        assert len(doc["terms"]) == 2
+        rebuilt = doc["prefactor"] * math.fsum(t["coeff"] * t["zeta_sderiv"] for t in doc["terms"])
+        assert abs(rebuilt - value) <= 1e-15 * (1.0 + abs(value))
 
     def test_json_breakdown(self, capsys):
         code, out, _ = run_cli(
@@ -186,6 +195,9 @@ class TestCompare:
         code, out, err = run_cli(
             ["compare", "--family", "T1", "--m", "1", "--grid", "3"], capsys)
         assert code == 4
+        # the records and the max_rel_err line are printed before the error
+        assert out.splitlines()[-1].startswith("max_rel_err = ")
+        assert err.splitlines()[0].startswith("error: max rel_err")
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_nan_rel_err_fails_the_gate(self, fmt, capsys, monkeypatch):
@@ -216,6 +228,16 @@ class TestCompare:
             ["compare", "--family", "T1", "--m", "1", "--grid", "3",
              "--tol", "1e-6"], capsys)
         assert code == 0
+
+    def test_bad_env_tol_is_read_only_where_used(self, capsys, monkeypatch):
+        monkeypatch.setenv("TRIGZETA_TOL", "abc")
+        code, _, err = run_cli(["sweep", "--family", "T1", "--m", "1", "--grid", "3"], capsys)
+        assert code == 2
+        assert err == "error: TRIGZETA_TOL must be a finite positive number, got 'abc'\n"
+        # --tol is read in its place, and eval reads no tolerance
+        for argv in (["compare", "--family", "T2", "--m", "1", "--tol", "1e-6"],
+                     ["eval", "--family", "T1", "--m", "1", "--x", "0.3"]):
+            assert run_cli(argv, capsys)[0] == 0
 
 
 class TestRefusal:
@@ -252,6 +274,20 @@ class TestSweep:
         code, second, _ = run_cli(argv, capsys)
         assert code == 0
         assert first == second
+
+    def test_full_sweep_rows(self, capsys):
+        # T3 on a 33-point grid reaches x = 0, where the oracle sums directly
+        argv = ["sweep", "--family", "T3", "--m", "1..8", "--grid", "33"]
+        code, out, _ = run_cli(argv + ["--format", "csv"], capsys)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == CSV_HEADER
+        assert len(rows) == 1 + 264 and all(len(row) == 9 for row in rows)
+        code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 0
+        rows = json.loads(out)
+        assert len(rows) == 264 and all(list(row) == CSV_HEADER for row in rows)
+        assert [row["oracle_method"] for row in rows if row["x"] == 0.0] == ["direct"] * 8
 
     def test_comma_m_list(self, capsys):
         code, out, _ = run_cli(
@@ -370,6 +406,11 @@ class TestVerify:
         code, out, _ = run_cli(["verify", "--suite", "identities"], capsys)
         assert code == 0
         assert "FAIL" not in out
+        code, out, _ = run_cli(["verify", "--suite", "identities", "--format", "json"], capsys)
+        assert code == 0
+        names = [c["check"] for c in json.loads(out) if c["passed"] is True]
+        assert len(set(names)) == len(names) == 27
+        assert sum(name.startswith("identity.hurwitz_formula(") for name in names) == 6
 
     def test_choi_suite(self, capsys):
         code, out, _ = run_cli(["verify", "--suite", "choi-srivastava"], capsys)
@@ -426,7 +467,8 @@ class TestSharedWork:
     """Work the verify suites share, counted: each is done once."""
 
     def test_table2_makes_one_kernel_pass_per_row(self, capsys, monkeypatch):
-        # the theorem and the literal reading of a row share one zeta' grid
+        # one zeta' grid per row for its theorem values, and one more for
+        # T8, the only row whose literal reading differs
         calls = []
         kernel = closedforms.hurwitz_zeta_sderiv_grid
 
@@ -437,7 +479,34 @@ class TestSharedWork:
         monkeypatch.setattr(closedforms, "hurwitz_zeta_sderiv_grid", spy)
         code, _, _ = run_cli(["verify", "--suite", "table2"], capsys)
         assert code == 0
-        assert len(calls) == 8
+        assert len(calls) == 9
+
+    def test_table2_reads_literally_only_the_rows_that_differ(self, capsys, monkeypatch):
+        # a theorem entry of T3 moved off its literal one gives T3 a literal
+        # pass too, whose gap of 1e-12 is not a deviation but still fails
+        # the limit check
+        passes, kernels = [], []
+        grid, kernel = verify._bracket_grid, closedforms.hurwitz_zeta_sderiv_grid
+
+        def grid_spy(constants, family, weights, xs):
+            passes.append((family, constants is closedforms._LITERAL_CONSTANTS))
+            return grid(constants, family, weights, xs)
+
+        def kernel_spy(orders, offsets):
+            kernels.append(len(offsets))
+            return kernel(orders, offsets)
+
+        monkeypatch.setattr(verify, "_bracket_grid", grid_spy)
+        monkeypatch.setattr(closedforms, "hurwitz_zeta_sderiv_grid", kernel_spy)
+        pref, s, terms = closedforms._BRACKET_CONSTANTS["T3", 2]
+        monkeypatch.setitem(closedforms._BRACKET_CONSTANTS, ("T3", 2),
+                            (pref * (1.0 + 1e-12), s, terms))
+        code, out, _ = run_cli(["verify", "--suite", "table2"], capsys)
+        assert code == 4
+        assert "FAIL table2.T3.literal" in out
+        assert [family for family, literal in passes if not literal] == list(FAMILIES)
+        assert [family for family, literal in passes if literal] == ["T3", "T8"]
+        assert len(kernels) == 10
 
     def test_identities_take_n_to_the_minus_s_once_per_order(self, capsys, monkeypatch):
         # the Hurwitz-formula sums at one s share n and n^-s over their offsets

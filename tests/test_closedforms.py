@@ -68,7 +68,7 @@ class TestSeriesSpec:
         with pytest.raises(DomainError):
             SeriesSpec.from_family("T1", 0)
         with pytest.raises(DomainError):
-            SeriesSpec.from_family("T1", 9)
+            SeriesSpec.from_family("T1", closedforms._MAX_WEIGHT + 1)
         with pytest.raises(DomainError):
             SeriesSpec.from_family("T1", 1.5)
         with pytest.raises(DomainError):
@@ -226,44 +226,26 @@ class TestClosedFormGrid:
                 with pytest.raises(DomainError) as got:
                     make_records(family, [1, 2], xs, 1e-8)
                 assert str(got.value) == str(want.value)
-        for family, weights in (("T9", (1,)), ("T1", (9,)), ("T1", (1, 0))):
+        for family, weights in (
+            ("T9", (1,)), ("T1", (closedforms._MAX_WEIGHT + 1,)), ("T1", (1, 0))
+        ):
             with pytest.raises(DomainError):
                 closed_form_grid(family, weights, [1.0])
 
 
 class TestBracketGridTables:
-    TABLES = (closedforms._BRACKET_CONSTANTS, closedforms._LITERAL_CONSTANTS)
     WEIGHTS = range(1, 9)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_equals_one_table_calls(self, family):
-        # both readings from one kernel pass, bit for bit as each alone
+        # the literal table through the grid is general_closed_form, bit for
+        # bit, x = 0 of T3, T4, T7 and T8 included
         xs = grid_points(family, 9) + REFERENCE["closed_form"][family]["x"]
-        grids = closedforms._bracket_grid(self.TABLES, family, self.WEIGHTS, xs)
-        assert len(grids) == len(self.TABLES)
-        for constants, grid in zip(self.TABLES, grids):
-            alone = closedforms._bracket_grid((constants,), family, self.WEIGHTS, xs)[0]
-            assert grid.shape == alone.shape == (len(self.WEIGHTS), len(xs))
-            assert grid.tobytes() == alone.tobytes(), family
-        for m, row in zip(self.WEIGHTS, grids[1].tolist()):
+        grid = closedforms._bracket_grid(closedforms._LITERAL_CONSTANTS, family, self.WEIGHTS, xs)
+        assert grid.shape == (len(self.WEIGHTS), len(xs))
+        for m, row in zip(self.WEIGHTS, grid.tolist()):
             for x, got in zip(xs, row):
                 assert same_float(got, general_closed_form(family, m, x)), (family, m, x)
-
-    def test_tables_must_share_orders_and_offsets(self):
-        pref, s, terms = closedforms._BRACKET_CONSTANTS["T3", 2]
-        (c, a0, a_y), rest = terms[0], terms[1:]
-        moves = (  # an a0, an a_y and the order s
-            (pref, s, ((c, a0 + 0.125, a_y),) + rest),
-            (pref, s, ((c, a0, 2.0 * a_y),) + rest),
-            (pref, s - 2.0, terms),
-        )
-        for entry in moves:
-            moved = {**closedforms._BRACKET_CONSTANTS, ("T3", 2): entry}
-            for tables in ((self.TABLES[0], moved), (moved, self.TABLES[1])):
-                with pytest.raises(ValueError):
-                    closedforms._bracket_grid(tables, "T3", self.WEIGHTS, [1.0])
-            # a weight the grid does not take is not compared
-            closedforms._bracket_grid((self.TABLES[0], moved), "T3", (1, 3), [1.0])
 
 
 class TestDecompositionContract:

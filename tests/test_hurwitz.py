@@ -22,12 +22,12 @@ from trigzeta.hurwitz import (
     _MAX_CORRECTION,
     _corrections,
     _em,
-    hurwitz_formula_partials,
     hurwitz_zeta,
     hurwitz_zeta_sderiv,
     hurwitz_zeta_sderiv_grid,
     plan_for,
 )
+from trigzeta.verify import _hurwitz_formula_partials
 
 
 class TestDomain:
@@ -70,8 +70,8 @@ class TestDomain:
         # orders of the Bernoulli rows (value) and Taylor table (derivative)
         cases = [
             (hurwitz_zeta, -3.3, 0.5), (hurwitz_zeta, -2.0 - 1e-9, 0.5),
-            (hurwitz_zeta, -16.0, 0.5), (hurwitz_zeta_sderiv, -4.0, 3.0),
-            (hurwitz_zeta_sderiv, -2.0, 2.5), (hurwitz_zeta_sderiv, -16.0, 0.5),
+            (hurwitz_zeta, -hurwitz._MAX_N - 1.0, 0.5), (hurwitz_zeta_sderiv, -4.0, 3.0),
+            (hurwitz_zeta_sderiv, -2.0, 2.5), (hurwitz_zeta_sderiv, -hurwitz._MAX_N - 1.0, 0.5),
             (plan_for, -5.0, 0.3), (plan_for, -2.0, 0.3),
         ]
         cases += [(hurwitz_zeta, -3.0, a) for a in (0.0, -0.5, -math.inf, math.inf, math.nan)]
@@ -318,7 +318,7 @@ class TestTablesFromPairs:
     def test_bernoulli_rows(self):
         want = tuple(
             tuple(float(-math.comb(j + 1, k) * self.FRACTIONS[k] / (j + 1)) for k in range(j + 2))
-            for j in range(16)
+            for j in range(hurwitz._MAX_N + 1)
         )
         assert hurwitz._BERNOULLI_ROWS == want
 
@@ -405,7 +405,8 @@ class TestSderivGrid:
         assert hurwitz_zeta_sderiv_grid((), [0.5]).shape == (0, 1)
 
     def test_outside_the_taylor_domain(self):
-        cases = [([16], [0.5]), ([-1], [0.5]), ([1.5], [0.5]), ([0, 3], [0.5, math.nan])]
+        cases = [([hurwitz._MAX_N + 1], [0.5]), ([-1], [0.5]), ([1.5], [0.5])]
+        cases += [([0, 3], [0.5, math.nan])]
         cases += [([3], [a]) for a in (0.0, -0.5, -1e-300, 2.5, 3.0, math.inf)]
         for orders, offsets in cases:
             with pytest.raises(DomainError):
@@ -433,13 +434,13 @@ class TestHurwitzFormulaPartial:
         for s in (1.5, 2.0, 3.0, 7.0):
             for terms in (1, 7, 20000):
                 want = [scalar_hurwitz_formula_partial(s, a, terms) for a in self.OFFSETS]
-                got = hurwitz_formula_partials(s, self.OFFSETS, terms)
+                got = _hurwitz_formula_partials(s, self.OFFSETS, terms)
                 assert got == want, (s, terms)
                 assert all(type(value) is float for value in got)
-                backwards = hurwitz_formula_partials(s, self.OFFSETS[::-1], terms)
+                backwards = _hurwitz_formula_partials(s, self.OFFSETS[::-1], terms)
                 assert backwards == want[::-1], (s, terms)
                 for a, value in zip(self.OFFSETS, want):
-                    assert hurwitz_formula_partials(s, [a], terms) == [value], (s, a, terms)
+                    assert _hurwitz_formula_partials(s, [a], terms) == [value], (s, a, terms)
 
     def test_domain_messages(self):
         cases = [(0.5, 0.5, 100), (1.0, 0.5, 100), (2.0, 1.5, 100), (2.0, 0.0, 100),
@@ -450,18 +451,18 @@ class TestHurwitzFormulaPartial:
             with pytest.raises(DomainError) as want:
                 scalar_hurwitz_formula_partial(s, a, terms)
             with pytest.raises(DomainError) as got:
-                hurwitz_formula_partials(s, [a], terms)
+                _hurwitz_formula_partials(s, [a], terms)
             assert str(got.value) == str(want.value)
             # one bad offset among good ones takes the same message
             with pytest.raises(DomainError) as got:
-                hurwitz_formula_partials(s, [0.25, a, 1.0], terms)
+                _hurwitz_formula_partials(s, [0.25, a, 1.0], terms)
             assert str(got.value) == str(want.value)
 
     def test_identity_with_tail_bound(self):
         for s in (2.0, 3.0):
             for a in (0.25, 0.5, 1.0):
                 terms = 20000
-                got = hurwitz_formula_partials(s, [a], terms)[0]
+                got = _hurwitz_formula_partials(s, [a], terms)[0]
                 want = hurwitz_zeta(1.0 - s, a)
                 bound = (
                     2.0 * math.gamma(s) / (2.0 * math.pi) ** s
@@ -471,10 +472,11 @@ class TestHurwitzFormulaPartial:
 
     def test_domain_restrictions(self):
         with pytest.raises(DomainError):
-            hurwitz_formula_partials(0.5, [0.5], 100)
+            _hurwitz_formula_partials(0.5, [0.5], 100)
         with pytest.raises(DomainError):
-            hurwitz_formula_partials(2.0, [1.5], 100)
+            _hurwitz_formula_partials(2.0, [1.5], 100)
         with pytest.raises(DomainError):
-            hurwitz_formula_partials(2.0, [0.5], 0)
+            _hurwitz_formula_partials(2.0, [0.5], 0)
         # an integral float count sums that many terms
-        assert hurwitz_formula_partials(2.0, [0.5], 3.0) == hurwitz_formula_partials(2.0, [0.5], 3)
+        three = _hurwitz_formula_partials(2.0, [0.5], 3)
+        assert _hurwitz_formula_partials(2.0, [0.5], 3.0) == three

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trigzeta import oracles, verify
+from trigzeta import closedforms, oracles, verify
 from trigzeta.cli import grid_points, make_records
 from trigzeta.closedforms import SeriesSpec, closed_form_eval
 from trigzeta.dirichlet import eta
@@ -441,7 +441,7 @@ class TestGridOracle:
         with pytest.raises(DomainError):
             direct_sum_grid("T9", (1,), [1.0], 1e-10)
         with pytest.raises(DomainError):
-            direct_sum_grid("T1", (9,), [1.0], 1e-10)
+            direct_sum_grid("T1", (closedforms._MAX_WEIGHT + 1,), [1.0], 1e-10)
         with pytest.raises(DomainError):
             direct_sum_grid("T1", (1,), [1.0, 7.0], 1e-10)
 
