@@ -35,7 +35,8 @@ assembly, ``_bracket_grid``, reads one table: the corrected one, or the
 literal one for the ``table2`` suite.  ``closed_form_eval`` stays the
 one-point route: it returns the decomposition, costs less than a
 one-point grid, and holds the rule for x = 0, where some brackets have
-no zeta' terms.
+no zeta' terms.  That rule also serves every |x| whose x/2pi is
+subnormal, where the offsets would round to 0 or to one another.
 """
 
 from __future__ import annotations
@@ -60,6 +61,11 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 _TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - _TWO_PI
 MAX_GRID = 10_000  # most points of a grid_points grid
+# Below this folded x, x/2pi is subnormal: the offsets y and 2y of T3 and T4
+# round to 0, or to one value whose logarithms cancel.  Both closed-form
+# routes take the rule for x = 0 there, which is within an ulp of the
+# series: the sine families are O(x), and T4(x) - T4(0) is O(x^2).
+_ZERO_X = _TWO_PI * 2.0**-1022
 
 
 class GeneralFormulaParams(NamedTuple):
@@ -152,6 +158,9 @@ def grid_points(family: str, count: int) -> list[float]:
     lo, hi = SeriesSpec.from_family(family, 1).interval
     if not 1 <= count <= MAX_GRID:
         raise DomainError(f"grid count must lie in [1, {MAX_GRID}], got {count}")
+    if count != int(count):
+        raise DomainError(f"grid count must be an integer, got {count}")
+    count = int(count)
     if count == 1:
         return [lo + 0.5 * (hi - lo)]
     return [lo + (0.05 + 0.9 * i / (count - 1)) * (hi - lo) for i in range(count)]
@@ -258,7 +267,7 @@ def _t4_at_zero(m: int) -> ClosedFormResult:
 def _bracket_eval(constants: dict, spec: SeriesSpec, x: float) -> ClosedFormResult:
     """The bracket of ``spec`` read from ``constants``, at x inside its interval."""
     sign, x = _fold(spec, x)
-    if x == 0.0:
+    if x < _ZERO_X:
         # Only the symmetric-interval families reach 0 in the interior.
         if spec.kind == "sin":
             return ClosedFormResult(0.0, 0.0, ())
@@ -281,17 +290,16 @@ def _bracket_grid(constants: dict, family: str, weights, xs) -> np.ndarray:
 
     Each value is, bit for bit, ``_bracket_eval(constants, spec, x).value``.
     The offsets are formed once for all weights, and one kernel call
-    evaluates every zeta' of the grid.  A point at x = 0 takes
-    ``_bracket_eval``, which holds the rule for the brackets that have
-    none there.
+    evaluates every zeta' of the grid.  A point below ``_ZERO_X`` takes
+    ``_bracket_eval``, which holds the rule for x = 0.
     """
     import numpy as np
 
     specs = [SeriesSpec.from_family(family, m) for m in weights]
     spec = SeriesSpec.from_family(family, 1)
     folds = [_fold(spec, x) for x in xs]
-    zeros = [j for j, (_, x) in enumerate(folds) if x == 0.0]
-    bracketed = [j for j, (_, x) in enumerate(folds) if x != 0.0]
+    zeros = [j for j, (_, x) in enumerate(folds) if x < _ZERO_X]
+    bracketed = [j for j, (_, x) in enumerate(folds) if x >= _ZERO_X]
     terms = constants[family, 1][2]  # (a0, a_y) do not depend on the weight
     offsets = [_offset(a0, a_y, folds[j][1]) for j in bracketed for _, a0, a_y in terms]
     entries = [constants[family, s.m] for s in specs]

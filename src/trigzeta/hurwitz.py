@@ -18,11 +18,11 @@
   ``hurwitz_zeta_sderiv_grid(orders, offsets)`` takes the same route for
   every order and offset of a grid and accepts nothing outside it.  Each
   offset is recentred once for all orders, and one Horner pass runs over
-  the rows of all orders at once, zero-padded in front to one width; that
-  padded matrix is built on the first grid call, not at import.  Its
-  entries equal the scalar ones bit for bit: numpy's elementwise * and +
-  are single IEEE operations, and a leading zero keeps the accumulator at
-  +0.0 until a row's first coefficient.  The logarithm of each offset and
+  the rows of the orders asked for at once, each zero-padded in front to
+  the longest of them, in a block built on each call.  Its entries equal
+  the scalar ones bit for bit: numpy's elementwise * and + are single
+  IEEE operations, and a leading zero keeps the accumulator at +0.0
+  until a row's first coefficient.  The logarithm of each offset and
   each power base**n stay scalar ``math.log`` and ``**`` calls, because
   ``np.log`` and ``np.power`` do not always round as they do.
 
@@ -311,20 +311,6 @@ def _taylor(n: int, a: float) -> float:
     return acc + base**n * log_term
 
 
-_TAYLOR_WIDTH = max(len(row) for row in _TAYLOR)
-
-
-@functools.cache
-def _taylor_matrix():
-    """_TAYLOR with every row zero-padded in front to the longest row's length.
-
-    Horner steps over a leading zero keep the accumulator at +0.0.
-    """
-    import numpy as np
-
-    return np.array([(0.0,) * (_TAYLOR_WIDTH - len(row)) + row for row in _TAYLOR])
-
-
 def hurwitz_zeta_sderiv_grid(orders, offsets) -> np.ndarray:
     """zeta'(-n, a) for every n in ``orders`` and a in ``offsets``.
 
@@ -355,9 +341,11 @@ def hurwitz_zeta_sderiv_grid(orders, offsets) -> np.ndarray:
     t = np.array([p[0] for p in points])
     # log and ** stay scalar: np.log and np.power may round differently
     shift = np.array([[base**n * log_term for _, base, log_term in points] for n in orders])
-    rows = _taylor_matrix()[orders]
+    rows = np.zeros((len(orders), max(len(_TAYLOR[n]) for n in orders)))
+    for row, n in zip(rows, orders):
+        row[-len(_TAYLOR[n]):] = _TAYLOR[n]
     acc = np.zeros((len(orders), len(points)))
-    for k in range(_TAYLOR_WIDTH - max(len(_TAYLOR[n]) for n in orders), _TAYLOR_WIDTH):
+    for column in rows.T:
         np.multiply(acc, t, out=acc)
-        np.add(acc, rows[:, k, None], out=acc)
+        np.add(acc, column[:, None], out=acc)
     return acc + shift

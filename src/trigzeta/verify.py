@@ -220,34 +220,19 @@ def _hurwitz_formula_partials(s: float, offsets, terms: int) -> list[float]:
     """Truncated right sides of the Hurwitz formula for zeta(1-s, a), a in ``offsets``.
 
     2 Gamma(s)/(2 pi)^s * sum_{n=1}^{terms} cos(pi s/2 - 2 n pi a) / n^s
-    for each a, restricted to s > 1, 0 < a <= 1 and integer terms >= 1,
-    where the series converges absolutely.  The terms n and n^-s and the
-    prefactor are formed once for all offsets; each offset's phases,
-    cosines and products are formed in one buffer by the same operations
-    as a lone offset's, so every sum is the same float whatever the other
-    offsets.
+    for each a; the series converges absolutely for s > 1, and the
+    ``identities`` suite sums it at s = 2 and 3 for 0 < a <= 1.  The
+    terms n and n^-s and the prefactor are formed once for all offsets;
+    each offset's sum takes the same operations as a lone offset's, so
+    it is the same float whatever the other offsets.
     """
     import numpy as np
 
-    offsets = list(offsets)
-    if not s > 1.0:
-        raise DomainError(f"hurwitz_formula_partials requires s > 1, got s={s}")
-    if not all(0.0 < a <= 1.0 for a in offsets):
-        raise DomainError("hurwitz_formula_partials requires 0 < a <= 1")
-    if not (terms >= 1 and terms % 1 == 0):
-        raise DomainError(f"terms must be a positive integer, got {terms}")
     n = np.arange(1, terms + 1, dtype=np.float64)
     power = n ** (-s)
     scale = 2.0 * math.gamma(s) / (2.0 * math.pi) ** s
-    buffer = np.empty_like(n)
-    partials = []
-    for a in offsets:
-        np.multiply(2.0 * math.pi * a, n, out=buffer)
-        np.subtract(0.5 * math.pi * s, buffer, out=buffer)  # the phases
-        np.cos(buffer, out=buffer)
-        np.multiply(buffer, power, out=buffer)
-        partials.append(scale * float(np.sum(buffer)))
-    return partials
+    return [scale * float(np.sum(np.cos(0.5 * math.pi * s - 2.0 * math.pi * a * n) * power))
+            for a in offsets]
 
 
 # --- limit probes --------------------------------------------------------

@@ -29,7 +29,7 @@ from trigzeta.cli import (
     parse_m_range,
     parse_x,
 )
-from trigzeta.errors import ConvergenceError
+from trigzeta.errors import ConvergenceError, DomainError
 
 CATALAN = 0.915965594177219
 
@@ -67,6 +67,12 @@ class TestParsing:
         assert pts[0] == pytest.approx(lo + 0.05 * (hi - lo))
         assert pts[-1] == pytest.approx(lo + 0.95 * (hi - lo))
         assert grid_points("T3", 1) == [0.0]
+
+    def test_grid_points_takes_integral_counts_only(self):
+        assert grid_points("T1", 2.0) == grid_points("T1", 2)
+        for count in (2.5, 1.5, 1.0 + 2**-52):
+            with pytest.raises(DomainError, match="grid count must be an integer"):
+                grid_points("T1", count)
 
 
 class TestEval:

@@ -20,6 +20,7 @@ from trigzeta.dirichlet import beta_fn, eta
 from trigzeta.errors import DomainError
 from trigzeta.hurwitz import hurwitz_zeta_sderiv
 from trigzeta.oracles import direct_sum_grid
+from trigzeta.verify import limit_series_eval
 
 CATALAN = 0.915965594177219  # 15-digit reference, cross-checked by the
                              # direct-sum oracle in test_oracles
@@ -116,6 +117,23 @@ class TestClosedFormValues:
         assert got4 == pytest.approx(eta(3.0), abs=1e-9)
         got8 = closed_form_eval(SeriesSpec.from_family("T8", 2), 0.0).value
         assert got8 == pytest.approx(beta_fn(4.0), abs=1e-9)
+
+    def test_subnormal_offsets_take_the_rule_at_zero(self):
+        # where x/2pi is subnormal the offsets round to 0 or to one another;
+        # every route agrees with the series there
+        xs = [sign * x for x in (5e-324, 2e-323, 1e-310) for sign in (1.0, -1.0)]
+        for family in ("T3", "T4", "T7", "T8"):
+            grid = closed_form_grid(family, (1, 2), xs)
+            oracle = direct_sum_grid(family, (1, 2), xs)[0]
+            for w, m in enumerate((1, 2)):
+                spec = SeriesSpec.from_family(family, m)
+                for j, x in enumerate(xs):
+                    want = limit_series_eval(spec, x)
+                    for got in (closed_form_eval(spec, x).value, grid[w, j], oracle[w, j]):
+                        assert abs(got - want) <= 1e-15 * (1.0 + abs(want)), (family, m, x)
+        for x in xs:
+            got = closed_form_eval(SeriesSpec.from_family("T4", 1), x).value
+            assert abs(got - math.log(2.0)) <= math.ulp(1.0), x
 
     def test_t4_at_zero_m1(self):
         res = closed_form_eval(SeriesSpec.from_family("T4", 1), 0.0)

@@ -3,7 +3,8 @@
 Only the grid routes load numpy, only the routes that write JSON load
 json, only ``verify`` loads the suites (``trigzeta.verify``) and the
 exact rationals of ``fractions`` and ``decimal``, no route loads
-dataclasses, and the suites load no CLI.
+dataclasses, and the suites load no CLI.  After ``import trigzeta.cli``
+every name that ``benchmarks/tracer.py`` wraps resolves.
 """
 
 import os
@@ -87,3 +88,23 @@ def test_cli_reexports_the_grid():
 
     assert cli.grid_points is closedforms.grid_points
     assert cli.MAX_GRID == closedforms.MAX_GRID
+
+
+def test_the_benchmark_tracer_binds_names_that_resolve():
+    # benchmarks/tracer.py wraps the layer functions by (module, name); a
+    # name removed from the package would otherwise show only when it runs
+    tracer_path = SRC.parent / "benchmarks" / "tracer.py"
+    statement = f"""import importlib.util
+import trigzeta.cli
+spec = importlib.util.spec_from_file_location("tracer", {str(tracer_path)!r})
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+targets = [t for layer in tracer.LAYERS.values() for t in layer] + [tracer.COUNTED]
+originals = [getattr(sys.modules[module], name) for module, name in targets]
+t = tracer.Tracer()
+t.install()
+patched = {{id(original) for _, _, original in t._patched}}
+assert all(id(f) in patched for f in originals), targets
+t.uninstall()
+assert [getattr(sys.modules[m], n) for m, n in targets] == originals"""
+    assert run_fresh(statement, ["trigzeta.dirichlet"]) == "0 True"
