@@ -274,7 +274,7 @@ def _ref_sum_by_parts(spec, x, tol, method, fold):
     tail, tail_err, j_used = _ref_tail_by_parts(a, b, sign, spec.alpha, x, m + 1)
     total = partial + tail
     value = fold * (total.imag if spec.kind == "sin" else total.real)
-    err = partial_err + tail_err + 0.5 * _REF_EPS * abs(total)
+    err = partial_err + tail_err + 0.5 * _REF_EPS * abs(value)
     if not (math.isfinite(err) and err > 0.0):
         raise DomainError("error_estimate must be finite and positive")
     if err > tol:
@@ -426,6 +426,29 @@ class TestGridOracle:
         x = 200.0 / 100_000
         got = direct_sum(SeriesSpec.from_family("T2", 2), x, 1e-10)
         want = _ref_direct_sum(SeriesSpec.from_family("T2", 2), x, 1e-10)
+        assert got.terms_used == want.terms_used > oracles._CHUNK
+        assert got.value == pytest.approx(want.value, rel=1e-14)
+
+    @pytest.mark.parametrize("family", ["T1", "T7"])
+    def test_long_sine_head_is_split(self, family, monkeypatch):
+        # the same for sine series, whose heads sum only the sines: heads
+        # of about 50,000 and 100,000 terms (|1 - z| = 0.004 and 0.002)
+        *xs, beyond = {
+            "T1": [200.0 / 50_000, 2.0, 200.0 / 100_000],
+            "T7": [0.5 * math.pi - 0.002, 0.5, 0.5 * math.pi - 0.001],
+        }[family]
+        monkeypatch.setattr(oracles, "_CHUNK", 97)
+        monkeypatch.setitem(globals(), "_REF_CHUNK", 97)
+        values, errs, terms, _ = direct_sum_grid(family, (3, 2), xs, 1e-10)
+        assert terms.max() > 40_000
+        for m, *rows in zip((3, 2), values.tolist(), errs.tolist(), terms.tolist()):
+            for x, value, err, terms_used in zip(xs, *rows):
+                want = _ref_direct_sum(SeriesSpec.from_family(family, m), x, 1e-10)
+                assert (value, terms_used) == (want.value, want.terms_used)
+                assert err == pytest.approx(want.error_estimate, rel=1e-12, abs=0)
+        monkeypatch.undo()
+        got = direct_sum(SeriesSpec.from_family(family, 2), beyond, 1e-10)
+        want = _ref_direct_sum(SeriesSpec.from_family(family, 2), beyond, 1e-10)
         assert got.terms_used == want.terms_used > oracles._CHUNK
         assert got.value == pytest.approx(want.value, rel=1e-14)
 
