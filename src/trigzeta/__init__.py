@@ -76,7 +76,7 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # the check oracles load trigzeta.verify (and fractions) on first use
+    # the check oracles load trigzeta.verify on first use
     if name in ("choi_srivastava_grid", "limit_series_eval"):
         from . import verify
 

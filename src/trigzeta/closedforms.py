@@ -33,10 +33,15 @@ depend on x alone, so it forms each once for all weights and evaluates
 every zeta' of the grid in one ``hurwitz_zeta_sderiv_grid`` call.  Its
 assembly, ``_bracket_grid``, reads one table: the corrected one, or the
 literal one for the ``table2`` suite.  ``closed_form_eval`` stays the
-one-point route: it returns the decomposition, costs less than a
-one-point grid, and holds the rule for x = 0, where some brackets have
-no zeta' terms.  That rule also serves every |x| whose x/2pi is
-subnormal, where the offsets would round to 0 or to one another.
+one-point route: it returns the decomposition and costs less than a
+one-point grid.
+
+At x = 0 the brackets of the sine families T3 and T7 vanish and T4's
+offsets collide pairwise, so both routes return those families' x = 0
+value (``_at_zero``) below the folded |x| that ``_ZERO_BELOW`` gives
+each: where x/2pi is subnormal for T3 and T7, and below 1e-8 for T4,
+whose bracket loses digits as eps |log x| there.  T8's offsets stay
+positive at x = 0, so it takes its bracket everywhere.
 """
 
 from __future__ import annotations
@@ -61,11 +66,15 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 _TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - _TWO_PI
 MAX_GRID = 10_000  # most points of a grid_points grid
-# Below this folded x, x/2pi is subnormal: the offsets y and 2y of T3 and T4
-# round to 0, or to one value whose logarithms cancel.  Both closed-form
-# routes take the rule for x = 0 there, which is within an ulp of the
-# series: the sine families are O(x), and T4(x) - T4(0) is O(x^2).
+# Below this folded x, x/2pi is subnormal: the offsets y and 2y round to 0,
+# or to one value whose logarithms cancel
 _ZERO_X = _TWO_PI * 2.0**-1022
+# family -> the folded |x| below which both closed-form routes return its
+# x = 0 value (``_at_zero``).  The sine families are O(x), so 0 is within
+# an ulp there.  T4(x) - T4(0) = -(x^2/2) eta(2m - 3) + O(x^4), so below
+# 1e-8 T4's limit is within 0.45 eps (1 + |value|) of the series, while its
+# bracket, whose logarithms cancel there, is up to 156 eps off at m = 1.
+_ZERO_BELOW = {"T3": _ZERO_X, "T4": 1e-8, "T7": _ZERO_X}
 
 
 class GeneralFormulaParams(NamedTuple):
@@ -247,33 +256,29 @@ _BRACKET_CONSTANTS = _constants_table(ERRATA)
 _LITERAL_CONSTANTS = _constants_table({})
 
 
-def _t4_at_zero(m: int) -> ClosedFormResult:
-    """Limit of the alternating-cosine bracket as x -> 0.
+def _at_zero(spec: SeriesSpec) -> ClosedFormResult:
+    """The x = 0 value of a ``_ZERO_BELOW`` family: 0 for a sine series, else T4's.
 
-    The four zeta'-offsets collide pairwise at 0 and 1; the divergent
+    T4's four zeta'-offsets collide pairwise at 0 and 1; the divergent
     logarithms cancel, leaving 2 (2^(2m-2) - 1) zeta'(2-2m) for m >= 2
     and log 2 = -2 zeta'(0, 1/2) at m = 1.
     """
+    if spec.kind == "sin":
+        return ClosedFormResult(0.0, 0.0, ())
+    m = spec.m
     if m == 1:
         return ClosedFormResult(math.log(2.0), 1.0, ((-2.0, 0.0, 0.5),))
     pref = (-1.0) ** (m - 1) * math.pi ** (2 * m - 2) / math.factorial(2 * m - 2)
     s = 2.0 - 2 * m
     coeff = 2.0 * (2.0 ** (2 * m - 2) - 1.0)
-    terms = ((coeff, s, 1.0),)
-    value = pref * coeff * hurwitz_zeta_sderiv(s, 1.0)
-    return ClosedFormResult(value, pref, terms)
+    return ClosedFormResult(pref * coeff * hurwitz_zeta_sderiv(s, 1.0), pref, ((coeff, s, 1.0),))
 
 
 def _bracket_eval(constants: dict, spec: SeriesSpec, x: float) -> ClosedFormResult:
     """The bracket of ``spec`` read from ``constants``, at x inside its interval."""
     sign, x = _fold(spec, x)
-    if x < _ZERO_X:
-        # Only the symmetric-interval families reach 0 in the interior.
-        if spec.kind == "sin":
-            return ClosedFormResult(0.0, 0.0, ())
-        if spec.family == "T4":
-            return _t4_at_zero(spec.m)
-        # T8 falls through: its zeta'-offsets stay positive at x = 0.
+    if x < _ZERO_BELOW.get(spec.family, 0.0):
+        return _at_zero(spec)
     pref, s, coefficients = constants[spec.family, spec.m]
     terms = tuple((c, s, _offset(a0, a_y, x)) for c, a0, a_y in coefficients)
     value = pref * math.fsum(c * hurwitz_zeta_sderiv(s, a) for c, s, a in terms)
@@ -289,17 +294,18 @@ def _bracket_grid(constants: dict, family: str, weights, xs) -> np.ndarray:
     """``closed_form_grid`` of ``family`` with its brackets read from ``constants``.
 
     Each value is, bit for bit, ``_bracket_eval(constants, spec, x).value``.
-    The offsets are formed once for all weights, and one kernel call
-    evaluates every zeta' of the grid.  A point below ``_ZERO_X`` takes
-    ``_bracket_eval``, which holds the rule for x = 0.
+    The points below the family's ``_ZERO_BELOW`` bound take one
+    ``_at_zero`` value per weight; for the rest the offsets are formed once
+    for all weights, and one kernel call evaluates every zeta' of the grid.
     """
     import numpy as np
 
     specs = [SeriesSpec.from_family(family, m) for m in weights]
     spec = SeriesSpec.from_family(family, 1)
     folds = [_fold(spec, x) for x in xs]
-    zeros = [j for j, (_, x) in enumerate(folds) if x < _ZERO_X]
-    bracketed = [j for j, (_, x) in enumerate(folds) if x >= _ZERO_X]
+    below = _ZERO_BELOW.get(family, 0.0)
+    zeros = [j for j, (_, x) in enumerate(folds) if x < below]
+    bracketed = [j for j, (_, x) in enumerate(folds) if x >= below]
     terms = constants[family, 1][2]  # (a0, a_y) do not depend on the weight
     offsets = [_offset(a0, a_y, folds[j][1]) for j in bracketed for _, a0, a_y in terms]
     entries = [constants[family, s.m] for s in specs]
@@ -307,7 +313,8 @@ def _bracket_grid(constants: dict, family: str, weights, xs) -> np.ndarray:
     values = np.empty((len(specs), len(folds)))
     for w, (s, (pref, _, coefficients), row) in enumerate(zip(specs, entries, zetas)):
         products = row.reshape(-1, len(terms)) * [c for c, _, _ in coefficients]
-        values[w, zeros] = [_bracket_eval(constants, s, 0.0).value for _ in zeros]
+        if zeros:
+            values[w, zeros] = _at_zero(s).value
         values[w, bracketed] = [
             folds[j][0] * (pref * math.fsum(point))
             for j, point in zip(bracketed, products.tolist())

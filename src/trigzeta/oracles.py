@@ -16,8 +16,9 @@ only the ``verify`` suites use live in ``trigzeta.verify``.
 sum_n sign^(n-1) e^{idx} d^{-alpha} with d = an-b: a head of
 m = 200/|1-z| terms (z = sign e^{iax}) plus the tail summed by parts (a
 generalised Euler transformation).  The head sums only the part the
-family reads, one sine or cosine per term; the tail runs in complex form,
-since its factors mix the two parts.  The sign is exact, carried on the
+family reads, one sine or cosine per term, and so does the tail: its
+factors run in complex form, since each step mixes the two parts, but it
+adds only the family's part of each.  The sign is exact, carried on the
 coefficients, and each phase d x is rounded once.  From that head length
 on, each order of the transformation shrinks the tail by about
 (alpha + j)/200, so a few orders reach the rounding floor; ``terms_used``
@@ -168,14 +169,15 @@ def _head_sums(
 
 
 def _tails(
-    a: int, b: int, alphas: list[int], xs: list[float], plans: list[tuple]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    a: int, b: int, alphas: list[int], xs: list[float], plans: list[tuple], sine: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tails sum_{n>m} sign^(n-1) e^{idx} d^{-alpha}, d = an-b, by parts.
 
     One lockstep pass over every weight (rows) and point (columns) of a
     batch; ``plans`` holds (m, ratio, step, factor) from
-    ``_plan_point``.  Returns the real and imaginary parts of the tails,
-    their error bounds and the difference orders used.  With
+    ``_plan_point``.  Returns the part of the tails the family reads (the
+    imaginary part for a sine family, ``sine``, else the real part), their
+    error bounds and the difference orders used.  With
     z = sign e^{iax}, m1 = m + 1 and g(n) = (an-b)^{-alpha} the tail is
     sign^(m1-1) e^{i d(m1) x} sum_k z^k g(m1+k), transformed by iterated
     summation by parts.  g is completely monotone in n, so the iterated
@@ -191,8 +193,9 @@ def _tails(
     of the factors 1/(1-z) and -z/(1-z).
 
     The factor recurrence does not depend on the weight, so it runs once
-    per point, in real and imaginary parts.  The powers g(m1+j) and
-    ratio^(j+1) of the live lanes come from builtin ``pow`` mapped over
+    per point, in real and imaginary parts; each order adds only the
+    family's part of the factor times the difference.  The powers g(m1+j)
+    and ratio^(j+1) of the live lanes come from builtin ``pow`` mapped over
     lists of float bases (d(m1+j) is an exact integer) and exponents:
     that is the C library's pow, as ``**`` is, while numpy's vectorised
     power rounds some of them differently.  Frozen lanes keep computing,
@@ -214,11 +217,11 @@ def _tails(
     step_re = np.array([plan[2].real for plan in plans])
     step_im = np.array([plan[2].imag for plan in plans]) * np.array([[-1.0], [1.0]])
     diag: list[np.ndarray] = []
-    # per lane, the running tail (real, imaginary), error bound and size of
-    # the terms, and the same at the lane's best order
-    run, best = np.zeros((4,) + shape), np.zeros((4,) + shape)
-    best[2] = math.inf
-    tail, err, size = run[:2], run[2], run[3]
+    # per lane, the running tail part, error bound and size of the terms,
+    # and the same at the lane's best order
+    run, best = np.zeros((3,) + shape), np.zeros((3,) + shape)
+    best[1] = math.inf
+    tail, err, size = run
     used = np.zeros(shape, dtype=np.int64)
     rounding, weight = np.zeros(shape), np.zeros(len(plans))
     live = np.ones(shape, dtype=bool)
@@ -237,22 +240,22 @@ def _tails(
             diag.append(cur)  # Delta^j g(m1)
             # Python's complex times float also adds -imag * 0.0 and
             # real * 0.0, which can only change the sign of a zero
-            tail += factor[:, None] * cur
+            tail += factor[int(sine)] * cur
             factor = factor * step_re + factor[::-1] * step_im
             rounding += weight * 2.0**j * eps_g
             bound = weight * cur  # also the size of the order-j term
             size += bound
             np.add(np.maximum(bound, 1e-18), rounding, out=err)
-            live &= err <= best[2]  # else past the optimal truncation point
+            live &= err <= best[1]  # else past the optimal truncation point
             np.copyto(best, run, where=live)
             used += live
             live &= bound >= 1e-18
-    tail_re, tail_im, err, size = best
+    tail, err, size = best
     err += _EPS * (
         0.5 * np.array(ends, dtype=np.float64) * np.array(xs)
         + (used + 2) * (ratios + 2.0)
     ) * size
-    return tail_re, tail_im, err, used
+    return tail, err, used
 
 
 def direct_sum_grid(
@@ -302,8 +305,8 @@ def direct_sum_grid(
         points = planned[batch]
         ts = [folds[j][1] for j in points]
         head, head_err = _head_sums(a, b, sign, alphas, ts, heads[batch], sine)
-        tail_re, tail_im, tail_err, used = _tails(a, b, alphas, ts, [plans[j] for j in points])
-        total = head + (tail_im if sine else tail_re)
+        tail, tail_err, used = _tails(a, b, alphas, ts, [plans[j] for j in points], sine)
+        total = head + tail
         values[:, points] = total * [folds[j][0] for j in points]
         # the last term bounds the rounding of the addition that forms total
         errs[:, points] = head_err + tail_err + 0.5 * _EPS * np.abs(total)

@@ -9,15 +9,15 @@ integers; ``choi_srivastava_grid``, both sides of the identity under the
 closed forms; ``_hurwitz_formula_partials``, the Hurwitz formula for
 zeta(1 - s, a) truncated; and ``lambda_probe_orders``, extrapolations of
 s lambda(1 + s) -> 1/2.  It imports nothing from ``trigzeta.cli``, which
-imports it only when ``verify`` runs, so the other commands load neither
-it nor ``fractions``, which the limit tables' exact rationals need.
+imports it only when ``verify`` runs, so the other commands do not load
+it.  The limit tables' exact rationals are (numerator, denominator)
+integer pairs, as in ``BERNOULLI``, so no route loads ``fractions``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
 from .closedforms import (
     _BRACKET_CONSTANTS, _LITERAL_CONSTANTS, _MAX_WEIGHT, ERRATA, TABLE2_ROWS,
@@ -39,10 +39,10 @@ __all__ = ["SUITES", "limit_series_eval", "choi_srivastava_grid", "lambda_probe_
 _LIMIT_ORDER = len(BERNOULLI) - 2
 
 
-def _zeta_at_minus(j: int) -> Fraction:
-    """zeta(-j) = (-1)^j B_{j+1} / (j+1), exactly."""
+def _zeta_at_minus(j: int, factor: int = 1) -> tuple[int, int]:
+    """factor zeta(-j) = factor (-1)^j B_{j+1} / (j+1) as (numerator, denominator)."""
     n, d = BERNOULLI[j + 1]
-    return Fraction((-1) ** j * n, d * (j + 1))
+    return factor * (-1) ** j * n, d * (j + 1)
 
 
 @functools.cache
@@ -54,13 +54,13 @@ def _euler_numbers() -> tuple[int, ...]:
     return tuple(values)
 
 
-# (sign, a) of the series -> (F, exact F(-j), log factor c, log scale,
-# radius R of the power series in x)
+# (sign, a) of the series -> (F, exact F(-j) as (numerator, denominator > 0),
+# log factor c, log scale, radius R of the power series in x)
 _LIMIT_ROWS = {
     (1, 1): (riemann_zeta, _zeta_at_minus, 1.0, 1.0, 2.0 * math.pi),
-    (-1, 1): (eta, lambda j: (1 - 2 ** (j + 1)) * _zeta_at_minus(j), 0.0, 1.0, math.pi),
-    (1, 2): (dirichlet_lambda, lambda j: (1 - 2**j) * _zeta_at_minus(j), 0.5, 0.5, math.pi),
-    (-1, 2): (beta_fn, lambda j: Fraction(_euler_numbers()[j], 2), 0.0, 1.0, 0.5 * math.pi),
+    (-1, 1): (eta, lambda j: _zeta_at_minus(j, 1 - 2 ** (j + 1)), 0.0, 1.0, math.pi),
+    (1, 2): (dirichlet_lambda, lambda j: _zeta_at_minus(j, 1 - 2**j), 0.5, 0.5, math.pi),
+    (-1, 2): (beta_fn, lambda j: (_euler_numbers()[j], 2), 0.0, 1.0, 0.5 * math.pi),
 }
 
 
@@ -79,8 +79,9 @@ def _limit_table(family: str, m: int) -> tuple:
     """Horner coefficients in x^2, highest first, and the log-term constants.
 
     The coefficient of x^(2k+delta) is (-1)^k F(alpha-2k-delta)/(2k+delta)!,
-    exact at order <= 0, from ``dirichlet`` above it, and 0 at the pole
-    index k = m-1 of the rows with a log term.
+    at order <= 0 one integer true division of the exact numerator by the
+    exact denominator, which Python rounds correctly, from ``dirichlet``
+    above it, and 0 at the pole index k = m-1 of the rows with a log term.
     """
     spec = SeriesSpec.from_family(family, m)
     f_func, f_exact, c, scale, radius = _LIMIT_ROWS[spec.sign, spec.a]
@@ -94,7 +95,8 @@ def _limit_table(family: str, m: int) -> tuple:
         elif order > 0:
             coeffs.append((-1) ** k * f_func(float(order)) / math.factorial(2 * k + delta))
         else:
-            coeffs.append(float((-1) ** k * f_exact(-order) / math.factorial(2 * k + delta)))
+            n, d = f_exact(-order)
+            coeffs.append((-1) ** k * n / (d * math.factorial(2 * k + delta)))
     k_log = alpha - 1
     log_coeff = c * (-1) ** m / math.factorial(k_log)
     return tuple(reversed(coeffs)), delta, k_log, log_coeff, harmonic(k_log), scale, radius

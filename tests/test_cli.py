@@ -468,6 +468,11 @@ class TestVerify:
         assert len(names) == 131
         assert len(set(names)) == len(names)
 
+    def test_suite_choices_are_the_suites_and_all(self):
+        # cli states the choices without importing verify, so tie the two lists
+        options = dict(cli.COMMANDS["verify"][2])
+        assert options["--suite"]["choices"] == (*verify.SUITES, "all")
+
 
 class TestSharedWork:
     """Work the verify suites share, counted: each is done once."""

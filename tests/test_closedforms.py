@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -264,6 +265,80 @@ class TestBracketGridTables:
         for m, row in zip(self.WEIGHTS, grid.tolist()):
             for x, got in zip(xs, row):
                 assert same_float(got, general_closed_form(family, m, x)), (family, m, x)
+
+
+def zero_grid(family):
+    """A 33-point CLI grid, with 0 and +-5e-324 where the interval holds 0."""
+    xs = grid_points(family, 33)
+    if SeriesSpec.from_family(family, 1).interval[0] < 0.0:
+        xs += [0.0, -0.0, 5e-324, -5e-324]
+    return xs
+
+
+class TestZeroRule:
+    T4_NEAR_ZERO = [sign * x for x in (1e-300, 1e-50, 1e-9, 9.9e-9) for sign in (1.0, -1.0)]
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_t4_takes_its_zero_value_below_1e_8(self, m):
+        # the bracket is up to 156 eps off there at m = 1, as its logarithms
+        # cancel, while T4(x) - T4(0) is O(x^2)
+        spec = SeriesSpec.from_family("T4", m)
+        at_zero = closedforms._at_zero(spec)
+        if m == 1:
+            assert at_zero.value == math.log(2.0)
+        grid = closed_form_grid("T4", (m,), self.T4_NEAR_ZERO)[0].tolist()
+        for x, got in zip(self.T4_NEAR_ZERO, grid):
+            assert closed_form_eval(spec, x) == at_zero, x
+            assert same_float(got, at_zero.value), x
+            want = limit_series_eval(spec, x)
+            assert abs(at_zero.value - want) <= sys.float_info.epsilon * (1.0 + abs(want)), x
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_grid_makes_no_scalar_bracket_call(self, family, monkeypatch):
+        calls = []
+        bracket_eval = closedforms._bracket_eval
+
+        def spy(*args):
+            calls.append(args)
+            return bracket_eval(*args)
+
+        monkeypatch.setattr(closedforms, "_bracket_eval", spy)
+        for constants in (closedforms._BRACKET_CONSTANTS, closedforms._LITERAL_CONSTANTS):
+            closedforms._bracket_grid(constants, family, range(1, 9), zero_grid(family))
+        assert calls == []
+
+    @pytest.mark.parametrize("family, most", [("T3", 0), ("T4", 1), ("T7", 0), ("T8", 0)])
+    def test_grid_scalar_kernel_calls(self, family, most, monkeypatch):
+        # T8's x = 0 joins the kernel grid; T4's x = 0 value takes at most
+        # one scalar zeta' per weight, and the sine families none
+        calls = []
+        sderiv = closedforms.hurwitz_zeta_sderiv
+
+        def spy(s, a):
+            calls.append((s, a))
+            return sderiv(s, a)
+
+        monkeypatch.setattr(closedforms, "hurwitz_zeta_sderiv", spy)
+        closed_form_grid(family, range(1, 9), zero_grid(family))
+        assert len(calls) <= most * 8
+
+    def test_rule_covers_the_families_that_reach_zero(self):
+        # a family whose interval holds 0 takes the x = 0 rule, unless every
+        # offset of its bracket stays positive there in both tables (T8);
+        # no other family has an entry
+        tables = (closedforms._BRACKET_CONSTANTS, closedforms._LITERAL_CONSTANTS)
+        for family in FAMILIES:
+            reaches_zero = SeriesSpec.from_family(family, 1).interval[0] < 0.0
+            positive = all(
+                closedforms._offset(a0, a_y, 0.0) > 0.0
+                for constants in tables
+                for m in range(1, 9)
+                for _, a0, a_y in constants[family, m][2]
+            )
+            if family in closedforms._ZERO_BELOW:
+                assert reaches_zero, family
+            else:
+                assert positive or not reaches_zero, family
 
 
 class TestDecompositionContract:

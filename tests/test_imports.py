@@ -1,9 +1,9 @@
 """Each route loads only the modules it uses, checked in a fresh interpreter.
 
 Only the grid routes load numpy, only the routes that write JSON load
-json, only ``verify`` loads the suites (``trigzeta.verify``) and the
-exact rationals of ``fractions`` and ``decimal``, no route loads
-dataclasses, and the suites load no CLI.  After ``import trigzeta.cli``
+json, only ``verify`` loads the suites (``trigzeta.verify``), no route
+loads dataclasses or the exact rationals of ``fractions`` and
+``decimal``, and the suites load no CLI.  After ``import trigzeta.cli``
 every name that ``benchmarks/tracer.py`` wraps resolves.
 """
 
@@ -68,7 +68,12 @@ def test_only_verify_loads_the_suites_and_exact_rationals(route):
 
 
 def test_verify_loads_the_suites():
-    assert run_fresh(ROUTES["verify-special-values"], ["trigzeta.verify"]) == "0 True"
+    # the limit tables' exact rationals are integer pairs, so not even
+    # verify, which builds them for the table2 suite, loads fractions
+    modules = ["trigzeta.verify", "fractions", "decimal"]
+    assert run_fresh(ROUTES["verify-special-values"], modules) == "0 True False False"
+    verify_all = cli_call(["verify", "--suite", "all", "--out", os.devnull])
+    assert run_fresh(verify_all, modules) == "0 True False False"
 
 
 def test_import_cli_loads_dirichlet():

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from trigzeta.cli import grid_points, make_records
 from trigzeta.closedforms import SeriesSpec, closed_form_eval
 from trigzeta.dirichlet import eta
 from trigzeta.errors import ConvergenceError, DomainError
-from trigzeta.foundations import digamma, harmonic, pochhammer
+from trigzeta.foundations import BERNOULLI, digamma, harmonic, pochhammer
 from trigzeta.hurwitz import hurwitz_zeta, hurwitz_zeta_sderiv
 from trigzeta.oracles import DIRECT_TERM_CAP, OracleReport, direct_sum, direct_sum_grid
 from trigzeta.verify import (
@@ -359,12 +360,14 @@ class TestLockstepTail:
                 xs.append(abs(x))
                 plans.append(plan)
         alphas = [SeriesSpec.from_family(family, m).alpha for m in WEIGHTS]
-        tail_re, tail_im, err, used = (t.tolist() for t in oracles._tails(a, b, alphas, xs, plans))
+        sine = spec.kind == "sin"
+        tail, err, used = (t.tolist() for t in oracles._tails(a, b, alphas, xs, plans, sine))
         for w, alpha in enumerate(alphas):
             for p, (x, plan) in enumerate(zip(xs, plans)):
-                want = _ref_tail_by_parts(a, b, sign, alpha, x, plan[0] + 1)
-                got = (complex(tail_re[w][p], tail_im[w][p]), err[w][p], used[w][p])
-                assert got == want, (family, alpha, x)
+                want, want_err, want_used = _ref_tail_by_parts(a, b, sign, alpha, x, plan[0] + 1)
+                want = want.imag if sine else want.real
+                got = (tail[w][p], err[w][p], used[w][p])
+                assert got == (want, want_err, want_used), (family, alpha, x)
 
 
 class TestGridOracle:
@@ -474,9 +477,9 @@ def _spy_on_tails(monkeypatch):
     calls = []
     tails = oracles._tails
 
-    def spy(a, b, alphas, xs, plans):
+    def spy(a, b, alphas, xs, plans, sine):
         calls.append(len(xs))
-        return tails(a, b, alphas, xs, plans)
+        return tails(a, b, alphas, xs, plans, sine)
 
     monkeypatch.setattr(oracles, "_tails", spy)
     return calls
@@ -606,11 +609,11 @@ class TestGridRefusalOrder:
         values = direct_sum_grid("T2", (1, 2, 3), xs, 1e-10)[0]
         tails = oracles._tails
 
-        def spoiled(a, b, alphas, xs, plans):
-            tail_re, tail_im, err, used = tails(a, b, alphas, xs, plans)
+        def spoiled(a, b, alphas, xs, plans, sine):
+            tail, err, used = tails(a, b, alphas, xs, plans, sine)
             for lane, estimate in lanes.items():
                 err[lane] = estimate
-            return tail_re, tail_im, err, used
+            return tail, err, used
 
         monkeypatch.setattr(oracles, "_tails", spoiled)
         monkeypatch.setattr(oracles, "_EPS", 0.0)  # heads and totals add no rounding
@@ -839,6 +842,33 @@ class TestLimitSeries:
         for bad in (lo, hi, lo - 0.1, hi + 0.1, math.nan):
             with pytest.raises(DomainError):
                 limit_series_eval(spec, bad)
+
+    def test_exact_coefficients_round_as_fractions(self):
+        # every coefficient at order <= 0, rebuilt from Fractions: F(-j) is
+        # zeta(-j) = (-1)^j B_{j+1}/(j+1) times 1 - 2^(j+1) (eta) or
+        # 1 - 2^j (lambda), or E_j/2 (beta)
+        euler = [Fraction(1)]
+        for n in range(1, len(BERNOULLI)):
+            euler.append(0 if n % 2 else -sum(math.comb(n, i) * euler[i] for i in range(0, n, 2)))
+
+        def exact(sign, a, j):
+            zeta = (-1) ** j * Fraction(*BERNOULLI[j + 1]) / (j + 1)
+            rows = {(1, 1): zeta, (-1, 1): (1 - 2 ** (j + 1)) * zeta,
+                    (1, 2): (1 - 2**j) * zeta, (-1, 2): euler[j] / 2}
+            return rows[sign, a]
+
+        checked = 0
+        for family, m in PAIRS:
+            spec = SeriesSpec.from_family(family, m)
+            coeffs, delta = verify._limit_table(family, m)[:2]
+            for k, coeff in enumerate(reversed(coeffs)):
+                order = spec.alpha - 2 * k - delta
+                if order <= 0:
+                    want = float((-1) ** k * exact(spec.sign, spec.a, -order)
+                                 / math.factorial(2 * k + delta))
+                    assert (coeff, math.copysign(1.0, coeff)) == (want, math.copysign(1.0, want))
+                    checked += 1
+        assert checked == 64 * 32  # F(0), F(-1), ..., F(-63) at every (family, m), one parity
 
     def test_catalan_anchor(self):
         # [DERIVED] sum sin((2n-1) pi/2)/(2n-1)^2 = Catalan's constant
