@@ -34,7 +34,6 @@ from .closedforms import (  # MAX_GRID for the callers that read it as cli.MAX_G
     _MAX_WEIGHT, MAX_GRID, SERIES, SeriesSpec, closed_form_eval, closed_form_grid, grid_points,
 )
 from .errors import DomainError, TrigZetaError, VerificationError
-from .hurwitz import hurwitz_zeta_sderiv
 from .oracles import direct_sum_grid
 
 TOL_ENV_VAR = "TRIGZETA_TOL"
@@ -183,8 +182,8 @@ def cmd_eval(args, out) -> int:
             "value": result.value,
             "prefactor": result.prefactor,
             "terms": [
-                {"coeff": c, "s": s, "a": a, "zeta_sderiv": hurwitz_zeta_sderiv(s, a)}
-                for c, s, a in result.terms
+                {"coeff": c, "s": s, "a": a, "zeta_sderiv": zeta}
+                for (c, s, a), zeta in zip(result.terms, result.zeta_sderivs)
             ],
         }, out)
     else:
@@ -192,10 +191,10 @@ def cmd_eval(args, out) -> int:
         out.write(f"family={args.family} m={args.m} x={_fmt(x, machine)}\n")
         out.write(f"value = {_fmt(result.value, machine)}\n")
         out.write(f"prefactor = {_fmt(result.prefactor, machine)}\n")
-        for c, s, a in result.terms:
+        for (c, s, a), zeta in zip(result.terms, result.zeta_sderivs):
             out.write(
                 f"  term coeff={_fmt(c, machine)} s={_fmt(s, machine)} "
-                f"a={_fmt(a, machine)} zeta'={_fmt(hurwitz_zeta_sderiv(s, a), machine)}\n"
+                f"a={_fmt(a, machine)} zeta'={_fmt(zeta, machine)}\n"
             )
     return 0
 

@@ -5,8 +5,10 @@ Eight families are covered, each a series
     sum_n sign^(n-1) f((an-b)x) / (an-b)^(2m+p-1),   f = sin or cos,
 
 catalogued once, as ``SERIES``, and taken at a weight m by
-``SeriesSpec.from_family``.  The oracles sum these series; the closed
-forms read only the brackets below.
+``SeriesSpec.from_family``; ``SeriesSpec.check`` is the one check that x
+lies inside a series' open interval.  The oracles sum these series at
+the signed x; the closed forms read only the brackets below, at |x|
+folded by parity (``_fold``).
 
 Each family's sum, at the integer weight where a naive term-by-term
 evaluation of the underlying power series breaks down, collapses to a
@@ -161,6 +163,16 @@ class SeriesSpec(NamedTuple):
         hi = _TWO_PI / (a * (2 if sign < 0 else 1))
         return cls(family, m, kind, sign, a, b, 2 * m + p - 1, (-hi if sign < 0 else 0.0, hi))
 
+    def check(self, x: float) -> None:
+        """Raise ``DomainError`` unless x lies inside the open ``interval``.
+
+        x must keep 1e-9 of the interval's length from either end.
+        """
+        lo, hi = self.interval
+        margin = 1e-9 * (hi - lo)
+        if not (lo + margin <= x <= hi - margin):
+            raise DomainError(f"x={x} outside open interval ({lo}, {hi}) for family {self.family}")
+
 
 def grid_points(family: str, count: int) -> list[float]:
     """count interior points with a 5% endpoint offset on each side."""
@@ -181,20 +193,18 @@ class ClosedFormResult(NamedTuple):
     value: float
     prefactor: float
     terms: tuple[tuple[float, float, float], ...]  # (coeff, s, a)
+    zeta_sderivs: tuple[float, ...]  # zeta'(s, a) per term, in term order
 
 
 def _fold(spec: SeriesSpec, x: float) -> tuple[float, float]:
-    """Interval check and parity fold; returns (sign, |x|).
+    """The brackets' parity fold of x, after ``spec.check``; returns (sign, |x|).
 
-    Sin families are odd in x, cos families even, and the zeta'-argument
-    expressions require the positive half of symmetric intervals.
+    Sin families are odd in x, cos families even.  The brackets' zeta'
+    offsets are valid only on the positive half of a symmetric interval,
+    so they are read at |x| and their value multiplied by the sign.  The
+    oracle sums the series at the signed x and does not fold.
     """
-    lo, hi = spec.interval
-    margin = 1e-9 * (hi - lo)
-    if not (lo + margin <= x <= hi - margin):
-        raise DomainError(
-            f"x={x} outside open interval ({lo}, {hi}) for family {spec.family}"
-        )
+    spec.check(x)
     if x < 0.0:
         return (-1.0 if spec.kind == "sin" else 1.0), -x
     return 1.0, x
@@ -261,17 +271,18 @@ def _at_zero(spec: SeriesSpec) -> ClosedFormResult:
 
     T4's four zeta'-offsets collide pairwise at 0 and 1; the divergent
     logarithms cancel, leaving 2 (2^(2m-2) - 1) zeta'(2-2m) for m >= 2
-    and log 2 = -2 zeta'(0, 1/2) at m = 1.
+    and log 2 = -2 zeta'(0, 1/2) at m = 1, where the value is ``math.log(2)``
+    and the one zeta' is carried for the decomposition.
     """
     if spec.kind == "sin":
-        return ClosedFormResult(0.0, 0.0, ())
+        return ClosedFormResult(0.0, 0.0, (), ())
     m = spec.m
-    if m == 1:
-        return ClosedFormResult(math.log(2.0), 1.0, ((-2.0, 0.0, 0.5),))
     pref = (-1.0) ** (m - 1) * math.pi ** (2 * m - 2) / math.factorial(2 * m - 2)
     s = 2.0 - 2 * m
-    coeff = 2.0 * (2.0 ** (2 * m - 2) - 1.0)
-    return ClosedFormResult(pref * coeff * hurwitz_zeta_sderiv(s, 1.0), pref, ((coeff, s, 1.0),))
+    coeff, a = (2.0 * (2.0 ** (2 * m - 2) - 1.0), 1.0) if m > 1 else (-2.0, 0.5)
+    zeta = hurwitz_zeta_sderiv(s, a)
+    value = pref * coeff * zeta if m > 1 else math.log(2.0)
+    return ClosedFormResult(value, pref, ((coeff, s, a),), (zeta,))
 
 
 def _bracket_eval(constants: dict, spec: SeriesSpec, x: float) -> ClosedFormResult:
@@ -281,8 +292,9 @@ def _bracket_eval(constants: dict, spec: SeriesSpec, x: float) -> ClosedFormResu
         return _at_zero(spec)
     pref, s, coefficients = constants[spec.family, spec.m]
     terms = tuple((c, s, _offset(a0, a_y, x)) for c, a0, a_y in coefficients)
-    value = pref * math.fsum(c * hurwitz_zeta_sderiv(s, a) for c, s, a in terms)
-    return ClosedFormResult(sign * value, sign * pref, terms)
+    zetas = tuple(hurwitz_zeta_sderiv(s, a) for _, s, a in terms)
+    value = pref * math.fsum(c * zeta for (c, _, _), zeta in zip(terms, zetas))
+    return ClosedFormResult(sign * value, sign * pref, terms, zetas)
 
 
 def closed_form_eval(spec: SeriesSpec, x: float) -> ClosedFormResult:

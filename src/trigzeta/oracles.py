@@ -2,9 +2,11 @@
 
 It does not use the Hurwitz-derivative closed forms.  It shares with
 them only the series catalogue (``SeriesSpec``, which gives each
-family's sign, a, b and exponent alpha from ``closedforms.SERIES``) and
-the interval check and parity fold (``_fold``), never Table II, so a
-slip in the brackets' constants cannot move it.  ``direct_sum_grid`` is
+family's sign, a, b, exponent alpha and interval from
+``closedforms.SERIES``, and checks that x lies inside that interval),
+never Table II nor the brackets' parity fold, so a slip in the brackets'
+constants or in their fold cannot move it.  It sums each series at the
+signed x: sin and cos carry the parity themselves.  ``direct_sum_grid`` is
 the literal summation of the defining series for a grid of weights and
 points, returned as columns (values, error estimates and terms used of
 shape (weights, points), and a method per point); ``direct_sum`` is its
@@ -57,7 +59,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .closedforms import SeriesSpec, _fold
+from .closedforms import SeriesSpec
 from .errors import ConvergenceError, DomainError
 
 __all__ = ["OracleReport", "DIRECT_TERM_CAP", "direct_sum", "direct_sum_grid"]
@@ -78,11 +80,12 @@ class OracleReport(NamedTuple):
 
 
 def _plan_point(a: int, b: int, sign: int, x: float):
-    """Head length and tail factors at x >= 0, or the refusal message.
+    """Head length and tail factors at the signed x, or the refusal message.
 
     Returns (m, ratio, step, factor): the head is n = 1..m; the tail from
     n = m + 1 has ratio |z/(1-z)|, step -z/(1-z) and first factor
-    sign^m e^{i d(m+1) x}/(1-z), none of which depend on the weight.
+    sign^m e^{i d(m+1) x}/(1-z), none of which depend on the weight.  At
+    -x they are the complex conjugates of those at x.
     """
     z = sign * cmath.exp(1j * a * x)
     one_minus = 1.0 - z
@@ -124,7 +127,7 @@ def _head_sums(
     product of g with its contiguous slice of sines or cosines, reduced
     along the terms, the same value a lone partial sum gives.  The sign is
     exact, carried on the coefficients, and each phase d x is rounded
-    once, by at most eps/2 * d x, independently of the other terms.  R
+    once, by at most eps/2 * d |x|, independently of the other terms.  R
     bounds the rounding of the part: those phase errors, weighted by
     d^{-alpha}, plus 5/2 eps d^{-alpha} per term for the power, the sine or
     cosine and their product, plus the summation.  ndarray.sum adds
@@ -164,7 +167,7 @@ def _head_sums(
             start += length
         totals += np.stack(sums, axis=1)
     depth = [math.log2(m) + 12 + math.ceil(m / _CHUNK) for m in heads]
-    roundings = _EPS * (0.5 * np.array(xs) * moments + (2.5 + 0.5 * np.array(depth)) * masses)
+    roundings = _EPS * (0.5 * np.abs(xs) * moments + (2.5 + 0.5 * np.array(depth)) * masses)
     return totals, roundings
 
 
@@ -189,8 +192,8 @@ def _tails(
     That rounding grows with the order while the remainder shrinks, so a
     lane freezes where their sum is least, or once the remainder is below
     1e-18; the pass ends when every lane has frozen.  The bound also
-    covers the rounding of the phase d(m1) x, at most eps/2 * d(m1) x, and
-    of the factors 1/(1-z) and -z/(1-z).
+    covers the rounding of the phase d(m1) x, at most eps/2 * d(m1) |x|,
+    and of the factors 1/(1-z) and -z/(1-z).
 
     The factor recurrence does not depend on the weight, so it runs once
     per point, in real and imaginary parts; each order adds only the
@@ -252,7 +255,7 @@ def _tails(
             live &= bound >= 1e-18
     tail, err, size = best
     err += _EPS * (
-        0.5 * np.array(ends, dtype=np.float64) * np.array(xs)
+        0.5 * np.array(ends, dtype=np.float64) * np.abs(xs)
         + (used + 2) * (ratios + 2.0)
     ) * size
     return tail, err, used
@@ -267,7 +270,8 @@ def direct_sum_grid(
     three arrays of shape (weights, points), a row per weight in the order
     of ``xs``, and one method per point.  A point's entries do not depend
     on the rest of the grid: they are, bit for bit, what ``direct_sum``
-    reports there.  Every x is validated and folded first.  Each error
+    reports there.  Every x is checked against the interval first, and
+    each series is summed at the signed x, with no parity fold.  Each error
     estimate bounds both the truncation and the rounding (see the module
     docstring): the head's and the tail's bounds plus eps/2 times the
     value's size, for the one addition of the head's part and the tail's
@@ -292,9 +296,10 @@ def direct_sum_grid(
     a, b, sign = spec.a, spec.b, spec.sign
     sine = spec.kind == "sin"
     method = "euler_accelerated" if sign < 0 else "direct"
-    folds = [_fold(spec, x) for x in xs]
+    for x in xs:
+        spec.check(x)
     # plan None where a sine series vanishes: value 0 from 1 term
-    plans = [None if x == 0.0 and sine else _plan_point(a, b, sign, x) for _, x in folds]
+    plans = [None if x == 0.0 and sine else _plan_point(a, b, sign, x) for x in xs]
     planned = [j for j, plan in enumerate(plans) if isinstance(plan, tuple)]
     heads = [plans[j][0] for j in planned]
     alphas = [s.alpha for s in specs]
@@ -303,11 +308,10 @@ def direct_sum_grid(
     terms = np.ones(shape, dtype=np.int64)
     for batch in _batches(heads):
         points = planned[batch]
-        ts = [folds[j][1] for j in points]
+        ts = [xs[j] for j in points]
         head, head_err = _head_sums(a, b, sign, alphas, ts, heads[batch], sine)
         tail, tail_err, used = _tails(a, b, alphas, ts, [plans[j] for j in points], sine)
-        total = head + tail
-        values[:, points] = total * [folds[j][0] for j in points]
+        values[:, points] = total = head + tail
         # the last term bounds the rounding of the addition that forms total
         errs[:, points] = head_err + tail_err + 0.5 * _EPS * np.abs(total)
         terms[:, points] = np.array(heads[batch]) + used

@@ -124,7 +124,11 @@ def limit_series_eval(spec: SeriesSpec, x: float) -> float:
     ``best_value``.  Besides the series catalogue and the parity fold, it
     shares with the closed forms only the Bernoulli numbers (``BERNOULLI``,
     for F at order <= 0) and, through ``dirichlet``, the Euler-Maclaurin
-    sum at positive order.
+    sum at positive order.  It keeps the brackets' fold (``_fold``) because
+    its expansion about the far end reads |x| and needs the parity sign,
+    times the target's ``end_sign``.  A slip in that fold moves it with the
+    brackets; ``compare``, whose oracle does not fold, catches it, and the
+    identities suite catches a cosine-family slip.
     """
     sign, t = _fold(spec, x)
     target, end_sign = _END_SYMMETRIES[spec.family]

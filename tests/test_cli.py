@@ -3,10 +3,13 @@
 import argparse
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
 import os
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -131,6 +134,24 @@ class TestEval:
         joined = run_cli(head + [f"--x={x}", "--format", fmt], capsys)
         assert joined[0] == want_code
         assert run_cli(head + ["--x", x, "--format", fmt], capsys) == joined
+
+    def test_zeta_values_are_computed_once(self, capsys, monkeypatch):
+        # the printed zeta' values are the ones the value was summed from:
+        # one kernel call per term of T3's four-term bracket, whichever
+        # module holds the kernel's name
+        calls = []
+        kernel = hurwitz.hurwitz_zeta_sderiv
+
+        def spy(s, a):
+            calls.append((s, a))
+            return kernel(s, a)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("trigzeta") and vars(module).get("hurwitz_zeta_sderiv") is kernel:
+                monkeypatch.setattr(module, "hurwitz_zeta_sderiv", spy)
+        code, out, _ = run_cli(["eval", "--family", "T3", "--m", "2", "--x", "0.5pi"], capsys)
+        assert code == 0
+        assert out.count("  term ") == len(calls) == 4
 
     def test_missing_x_value(self, capsys):
         for argv in (["--x"], ["--x", "--format", "json"]):
@@ -556,6 +577,34 @@ class TestSharedWork:
         assert code == 0
         assert len(calls) == 9
         assert len(set(calls)) == 8
+
+
+def test_cli_corpus_matches_the_golden_file(monkeypatch):
+    # tests/cli_corpus.txt is the output of tests/cli_corpus.py; a change
+    # that moves CLI bytes on purpose regenerates it
+    here = Path(__file__).parent
+    spec = importlib.util.spec_from_file_location("cli_corpus", here / "cli_corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv(TOL_ENV_VAR, raising=False)
+    want = (here / "cli_corpus.txt").read_text().splitlines()
+    got = [corpus.run(main, argv) for argv in corpus.corpus()]
+    assert len(got) == len(want)
+    mismatches = []
+    for line, expected in zip(got, want):
+        if line == expected:
+            continue
+        argv, _, fields = line.rpartition(" -> ")
+        want_argv, _, want_fields = expected.rpartition(" -> ")
+        (code, *digests), (want_code, *want_digests) = fields.split(), want_fields.split()
+        streams = [name for name, new, old in zip(("stdout", "stderr"), digests, want_digests)
+                   if new != old]
+        mismatches.append(
+            f"{argv}: exit {want_code} -> {code}, {' and '.join(streams) or 'no stream'} differs"
+            + ("" if argv == want_argv else f" (expected argv {want_argv})")
+        )
+    assert not mismatches, "\n".join(mismatches)
 
 
 class TestParseRoute:

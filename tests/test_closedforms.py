@@ -370,6 +370,18 @@ class TestDecompositionContract:
             else:
                 assert minus == plus
 
+    def test_carried_zeta_values_are_the_kernel_values(self):
+        # one zeta' per term, bit for bit, at bracket points and x = 0 rules
+        for fam in FAMILIES:
+            lo, _ = SeriesSpec.from_family(fam, 1).interval
+            xs = grid_points(fam, 9) + ([0.0, -1e-9, 1e-300] if lo < 0.0 else [])
+            for m in range(1, 9):
+                spec = SeriesSpec.from_family(fam, m)
+                for x in xs:
+                    res = closed_form_eval(spec, x)
+                    want = [hurwitz_zeta_sderiv(s, a).hex() for _, s, a in res.terms]
+                    assert [z.hex() for z in res.zeta_sderivs] == want, (fam, m, x)
+
 
 class TestDomainChecks:
     def test_endpoints_rejected(self):
@@ -379,6 +391,18 @@ class TestDomainChecks:
             for bad in (lo, hi, lo - 0.1, hi + 0.1):
                 with pytest.raises(DomainError):
                     closed_form_eval(spec, bad)
+
+    def test_both_routes_raise_the_catalogue_check(self):
+        for fam in FAMILIES:
+            spec = SeriesSpec.from_family(fam, 1)
+            lo, hi = spec.interval
+            for bad in (lo, hi + 0.1):
+                with pytest.raises(DomainError, match="outside open interval") as want:
+                    spec.check(bad)
+                for route in (closed_form_eval, lambda s, x: direct_sum_grid(fam, [1], [x])):
+                    with pytest.raises(DomainError) as got:
+                        route(spec, bad)
+                    assert str(got.value) == str(want.value)
 
     def test_near_endpoint_margin(self):
         spec = SeriesSpec.from_family("T1", 1)

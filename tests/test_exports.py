@@ -19,7 +19,7 @@ RECORDS = [
     ),
     pytest.param(
         trigzeta.closed_form_eval(trigzeta.SeriesSpec.from_family("T1", 1), 0.3),
-        ("value", "prefactor", "terms"),
+        ("value", "prefactor", "terms", "zeta_sderivs"),
         id="ClosedFormResult",
     ),
     pytest.param(

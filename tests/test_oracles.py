@@ -1,5 +1,6 @@
 """Tests for the independent oracle evaluation paths."""
 
+import ast
 import cmath
 import functools
 import itertools
@@ -256,8 +257,8 @@ def _ref_tail_by_parts(a, b, sign, alpha, x, m1):
 
 
 def _ref_head_length(spec, x):
-    """The head length at x >= 0, or the refusal at resonance or the term cap."""
-    one_minus = abs(1.0 - spec.sign * cmath.exp(1j * spec.a * x))
+    """The head length at x, or the refusal at resonance or the term cap naming x."""
+    one_minus = abs(1.0 - spec.sign * cmath.exp(1j * spec.a * abs(x)))
     if one_minus < 1e-8:
         raise ConvergenceError(
             f"series phase too close to resonance at x={x}; no tail bound available"
@@ -271,6 +272,7 @@ def _ref_head_length(spec, x):
 def _ref_sum_by_parts(spec, x, tol, method, fold):
     a, b, sign = spec.a, spec.b, spec.sign
     m = _ref_head_length(spec, x)
+    x = abs(x)
     partial, partial_err = _ref_partial_sum_complex(a, b, sign, spec.alpha, x, m)
     tail, tail_err, j_used = _ref_tail_by_parts(a, b, sign, spec.alpha, x, m + 1)
     total = partial + tail
@@ -291,11 +293,7 @@ def _ref_direct_sum(spec, x, tol):
     margin = 1e-9 * (hi - lo)
     if not (lo + margin <= x <= hi - margin):
         raise DomainError(f"x={x} outside open interval ({lo}, {hi}) for family {spec.family}")
-    fold = 1.0
-    if x < 0.0:
-        x = -x
-        if spec.kind == "sin":
-            fold = -1.0
+    fold = -1.0 if x < 0.0 and spec.kind == "sin" else 1.0
     if x == 0.0 and spec.kind == "sin":
         return OracleReport(0.0, "direct", 1, 1e-18)
     method = "euler_accelerated" if spec.sign < 0 else "direct"
@@ -644,6 +642,69 @@ class TestGridRefusalOrder:
             for x, value, terms_used in zip(xs, *rows):
                 want = _ref_direct_sum(SeriesSpec.from_family("T2", m), x, 1e-10)
                 assert (value, terms_used) == (want.value, want.terms_used)
+
+
+def _slip_fold(monkeypatch, kind):
+    """Negate the brackets' parity sign at x < 0 for the ``kind`` families.
+
+    Every ``trigzeta`` module attribute bound to ``closedforms._fold`` is
+    rebound, as the benchmark tracer rebinds what it wraps, since callers
+    hold the name they imported.
+    """
+    original = closedforms._fold
+
+    def slipped(spec, x):
+        sign, t = original(spec, x)
+        return (-sign if x < 0.0 and spec.kind == kind else sign), t
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("trigzeta") and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, slipped)
+
+
+class TestSignedSum:
+    """The oracle sums each series at the signed x and shares no fold."""
+
+    @pytest.mark.parametrize("kind, families", [("cos", ("T4", "T8")), ("sin", ("T3", "T7"))])
+    def test_compare_catches_a_fold_slip(self, kind, families, monkeypatch):
+        from trigzeta.cli import main
+
+        argv = ["compare", "--m", "2", "--grid", "33", "--family"]
+        for family in families:
+            assert main(argv + [family]) == 0
+        _slip_fold(monkeypatch, kind)
+        for family in families:
+            assert main(argv + [family]) == 4, family
+
+    @pytest.mark.parametrize("family", ["T3", "T4", "T7", "T8"])
+    def test_value_at_minus_x_is_the_parity_image(self, family):
+        # bit for bit: minus the value at x for a sine family, the value at
+        # x for a cosine family; estimates, terms and methods equal
+        lo, hi = SeriesSpec.from_family(family, 1).interval
+        rng = np.random.default_rng(36)
+        xs = grid_points(family, 33) + grid_points(family, 129)
+        xs += (lo + (0.05 + 0.9 * rng.random(200)) * (hi - lo)).tolist()
+        plus = direct_sum_grid(family, WEIGHTS, xs, 1e-6)
+        minus = direct_sum_grid(family, WEIGHTS, [-x for x in xs], 1e-6)
+        parity = -1.0 if SeriesSpec.from_family(family, 1).kind == "sin" else 1.0
+        assert np.array_equal(minus[0], parity * plus[0])
+        for got, want in zip(minus[1:], plus[1:]):
+            assert np.array_equal(got, want)
+
+    def test_oracles_import_only_the_catalogue(self):
+        tree = ast.parse(Path(oracles.__file__).read_text())
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+                if (node.module or "").split(".")[-1] == "closedforms":
+                    imported += names
+                assert "closedforms" not in names
+            elif isinstance(node, ast.Import):
+                assert all("closedforms" not in alias.name for alias in node.names)
+        assert imported == ["SeriesSpec"]
 
 
 def _ref_choi_srivastava(n, a, t):
