@@ -10,15 +10,18 @@ Subcommands
 Exit codes: 0 success, 2 domain error, 3 convergence error,
 4 verification failure.  All output is deterministic: records are
 ordered by (family, m, x) and numbers are printed with 17 significant
-digits in machine formats (12 in human format).
+digits in machine formats (12 in human format).  ``compare`` and
+``sweep`` print every record, then exit 4 if ``oracle_gate`` fails at
+some entry: |closed - oracle| above est_oracle + est_closed.  They take
+no tolerance; the oracle refuses (exit 3) a point whose estimate exceeds
+``direct_sum_grid``'s default tolerance, 1e-10.
 
 ``build_parser`` builds the one parser from ``COMMANDS``, the one table
 of each subcommand's help line, function and arguments.  ``parse_args``
 parses with one parser per process, built on its first call and reused
 by every later ``main`` call; argparse keeps no state between parses.
-``read_tol`` gives the tolerance: --tol, $TRIGZETA_TOL or
-``DEFAULT_TOL``.  The suites live in ``trigzeta.verify``, which only
-``verify`` imports, when it runs.
+The suites live in ``trigzeta.verify``, which only ``verify`` imports,
+when it runs.
 """
 
 from __future__ import annotations
@@ -27,17 +30,14 @@ import argparse
 import functools
 import io
 import math
-import os
 import sys
 
 from .closedforms import (  # MAX_GRID for the callers that read it as cli.MAX_GRID
     _MAX_WEIGHT, MAX_GRID, SERIES, SeriesSpec, closed_form_eval, closed_form_grid, grid_points,
+    oracle_gate,
 )
 from .errors import DomainError, TrigZetaError, VerificationError
 from .oracles import direct_sum_grid
-
-TOL_ENV_VAR = "TRIGZETA_TOL"
-DEFAULT_TOL = 1e-8
 
 FAMILIES = tuple(SERIES)
 
@@ -91,36 +91,20 @@ def parse_m_range(text: str) -> list[int]:
     return list(range(lo, hi + 1)) if ".." in t else sorted(set(weights))
 
 
-def read_tol(flag: str | None) -> float:
-    """--tol if given, else $TRIGZETA_TOL, else ``DEFAULT_TOL``: finite and positive."""
-    source, text = "--tol", flag
-    if flag is None:
-        source, text = TOL_ENV_VAR, os.environ.get(TOL_ENV_VAR)
-    if text is None:
-        return DEFAULT_TOL
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"{source} must be a finite positive number, got {text!r}")
-    return tol
-
-
-def make_records(family: str, weights, xs, tol: float) -> dict[str, list]:
-    """Closed form vs oracle for every weight and x, as columns.
+def make_records(family: str, weights, xs) -> tuple[dict[str, list], str | None]:
+    """Closed form vs oracle for every weight and x, as columns, and the gate.
 
     Returns one list per name of ``CSV_HEADER``, in that order, each in
     weight-major, x-minor order: ascending (m, x) for the sorted weights
-    of ``parse_m_range`` and the ascending ``grid_points``.  The oracle
-    and the closed forms each run once over the whole grid, so what they
-    share across weights (the oracle's phases, the closed forms' zeta'
-    offsets) is computed once per x.
+    of ``parse_m_range`` and the ascending ``grid_points``; and the
+    ``oracle_gate`` message of the first entry that fails it, or None.
+    The oracle and the closed forms each run once over the whole grid, so
+    what they share across weights (the oracle's phases, the closed forms'
+    zeta' offsets) is computed once per x.
     """
     import numpy as np
 
-    oracle_tol = max(1e-12, 0.01 * tol)
-    oracles, errs, terms, methods = direct_sum_grid(family, weights, xs, oracle_tol)
+    oracles, errs, terms, methods = direct_sum_grid(family, weights, xs)
     closed_forms = closed_form_grid(family, weights, xs)
     abs_errs = np.abs(closed_forms - oracles)
     columns = (
@@ -134,7 +118,8 @@ def make_records(family: str, weights, xs, tol: float) -> dict[str, list]:
         methods * len(weights),
         terms.ravel().tolist(),
     )
-    return dict(zip(CSV_HEADER, columns))
+    return dict(zip(CSV_HEADER, columns)), oracle_gate(
+        family, weights, xs, closed_forms, oracles, errs)
 
 
 def _write_json(doc, out) -> None:
@@ -202,24 +187,21 @@ def cmd_eval(args, out) -> int:
 def cmd_compare(args, out) -> int:
     import numpy as np
 
-    tol = read_tol(args.tol)
-    records = make_records(args.family, [args.m], grid_points(args.family, args.grid), tol)
+    records, failure = make_records(args.family, [args.m], grid_points(args.family, args.grid))
     _emit_records(records, args.format, out)
-    max_rel = float(np.max(records["rel_err"]))  # nan if any rel_err is nan
-    if args.format != "json":
-        out.write(f"max_rel_err = {_fmt(max_rel, True)}\n")
-    if not max_rel <= tol:
-        raise VerificationError(
-            f"max rel_err {max_rel:.3e} exceeds tolerance {tol:.3e}"
-        )
+    if args.format != "json":  # max_rel_err is nan if any rel_err is nan
+        out.write(f"max_rel_err = {_fmt(float(np.max(records['rel_err'])), True)}\n")
+    if failure:
+        raise VerificationError(failure)
     return 0
 
 
 def cmd_sweep(args, out) -> int:
-    tol = read_tol(args.tol)
     weights = parse_m_range(args.m)
-    records = make_records(args.family, weights, grid_points(args.family, args.grid), tol)
+    records, failure = make_records(args.family, weights, grid_points(args.family, args.grid))
     _emit_records(records, args.format if args.format != "text" else "csv", out)
+    if failure:
+        raise VerificationError(failure)
     return 0
 
 
@@ -253,7 +235,6 @@ _M = ("--m", {"type": int, "required": True})
 _WEIGHTS = ("--m", {"required": True, "help": "weight range: 2, 1..3, or 1,2,3"})
 _X = ("--x", {"required": True, "help": "number or pi-multiple, e.g. 0.5pi"})
 _GRID = ("--grid", {"type": int, "default": 9})
-_TOL = ("--tol", {"help": f"tolerance (default from ${TOL_ENV_VAR} or {DEFAULT_TOL})"})
 _SUITE = ("--suite", {"default": "all", "choices": (
     "special-values", "identities", "choi-srivastava", "table2", "all")})
 
@@ -261,9 +242,9 @@ _SUITE = ("--suite", {"default": "all", "choices": (
 COMMANDS = {
     "eval": ("closed form at one point", cmd_eval, (_FAMILY, _FORMAT, _OUT, _M, _X)),
     "compare": ("closed form vs oracle on a grid", cmd_compare,
-                (_FAMILY, _FORMAT, _OUT, _M, _GRID, _TOL)),
+                (_FAMILY, _FORMAT, _OUT, _M, _GRID)),
     "sweep": ("compare over a weight range, CSV/JSON", cmd_sweep,
-              (_FAMILY, _FORMAT, _OUT, _WEIGHTS, _GRID, _TOL)),
+              (_FAMILY, _FORMAT, _OUT, _WEIGHTS, _GRID)),
     "verify": ("run property suites", cmd_verify, (_FORMAT, _OUT, _SUITE)),
 }
 

@@ -36,7 +36,9 @@ every zeta' of the grid in one ``hurwitz_zeta_sderiv_grid`` call.  Its
 assembly, ``_bracket_grid``, reads one table: the corrected one, or the
 literal one for the ``table2`` suite.  ``closed_form_eval`` stays the
 one-point route: it returns the decomposition and costs less than a
-one-point grid.
+one-point grid.  ``oracle_gate`` is the one test of the closed forms
+against the summation oracle, read by ``compare``, ``sweep`` and the
+``table2`` suite.
 
 At x = 0 the brackets of the sine families T3 and T7 vanish and T4's
 offsets collide pairwise, so both routes return those families' x = 0
@@ -202,7 +204,7 @@ def _fold(spec: SeriesSpec, x: float) -> tuple[float, float]:
     Sin families are odd in x, cos families even.  The brackets' zeta'
     offsets are valid only on the positive half of a symmetric interval,
     so they are read at |x| and their value multiplied by the sign.  The
-    oracle sums the series at the signed x and does not fold.
+    oracle and ``verify.limit_series_eval`` take x's sign themselves.
     """
     spec.check(x)
     if x < 0.0:
@@ -358,3 +360,33 @@ def general_closed_form(family: str, m: int, x: float) -> float:
     that reconcile it.
     """
     return _bracket_eval(_LITERAL_CONSTANTS, SeriesSpec.from_family(family, m), x).value
+
+
+# est_closed per unit of 1 + |closed form|: about twice the closed forms'
+# worst error on tests/reference.json, 8.17 eps
+CLOSED_FORM_EST = 16.0 * math.ulp(1.0)
+
+
+def oracle_gate(family: str, weights, xs, closed, oracle, est_oracle) -> str | None:
+    """The first entry where the closed form misses the oracle, or None.
+
+    ``closed``, ``oracle`` and the oracle's ``est_oracle`` are arrays of
+    shape (weights, points).  Every entry must satisfy
+
+        |closed - oracle| <= est_oracle + est_closed,
+        est_closed = CLOSED_FORM_EST (1 + |closed|),
+
+    and a gap that is not finite fails.  The message names the first
+    failing entry in weight-major, x-minor order, the oracle's refusal
+    order: its family, m and x, the gap and both estimates.
+    """
+    import numpy as np
+
+    gaps = np.abs(closed - oracle)
+    est_closed = CLOSED_FORM_EST * (1.0 + np.abs(closed))
+    failed = ~np.isfinite(gaps) | (gaps > est_oracle + est_closed)
+    if not failed.any():
+        return None
+    w, j = divmod(int(failed.argmax()), len(xs))
+    return (f"{family} m={weights[w]} x={xs[j]!r}: |closed - oracle| {gaps[w, j]:.3e} exceeds "
+            f"est_oracle {est_oracle[w, j]:.3e} + est_closed {est_closed[w, j]:.3e}")

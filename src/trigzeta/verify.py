@@ -3,14 +3,17 @@
 ``SUITES`` maps each suite of ``trigzeta verify`` to a function of the
 output stream returning its (name, passed, detail) checks; only table2
 writes to the stream, its deviation report line.  The check oracles share
-no code with the closed forms' brackets: ``limit_series_eval``, the
-singular limit of the power series over zeta/eta/lambda/beta values at
-integers; ``choi_srivastava_grid``, both sides of the identity under the
+no code with the closed forms' brackets, their parity fold included:
+``limit_series_eval``, the singular limit of the power series over
+zeta/eta/lambda/beta values at integers, which takes the sign of x
+itself; ``choi_srivastava_grid``, both sides of the identity under the
 closed forms; ``_hurwitz_formula_partials``, the Hurwitz formula for
 zeta(1 - s, a) truncated; and ``lambda_probe_orders``, extrapolations of
-s lambda(1 + s) -> 1/2.  It imports nothing from ``trigzeta.cli``, which
-imports it only when ``verify`` runs, so the other commands do not load
-it.  The limit tables' exact rationals are (numerator, denominator)
+s lambda(1 + s) -> 1/2.  The table2 suite checks its deviating rows
+against the summation oracle by ``closedforms.oracle_gate``, as
+``compare`` and ``sweep`` do.  It imports nothing from ``trigzeta.cli``,
+which imports it only when ``verify`` runs, so the other commands do not
+load it.  The limit tables' exact rationals are (numerator, denominator)
 integer pairs, as in ``BERNOULLI``, so no route loads ``fractions``.
 """
 
@@ -18,10 +21,11 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 from .closedforms import (
     _BRACKET_CONSTANTS, _LITERAL_CONSTANTS, _MAX_WEIGHT, ERRATA, TABLE2_ROWS,
-    SeriesSpec, _bracket_grid, _fold, closed_form_eval, grid_points,
+    SeriesSpec, _bracket_grid, closed_form_eval, grid_points, oracle_gate,
 )
 from .dirichlet import (
     SPECIAL_VALUES, beta_fn, dirichlet_lambda, eta, riemann_zeta, zeta_prime_neg_even,
@@ -29,7 +33,7 @@ from .dirichlet import (
 from .errors import ConvergenceError, DomainError
 from .foundations import BERNOULLI, digamma, harmonic, pochhammer
 from .hurwitz import _TAYLOR_MAX_A, hurwitz_zeta, hurwitz_zeta_sderiv
-from .oracles import _EPS, direct_sum_grid
+from .oracles import direct_sum_grid
 
 __all__ = ["SUITES", "limit_series_eval", "choi_srivastava_grid", "lambda_probe_orders"]
 
@@ -121,16 +125,15 @@ def limit_series_eval(spec: SeriesSpec, x: float) -> float:
     never exceeds 1/2 on the open interval.  The omitted terms are bounded
     as a geometric series of ratio q = (x/R)^2; where that bound exceeds
     eps (1 + |value|) it raises ``ConvergenceError`` carrying the value as
-    ``best_value``.  Besides the series catalogue and the parity fold, it
-    shares with the closed forms only the Bernoulli numbers (``BERNOULLI``,
-    for F at order <= 0) and, through ``dirichlet``, the Euler-Maclaurin
-    sum at positive order.  It keeps the brackets' fold (``_fold``) because
-    its expansion about the far end reads |x| and needs the parity sign,
-    times the target's ``end_sign``.  A slip in that fold moves it with the
-    brackets; ``compare``, whose oracle does not fold, catches it, and the
-    identities suite catches a cosine-family slip.
+    ``best_value``.  Both expansions read t = |x|, times the parity sign:
+    -1 for a sine family at x < 0.  It takes that sign itself, after
+    ``spec.check``, so a slip in the brackets' fold (``_fold``) does not
+    move it.  Besides the series catalogue it shares with the closed forms
+    only the Bernoulli numbers (``BERNOULLI``, for F at order <= 0) and,
+    through ``dirichlet``, the Euler-Maclaurin sum at positive order.
     """
-    sign, t = _fold(spec, x)
+    spec.check(x)
+    sign, t = (-1.0 if spec.kind == "sin" else 1.0, -x) if x < 0.0 else (1.0, x)
     target, end_sign = _END_SYMMETRIES[spec.family]
     table = _limit_table(spec.family, spec.m)
     far = _limit_table(target, spec.m)
@@ -149,7 +152,7 @@ def limit_series_eval(spec: SeriesSpec, x: float) -> float:
     value *= sign
     q = y / (radius * radius)
     omitted = abs(coeffs[0]) * t ** (2 * len(coeffs) - 2 + delta) * q / (1.0 - q)
-    if omitted > _EPS * (1.0 + abs(value)):
+    if omitted > sys.float_info.epsilon * (1.0 + abs(value)):
         raise ConvergenceError(
             f"singular-limit series leaves terms up to {omitted:.3e} at x={x}",
             best_value=value,
@@ -348,8 +351,10 @@ def _suite_table2(out):
     raise ``ConvergenceError``).  A row deviates when its literal reading
     disagrees with its theorem values beyond 1e-8; that list is measured,
     not read off ``ERRATA``.  A deviating row passes only if its theorem
-    values also match the independent summation oracle within 1e-8, and
-    the report names the erratum fields that reconcile it.
+    values also pass ``oracle_gate`` against the independent summation
+    oracle at every point, and the report names the erratum fields that
+    reconcile it, with the theorem values' worst relative gap to the
+    oracle.
 
     Each reading takes its own ``_bracket_grid`` call, and so its own
     kernel pass.  The literal one is called only for a row whose literal
@@ -376,8 +381,10 @@ def _suite_table2(out):
                            f"max rel gap {worst_vs_theorem:.3e}, theorem-vs-limit "
                            f"{worst_vs_limit:.3e}"))
             continue
-        worst_vs_oracle = _worst_gap(theorems, direct_sum_grid(family, weights, xs, 1e-10)[0])
-        theorem_ok = worst_vs_oracle <= 1e-8 and worst_vs_limit <= 1e-13
+        oracles, errs = direct_sum_grid(family, weights, xs)[:2]
+        worst_vs_oracle = _worst_gap(theorems, oracles)
+        theorem_ok = (oracle_gate(family, weights, xs, theorems, oracles, errs) is None
+                      and worst_vs_limit <= 1e-13)
         deviations.append(
             {
                 "row": family,

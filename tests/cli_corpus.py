@@ -1,6 +1,6 @@
 """Print a fingerprint of the CLI's output on a fixed list of commands.
 
-Each of the 210 commands runs through ``trigzeta.cli.main`` in process,
+Each of the 540 commands runs through ``trigzeta.cli.main`` in process,
 with ``COLUMNS=80``, and gives one line: the argv, the exit code, and the
 sha256 of stdout and of stderr.  Running it on two trees and diffing the
 outputs shows every command whose bytes changed:
@@ -41,6 +41,19 @@ def corpus() -> list[list[str]]:
             for x in EVAL_XS:
                 argvs.append(["eval", "--family", family, "--m", m, "--x", x,
                               "--format", "json"])
+    # every other format of each command, and the help of those with a grid
+    for family in FAMILIES:
+        for grid in GRIDS:
+            for command, m, fmt in (("compare", "1", "csv"), ("compare", "1", "text"),
+                                    ("sweep", "1..8", "text")):
+                argvs.append([command, "--family", family, "--m", m, "--grid", str(grid),
+                              "--format", fmt])
+        for m in ("1", "8"):
+            for x in EVAL_XS:
+                for fmt in ("text", "csv"):
+                    argvs.append(["eval", "--family", family, "--m", m, "--x", x,
+                                  "--format", fmt])
+    argvs += [["compare", "--help"], ["sweep", "--help"]]
     return argvs
 
 

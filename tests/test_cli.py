@@ -21,7 +21,6 @@ from trigzeta.cli import (
     CSV_HEADER,
     FAMILIES,
     MAX_GRID,
-    TOL_ENV_VAR,
     _emit_records,
     _join_x,
     build_parser,
@@ -32,7 +31,9 @@ from trigzeta.cli import (
     parse_m_range,
     parse_x,
 )
+from trigzeta.closedforms import CLOSED_FORM_EST
 from trigzeta.errors import ConvergenceError, DomainError
+from trigzeta.oracles import direct_sum_grid
 
 CATALAN = 0.915965594177219
 
@@ -41,6 +42,30 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _drift_taylor(monkeypatch, r):
+    """Scale every coefficient of the kernel's Taylor rows by 1 + r."""
+    rows = tuple(tuple(c * (1.0 + r) for c in row) for row in hurwitz._TAYLOR)
+    monkeypatch.setattr(hurwitz, "_TAYLOR", rows)
+
+
+def _gate_message(family, weights, xs):
+    """The gate's message for the first entry off it, an entry at a time, or None."""
+    oracles, errs = direct_sum_grid(family, weights, xs)[:2]
+    closed = closedforms.closed_form_grid(family, weights, xs)
+    for w, m in enumerate(weights):
+        for j, x in enumerate(xs):
+            gap = abs(closed[w, j] - oracles[w, j])
+            est_closed = CLOSED_FORM_EST * (1.0 + abs(closed[w, j]))
+            if not gap <= errs[w, j] + est_closed:
+                return (f"{family} m={m} x={x!r}: |closed - oracle| {gap:.3e} exceeds "
+                        f"est_oracle {errs[w, j]:.3e} + est_closed {est_closed:.3e}")
+    return None
+
+
+# every grid_points count of the CLI tests and the benchmark's counts
+GATE_COUNTS = (1, 2, 3, 5, 7, 8, 9, 31, 33, 35, 127, 129, 131, 2000)
 
 
 class TestParsing:
@@ -218,13 +243,38 @@ class TestCompare:
             assert float(c["oracle"]) == j["oracle"]
 
     def test_tolerance_failure_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setenv("TRIGZETA_TOL", "1e-16")
-        code, out, err = run_cli(
-            ["compare", "--family", "T1", "--m", "1", "--grid", "3"], capsys)
-        assert code == 4
-        # the records and the max_rel_err line are printed before the error
-        assert out.splitlines()[-1].startswith("max_rel_err = ")
-        assert err.splitlines()[0].startswith("error: max rel_err")
+        # a drift of every Taylor coefficient by 1e-13 relative, some 450
+        # eps, fails the gate on some benchmark grid of compare and of sweep.
+        # Every record (and compare's max_rel_err line) is printed, then
+        # stderr names the first entry off the gate and both its sides
+        _drift_taylor(monkeypatch, 1e-13)
+        for command, m, weights, counts in (("compare", "1", [1], (127, 131)),
+                                            ("sweep", "1..8", list(range(1, 9)), (31, 35))):
+            failed = 0
+            for family in FAMILIES:
+                for count in counts:
+                    argv = [command, "--family", family, "--m", m, "--grid", str(count),
+                            "--format", "csv"]
+                    code, out, err = run_cli(argv, capsys)
+                    lines = out.splitlines()
+                    assert lines[0].split(",") == CSV_HEADER
+                    assert len(lines) == 1 + len(weights) * count + (command == "compare")
+                    if command == "compare":
+                        assert lines[-1].startswith("max_rel_err = ")
+                    want = _gate_message(family, weights, grid_points(family, count))
+                    if want is None:
+                        assert (code, err) == (0, ""), argv
+                    else:
+                        assert (code, err) == (4, f"error: {want}\n"), argv
+                        failed += 1
+            assert failed, command
+
+    @pytest.mark.parametrize("count", GATE_COUNTS)
+    def test_gate_holds_on_every_grid(self, count):
+        # no drift: every family at every weight passes
+        for family in FAMILIES:
+            failure = make_records(family, list(range(1, 9)), grid_points(family, count))[1]
+            assert failure is None, failure
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_nan_rel_err_fails_the_gate(self, fmt, capsys, monkeypatch):
@@ -240,37 +290,18 @@ class TestCompare:
             ["compare", "--family", "T1", "--m", "1", "--grid", "9",
              "--format", fmt], capsys)
         assert code == 4
-        assert "max rel_err nan exceeds tolerance" in err
+        x = grid_points("T1", 9)[3]
+        assert err.startswith(f"error: T1 m=1 x={x!r}: |closed - oracle| nan exceeds est_oracle ")
         if fmt == "text":
             assert out.splitlines()[-1] == "max_rel_err = nan"
 
-    def test_env_tol_is_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("TRIGZETA_TOL", "1e-6")
-        code, _, _ = run_cli(
-            ["compare", "--family", "T1", "--m", "1", "--grid", "3"], capsys)
-        assert code == 0
-        # explicit --tol wins over the environment
-        monkeypatch.setenv("TRIGZETA_TOL", "1e-16")
-        code, _, _ = run_cli(
-            ["compare", "--family", "T1", "--m", "1", "--grid", "3",
-             "--tol", "1e-6"], capsys)
-        assert code == 0
-
-    def test_bad_env_tol_is_read_only_where_used(self, capsys, monkeypatch):
-        monkeypatch.setenv("TRIGZETA_TOL", "abc")
-        code, _, err = run_cli(["sweep", "--family", "T1", "--m", "1", "--grid", "3"], capsys)
-        assert code == 2
-        assert err == "error: TRIGZETA_TOL must be a finite positive number, got 'abc'\n"
-        # --tol is read in its place, and eval reads no tolerance
-        for argv in (["compare", "--family", "T2", "--m", "1", "--tol", "1e-6"],
-                     ["eval", "--family", "T1", "--m", "1", "--x", "0.3"]):
-            assert run_cli(argv, capsys)[0] == 0
 
 
 class TestRefusal:
-    # no real CLI grid is refused: grids keep 5% from the interval ends and
-    # the oracle tolerance floors at 1e-12, so the oracle is made to refuse
-    MESSAGE = "direct summation reached error estimate 1.000e-09 > tol 1.000e-12"
+    # no real CLI grid is refused: grids keep 5% from the interval ends,
+    # where every estimate is below the oracle's tolerance of 1e-10, so the
+    # oracle is made to refuse
+    MESSAGE = "direct summation reached error estimate 1.000e-09 > tol 1.000e-10"
 
     @pytest.mark.parametrize("argv", [
         ["compare", "--family", "T2", "--m", "1", "--grid", "9"],
@@ -279,7 +310,7 @@ class TestRefusal:
         ["sweep", "--family", "T6", "--m", "1..3", "--grid", "9", "--format", "json"],
     ])
     def test_convergence_error_exits_3(self, argv, capsys, monkeypatch):
-        def refuse(family, weights, xs, tol):
+        def refuse(family, weights, xs):
             raise ConvergenceError(self.MESSAGE, best_value=0.5)
 
         monkeypatch.setattr(cli, "direct_sum_grid", refuse)
@@ -359,7 +390,7 @@ class TestEmitRecords:
         xs = [-0.0, 0.0, 0.5, -0.0]
         extra += [("T2", m, x, x, -x, 0.0, 0.0, "direct", m) for m in (1, 2, 3) for x in xs]
         for family in FAMILIES:
-            columns = make_records(family, list(range(1, 9)), grid_points(family, 33), 1e-8)
+            columns = make_records(family, list(range(1, 9)), grid_points(family, 33))[0]
             assert list(columns) == CSV_HEADER
             for name in CSV_HEADER:
                 records[name] += columns[name]
@@ -587,7 +618,6 @@ def test_cli_corpus_matches_the_golden_file(monkeypatch):
     corpus = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv(TOL_ENV_VAR, raising=False)
     want = (here / "cli_corpus.txt").read_text().splitlines()
     got = [corpus.run(main, argv) for argv in corpus.corpus()]
     assert len(got) == len(want)
@@ -631,15 +661,15 @@ class TestParseRoute:
         ["sweep", "--family", "T1", "--m", "1", "--"],
         ["sweep", "--m", "1", "--family", "T1", "--family", "T2"],
         ["eval", "--family", "T1", "--m", "1", "--x", "-0.25pi"],
-        ["eval", "--family", "T1", "--m", "1", "--x", "0.3", "--tol", "1"],
+        ["eval", "--family", "T1", "--m", "1", "--x", "0.3", "--grid", "1"],
         ["eval", "--family", "T1", "--m", "1", "--x"],
         ["eval", "--family", "T1", "--m", "1..8", "--x", "0.3"],
         ["compare", "--family", "T1", "--m", "x"],
-        ["compare", "--family", "T1", "--m", "1", "--grid", "3", "--tol", "1e-9",
+        ["compare", "--family", "T1", "--m", "1", "--grid", "3",
          "--out", "out.csv", "--format", "json"],
         ["compare", "--family", "T1", "--m", "1", "-h", "--bogus"],
         ["verify"], ["verify", "--suite", "table2", "--format", "json"],
-        ["verify", "--suite", "nope"], ["verify", "--tol", "1e-6"],
+        ["verify", "--suite", "nope"], ["verify", "--grid", "3"],
         ["verify", "--family", "T1"],
     ]
 
@@ -648,7 +678,7 @@ class TestParseRoute:
         ("--family", "T1"), ("--family", "T9"), ("--fam", "T5"), ("--f", "T1"),
         ("--format", "csv"), ("--format", "xml"), ("--out", "out.txt"),
         ("--m", "1"), ("--m", "1..8"), ("--m", "x"), ("--x", "-0.25pi"), ("--x", "0.3"),
-        ("--grid", "3"), ("--grid", "-3"), ("--tol", "1e-9"), ("--suite", "all"),
+        ("--grid", "3"), ("--grid", "-3"), ("--suite", "all"),
         ("--suite", "nope"),
     ]
     SINGLES = [("--",), ("-h",), ("--help",), ("extra",), ("--bogus",), ("sweep",),
@@ -777,7 +807,7 @@ options:
     "compare": """\
 usage: trigzeta compare [-h] --family {T1,T2,T3,T4,T5,T6,T7,T8}
                         [--format {csv,json,text}] [--out OUT] --m M
-                        [--grid GRID] [--tol TOL]
+                        [--grid GRID]
 
 options:
   -h, --help            show this help message and exit
@@ -786,12 +816,11 @@ options:
   --out OUT             write output to this file
   --m M
   --grid GRID
-  --tol TOL             tolerance (default from $TRIGZETA_TOL or 1e-08)
 """,
     "sweep": """\
 usage: trigzeta sweep [-h] --family {T1,T2,T3,T4,T5,T6,T7,T8}
                       [--format {csv,json,text}] [--out OUT] --m M
-                      [--grid GRID] [--tol TOL]
+                      [--grid GRID]
 
 options:
   -h, --help            show this help message and exit
@@ -800,7 +829,6 @@ options:
   --out OUT             write output to this file
   --m M                 weight range: 2, 1..3, or 1,2,3
   --grid GRID
-  --tol TOL             tolerance (default from $TRIGZETA_TOL or 1e-08)
 """,
     "verify": """\
 usage: trigzeta verify [-h] [--format {csv,json,text}] [--out OUT]
@@ -828,7 +856,9 @@ def test_help_text_is_pinned(command, capsys, monkeypatch):
 # without p/i none of it ends in the pi suffix
 _NO_NUMBER = st.text(st.characters(
     blacklist_categories=("Nd", "Cs"), blacklist_characters="\x00pPiI"))
-_BAD_TOL = st.one_of(
+# the tolerances --tol and $TRIGZETA_TOL once took, and the text they refused
+_ANY_TOL = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(repr),
     st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-400"]),
     st.floats(max_value=0.0).map(repr),
     _NO_NUMBER,
@@ -852,36 +882,34 @@ _BAD_M = st.one_of(
 )
 
 
-def assert_rejected(argv, env_tol=None):
-    """main() exits 2 with a single error line and raises nothing."""
+def _run_main(argv):
+    """main()'s exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ):
-        os.environ.pop(TOL_ENV_VAR, None)
-        if env_tol is not None:
-            os.environ[TOL_ENV_VAR] = env_tol
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_rejected(argv):
+    """main() exits 2 with a single error line and raises nothing."""
+    code, _, err = _run_main(argv)
     assert code == 2, argv
-    lines = err.getvalue().splitlines()
+    lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 class TestHostileInput:
-    @pytest.mark.parametrize("argv, env_tol", [
-        (["compare", "--family", "T1", "--m", "6", "--tol", "nan"], None),
-        (["compare", "--family", "T1", "--m", "1", "--tol", "-1"], None),
-        (["compare", "--family", "T1", "--m", "1"], "abc"),
-        (["eval", "--family", "T1", "--m", "1", "--x", "abc"], None),
-        (["sweep", "--family", "T1", "--m", "x"], None),
-        (["compare", "--family", "T1", "--m", "1", "--grid", "0"], None),
-        (["sweep", "--family", "T1", "--m", "1", "--grid", "-3"], None),
-        (["sweep", "--family", "T1", "--m", "1..100000000000"], None),
-        (["sweep", "--family", "T4", "--m=--", "--grid", "1"], None),
-        (["eval", "--family", "T1", "--m", "1", "--x=--"], None),
-        (["compare", "--family", "T1", "--m", "1", "--tol=--"], None),
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--family", "T1", "--m", "1", "--x", "abc"],
+        ["sweep", "--family", "T1", "--m", "x"],
+        ["compare", "--family", "T1", "--m", "1", "--grid", "0"],
+        ["sweep", "--family", "T1", "--m", "1", "--grid", "-3"],
+        ["sweep", "--family", "T1", "--m", "1..100000000000"],
+        ["sweep", "--family", "T4", "--m=--", "--grid", "1"],
+        ["eval", "--family", "T1", "--m", "1", "--x=--"],
     ])
-    def test_reproduced_cases(self, argv, env_tol):
-        assert_rejected(argv, env_tol)
+    def test_reproduced_cases(self, argv):
+        assert_rejected(argv)
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--family=--", "--m", "1"],
@@ -908,16 +936,25 @@ class TestHostileInput:
         assert exc.value.code == 2
         assert "--tol" in capsys.readouterr().err
 
-    @given(st.sampled_from(["compare", "sweep"]), _BAD_TOL)
+    @given(st.sampled_from(["compare", "sweep"]), _ANY_TOL)
     @settings(max_examples=40, deadline=None)
     def test_bad_tol(self, command, tol):
-        assert_rejected([command, "--family", "T2", "--m", "1", "--grid", "1",
-                         f"--tol={tol}"])
+        # no command takes a tolerance: argparse refuses --tol, whatever its value
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main([command, "--family", "T2", "--m", "1", "--grid", "1", f"--tol={tol}"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol=" in err.getvalue()
 
-    @given(_BAD_TOL)
+    @given(_ANY_TOL)
     @settings(max_examples=40, deadline=None)
     def test_bad_env_tol(self, tol):
-        assert_rejected(["compare", "--family", "T2", "--m", "1", "--grid", "1"], tol)
+        # no command reads $TRIGZETA_TOL: whatever it holds, the bytes and
+        # exit code are those of a run without it
+        argv = ["compare", "--family", "T2", "--m", "1", "--grid", "1"]
+        want = _run_main(argv)
+        with mock.patch.dict(os.environ, {"TRIGZETA_TOL": tol}):
+            assert _run_main(argv) == want
 
     @given(st.sampled_from(["compare", "sweep"]), _BAD_GRID)
     @settings(max_examples=40, deadline=None)

@@ -220,7 +220,7 @@ class TestClosedFormGrid:
     def test_make_records_takes_the_grid_values(self):
         for family in FAMILIES:
             xs = grid_points(family, 9)
-            records = make_records(family, list(self.WEIGHTS), xs, 1e-8)
+            records = make_records(family, list(self.WEIGHTS), xs)[0]
             want = [
                 closed_form_eval(SeriesSpec.from_family(family, m), x).value
                 for m in self.WEIGHTS
@@ -243,7 +243,7 @@ class TestClosedFormGrid:
                     closed_form_grid(family, (1, 2), xs)
                 assert str(got.value) == str(want.value)
                 with pytest.raises(DomainError) as got:
-                    make_records(family, [1, 2], xs, 1e-8)
+                    make_records(family, [1, 2], xs)
                 assert str(got.value) == str(want.value)
         for family, weights in (
             ("T9", (1,)), ("T1", (closedforms._MAX_WEIGHT + 1,)), ("T1", (1, 0))

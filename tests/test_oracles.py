@@ -548,11 +548,10 @@ class TestGridRefusalOrder:
     @pytest.mark.parametrize("family, weights, fractions", CASES)
     def test_make_records_raises_the_first_refusal(self, family, weights, fractions):
         xs = self._xs(family, fractions)
-        tol = 1e-8  # the oracle runs at 0.01 tol
 
-        def record(spec, x):
+        def record(spec, x):  # the oracle runs at its default tol, 1e-10
             closed_form_eval(spec, x)
-            _ref_direct_sum(spec, x, 0.01 * tol)
+            _ref_direct_sum(spec, x, 1e-10)
 
         want = _first_refusal(
             lambda spec=SeriesSpec.from_family(family, m), x=x: record(spec, x)
@@ -560,7 +559,7 @@ class TestGridRefusalOrder:
             for x in xs
         )
         with pytest.raises(ConvergenceError) as got:
-            make_records(family, list(weights), xs, tol)
+            make_records(family, list(weights), xs)
         _same_refusal(got.value, want)
 
     # failing points in different batches: heads of 31,831 (1e-3 from an
@@ -677,6 +676,30 @@ class TestSignedSum:
         _slip_fold(monkeypatch, kind)
         for family in families:
             assert main(argv + [family]) == 4, family
+
+    @pytest.mark.parametrize("kind, failing", [
+        ("cos", ["table2.T4.literal", "table2.T8.deviation-covered"]),
+        ("sin", ["table2.T3.literal", "table2.T7.literal"]),
+    ])
+    def test_table2_catches_a_fold_slip(self, kind, failing, capsys, monkeypatch):
+        # limit_series_eval takes the sign of x itself, so a slipped fold
+        # moves the brackets alone: the rows whose grids hold x < 0 fail,
+        # and the report still serialises, with a Python bool
+        from trigzeta.cli import main
+
+        _slip_fold(monkeypatch, kind)
+        assert main(["verify", "--suite", "table2", "--format", "json"]) == 4
+        head, _, body = capsys.readouterr().out.partition("\n")
+        assert [c["check"] for c in json.loads(body) if not c["passed"]] == failing
+        report = json.loads(head.removeprefix("TABLE2-DEVIATION-REPORT "))
+        [row] = report["deviations"]
+        assert row["theorem_evaluator_passes"] is (kind == "sin")
+
+    def test_verify_imports_no_fold(self):
+        tree = ast.parse(Path(verify.__file__).read_text())
+        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names]
+        assert "_fold" not in names and "_EPS" not in names
 
     @pytest.mark.parametrize("family", ["T3", "T4", "T7", "T8"])
     def test_value_at_minus_x_is_the_parity_image(self, family):
