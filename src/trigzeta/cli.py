@@ -125,8 +125,7 @@ def make_records(family: str, weights, xs) -> tuple[dict[str, list], str | None]
 def _write_json(doc, out) -> None:
     import json
 
-    json.dump(doc, out, indent=2)
-    out.write("\n")
+    out.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _emit_records(records: dict[str, list], fmt: str, out) -> None:

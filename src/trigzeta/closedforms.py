@@ -32,13 +32,17 @@ and the tests hold them, with its p, to ``SERIES``.
 ``closed_form_grid`` gives the same values for a grid of weights and
 points, as a (weights, points) array.  The offsets of the zeta' terms
 depend on x alone, so it forms each once for all weights and evaluates
-every zeta' of the grid in one ``hurwitz_zeta_sderiv_grid`` call.  Its
-assembly, ``_bracket_grid``, reads one table: the corrected one, or the
-literal one for the ``table2`` suite.  ``closed_form_eval`` stays the
-one-point route: it returns the decomposition and costs less than a
-one-point grid.  ``oracle_gate`` is the one test of the closed forms
-against the summation oracle, read by ``compare``, ``sweep`` and the
-``table2`` suite.
+every zeta' of the grid in one ``hurwitz_zeta_sderiv_grid`` call.  It is
+the one-reading call of ``_bracket_grid``, which takes a list of
+readings, each a table (the corrected one, or the literal one for the
+``table2`` suite), a family and its points.  Readings whose brackets read
+the same zeta' orders share one kernel call over their offsets laid end
+to end, so the ``table2`` suite's eight rows and T8's literal reading take
+two: orders 0, 2, .., 14 (p = 0) and 1, 3, .., 15 (p = 1).
+``closed_form_eval`` stays the one-point route: it returns the
+decomposition and costs less than a one-point grid.  ``oracle_gate`` is
+the one test of the closed forms against the summation oracle, read by
+``compare``, ``sweep`` and the ``table2`` suite.
 
 At x = 0 the brackets of the sine families T3 and T7 vanish and T4's
 offsets collide pairwise, so both routes return those families' x = 0
@@ -304,36 +308,60 @@ def closed_form_eval(spec: SeriesSpec, x: float) -> ClosedFormResult:
     return _bracket_eval(_BRACKET_CONSTANTS, spec, x)
 
 
-def _bracket_grid(constants: dict, family: str, weights, xs) -> np.ndarray:
-    """``closed_form_grid`` of ``family`` with its brackets read from ``constants``.
+def _bracket_grid(readings, weights) -> list[np.ndarray]:
+    """``closed_form_grid`` of each reading (constants, family, xs).
 
-    Each value is, bit for bit, ``_bracket_eval(constants, spec, x).value``.
-    The points below the family's ``_ZERO_BELOW`` bound take one
-    ``_at_zero`` value per weight; for the rest the offsets are formed once
-    for all weights, and one kernel call evaluates every zeta' of the grid.
+    Returns a (weights, points) array per reading, in reading order, with
+    the brackets of ``family`` read from ``constants``; each value is, bit
+    for bit, ``_bracket_eval(constants, spec, x).value``.  Every reading is
+    validated before any kernel call.  The points below the family's
+    ``_ZERO_BELOW`` bound take one ``_at_zero`` value per weight; for the
+    rest the offsets are formed once for all weights.  Readings whose
+    brackets read the same zeta' orders share one kernel call over their
+    offsets laid end to end, and readings with the same offsets share
+    their columns.  A kernel entry does not depend on the other offsets,
+    so each value is the one a one-reading call gives.
     """
     import numpy as np
 
-    specs = [SeriesSpec.from_family(family, m) for m in weights]
-    spec = SeriesSpec.from_family(family, 1)
-    folds = [_fold(spec, x) for x in xs]
-    below = _ZERO_BELOW.get(family, 0.0)
-    zeros = [j for j, (_, x) in enumerate(folds) if x < below]
-    bracketed = [j for j, (_, x) in enumerate(folds) if x >= below]
-    terms = constants[family, 1][2]  # (a0, a_y) do not depend on the weight
-    offsets = [_offset(a0, a_y, folds[j][1]) for j in bracketed for _, a0, a_y in terms]
-    entries = [constants[family, s.m] for s in specs]
-    zetas = hurwitz_zeta_sderiv_grid([-order for _, order, _ in entries], offsets)
-    values = np.empty((len(specs), len(folds)))
-    for w, (s, (pref, _, coefficients), row) in enumerate(zip(specs, entries, zetas)):
-        products = row.reshape(-1, len(terms)) * [c for c, _, _ in coefficients]
-        if zeros:
-            values[w, zeros] = _at_zero(s).value
-        values[w, bracketed] = [
-            folds[j][0] * (pref * math.fsum(point))
-            for j, point in zip(bracketed, products.tolist())
-        ]
-    return values
+    weights = list(weights)
+    plans = []
+    groups = {}  # zeta' orders -> (offsets laid end to end, [(first column, offsets)])
+    for constants, family, xs in readings:
+        specs = [SeriesSpec.from_family(family, m) for m in weights]
+        spec = SeriesSpec.from_family(family, 1)
+        folds = [_fold(spec, x) for x in xs]
+        below = _ZERO_BELOW.get(family, 0.0)
+        zeros = [j for j, (_, x) in enumerate(folds) if x < below]
+        bracketed = [j for j, (_, x) in enumerate(folds) if x >= below]
+        terms = constants[family, 1][2]  # (a0, a_y) do not depend on the weight
+        offsets = [_offset(a0, a_y, folds[j][1]) for j in bracketed for _, a0, a_y in terms]
+        entries = [constants[family, m] for m in weights]
+        orders = tuple(-order for _, order, _ in entries)
+        laid, group = groups.setdefault(orders, ([], []))
+        start = next((first for first, shared in group if shared == offsets), None)
+        if start is None:
+            start = len(laid)
+            laid += offsets
+            group.append((start, offsets))
+        plans.append((specs, folds, zeros, bracketed, len(terms), entries, orders,
+                      slice(start, start + len(offsets))))
+    zetas = {orders: hurwitz_zeta_sderiv_grid(orders, laid)
+             for orders, (laid, _) in groups.items()}
+    grids = []
+    for specs, folds, zeros, bracketed, width, entries, orders, columns in plans:
+        block = zetas[orders][:, columns]
+        values = np.empty((len(specs), len(folds)))
+        for w, (s, (pref, _, coefficients), row) in enumerate(zip(specs, entries, block)):
+            products = row.reshape(-1, width) * [c for c, _, _ in coefficients]
+            if zeros:
+                values[w, zeros] = _at_zero(s).value
+            values[w, bracketed] = [
+                folds[j][0] * (pref * math.fsum(point))
+                for j, point in zip(bracketed, products.tolist())
+            ]
+        grids.append(values)
+    return grids
 
 
 def closed_form_grid(family: str, weights, xs) -> np.ndarray:
@@ -344,9 +372,9 @@ def closed_form_grid(family: str, weights, xs) -> np.ndarray:
     ``closed_form_eval(spec, x).value``.  Every weight and x is validated
     first.  The offsets a0 + a_y x / 2pi do not depend on the weight, so
     each is formed once, and one kernel call evaluates zeta' at every
-    (order, offset) pair.
+    (order, offset) pair.  It is the one-reading call of ``_bracket_grid``.
     """
-    return _bracket_grid(_BRACKET_CONSTANTS, family, weights, xs)
+    return _bracket_grid([(_BRACKET_CONSTANTS, family, xs)], weights)[0]
 
 
 def general_closed_form(family: str, m: int, x: float) -> float:

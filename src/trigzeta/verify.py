@@ -6,15 +6,18 @@ writes to the stream, its deviation report line.  The check oracles share
 no code with the closed forms' brackets, their parity fold included:
 ``limit_series_eval``, the singular limit of the power series over
 zeta/eta/lambda/beta values at integers, which takes the sign of x
-itself; ``choi_srivastava_grid``, both sides of the identity under the
-closed forms; ``_hurwitz_formula_partials``, the Hurwitz formula for
+itself, and its grid ``_limit_grid``, which the table2 suite calls once
+for all rows; ``choi_srivastava_grid``, both sides of the identity under
+the closed forms; ``_hurwitz_formula_partials``, the Hurwitz formula for
 zeta(1 - s, a) truncated; and ``lambda_probe_orders``, extrapolations of
-s lambda(1 + s) -> 1/2.  The table2 suite checks its deviating rows
-against the summation oracle by ``closedforms.oracle_gate``, as
-``compare`` and ``sweep`` do.  It imports nothing from ``trigzeta.cli``,
-which imports it only when ``verify`` runs, so the other commands do not
-load it.  The limit tables' exact rationals are (numerator, denominator)
-integer pairs, as in ``BERNOULLI``, so no route loads ``fractions``.
+s lambda(1 + s) -> 1/2.  The table2 suite evaluates its brackets in one
+``closedforms._bracket_grid`` call, two kernel passes for the eight rows,
+and checks its deviating rows against the summation oracle by
+``closedforms.oracle_gate``, as ``compare`` and ``sweep`` do.  It
+imports nothing from ``trigzeta.cli``, which imports it only when
+``verify`` runs, so the other commands do not load it.  The limit
+tables' exact rationals are (numerator, denominator) integer pairs, as
+in ``BERNOULLI``, so no route loads ``fractions``.
 """
 
 from __future__ import annotations
@@ -131,6 +134,7 @@ def limit_series_eval(spec: SeriesSpec, x: float) -> float:
     move it.  Besides the series catalogue it shares with the closed forms
     only the Bernoulli numbers (``BERNOULLI``, for F at order <= 0) and,
     through ``dirichlet``, the Euler-Maclaurin sum at positive order.
+    It is the one-point route, and the reference of ``_limit_grid``.
     """
     spec.check(x)
     sign, t = (-1.0 if spec.kind == "sin" else 1.0, -x) if x < 0.0 else (1.0, x)
@@ -158,6 +162,103 @@ def limit_series_eval(spec: SeriesSpec, x: float) -> float:
             best_value=value,
         )
     return value
+
+
+@functools.cache
+def _limit_stack() -> tuple:
+    """Every ``_limit_table`` entry as arrays, for ``_limit_grid``; built on first use.
+
+    Returns ((family, m) -> column, the Horner coefficients as a (width,
+    entries) array, a column per entry, zero-padded above, and the
+    per-entry arrays delta, K, log coefficient, H_K, scale, radius, the
+    highest coefficient's magnitude and the exponent of the omitted-term
+    bound).  Leading zeros keep the Horner accumulator at +0.0.
+    """
+    import numpy as np
+
+    keys = [(family, m) for family in _END_SYMMETRIES for m in range(1, _MAX_WEIGHT + 1)]
+    tables = [_limit_table(family, m) for family, m in keys]
+    width = max(len(table[0]) for table in tables)
+    coeffs = np.zeros((width, len(tables)))
+    for column, table in enumerate(tables):
+        coeffs[width - len(table[0]):, column] = table[0]
+    params = np.array([
+        (delta, k_log, log_coeff, h_k, scale, radius, abs(rows[0]), 2 * len(rows) - 2 + delta)
+        for rows, delta, k_log, log_coeff, h_k, scale, radius in tables
+    ]).T
+    return {key: i for i, key in enumerate(keys)}, coeffs, *params
+
+
+def _limit_grid(points, weights) -> list[np.ndarray]:
+    """``limit_series_eval`` for each (family, xs) of ``points`` at every weight.
+
+    Returns a (weights, points) array per family, in the order of
+    ``points``; each value is, bit for bit, ``limit_series_eval(spec, x)``.
+    Every weight and x is checked first.  Per family the expansion (at 0
+    or at the far end), t and the parity sign are chosen as arrays, then
+    one Horner pass in t^2 runs over every lane, reading the columns of
+    ``_limit_stack`` gathered by lane.  The log term and the omitted-term
+    bound take ``math.log`` and builtin ``pow`` per lane, because
+    ``np.log`` and ``np.power`` may round differently.  The first lane in
+    (family, weight, x) order whose bound exceeds eps (1 + |value|)
+    raises the ``ConvergenceError`` of the one-point call.
+    """
+    import numpy as np
+
+    index, coeffs, delta, k_log, log_coeff, h_k, scale, radius, lead, power = _limit_stack()
+    weights = list(weights)
+    points = [(family, list(xs)) for family, xs in points]
+    lanes = []  # per family: (t, sign, column), each a (weights, xs) array
+    for family, xs in points:
+        spec = SeriesSpec.from_family(family, 1)
+        for m in weights:
+            SeriesSpec.from_family(family, m)
+        for x in xs:
+            spec.check(x)
+        signed = np.array(xs, dtype=float)
+        sign = np.where(signed < 0.0, -1.0 if spec.kind == "sin" else 1.0, 1.0)
+        t = np.where(signed < 0.0, -signed, signed)
+        end = spec.interval[1]
+        y = (end - t) + end / math.pi * _PI_LO
+        target, end_sign = _END_SYMMETRIES[family]
+        near = np.array([index[family, m] for m in weights], dtype=int)[:, None]
+        far = np.array([index[target, m] for m in weights], dtype=int)[:, None]
+        use_far = y * radius[near] < t * radius[far]  # y/R' < |x|/R
+        lanes.append((np.where(use_far, y, t), np.where(use_far, sign * end_sign, sign),
+                      np.where(use_far, far, near)))
+    if not lanes:
+        return []
+    t, sign, column = (np.concatenate([lane[i].ravel() for lane in lanes]) for i in range(3))
+    y = t * t
+    acc = np.zeros(len(t))
+    for row in coeffs[:, column]:
+        np.multiply(acc, y, out=acc)
+        np.add(acc, row, out=acc)
+    value = acc * np.where(delta[column] == 1.0, t, 1.0)
+    logs = np.flatnonzero(log_coeff[column])
+    if len(logs):
+        at = column[logs]
+        pows = [pow(u, k) for u, k in zip(t[logs].tolist(), k_log[at].tolist())]
+        logs_of = [math.log(u) for u in (scale[at] * t[logs]).tolist()]
+        value[logs] += log_coeff[at] * np.array(pows) * (np.array(logs_of) - h_k[at])
+    value *= sign
+    q = y / (radius[column] * radius[column])
+    pows = [pow(u, k) for u, k in zip(t.tolist(), power[column].tolist())]
+    omitted = lead[column] * np.array(pows) * q / (1.0 - q)
+    refused = omitted > sys.float_info.epsilon * (1.0 + np.abs(value))
+    first = int(refused.argmax()) if refused.any() else len(refused)
+    grids, start = [], 0
+    for _, xs in points:
+        stop = start + len(weights) * len(xs)
+        if first < stop:
+            raise ConvergenceError(
+                f"singular-limit series leaves terms up to {float(omitted[first]):.3e} "
+                f"at x={xs[(first - start) % len(xs)]}",
+                best_value=float(value[first]),
+            )
+        grids.append(value[start:stop].reshape(len(weights), len(xs)))
+        start = stop
+    return grids
 
 
 # --- Choi-Srivastava identity ------------------------------------------
@@ -356,25 +457,30 @@ def _suite_table2(out):
     reconcile it, with the theorem values' worst relative gap to the
     oracle.
 
-    Each reading takes its own ``_bracket_grid`` call, and so its own
-    kernel pass.  The literal one is called only for a row whose literal
-    table entries differ from the corrected ones at some weight; for every
-    other row the literal values are the theorem values.
+    All eight rows take one ``_bracket_grid`` call, which makes one kernel
+    pass per zeta' order set: the corrected reading of every row, and the
+    literal one only of a row whose literal table entries differ from the
+    corrected ones at some weight; for every other row the literal values
+    are the theorem values.  The limit series of all rows take one
+    ``_limit_grid`` call.
     """
     import json
 
     checks = []
     deviations = []
     weights = range(1, _MAX_WEIGHT + 1)
-    for row in TABLE2_ROWS:
-        family = row.family
-        xs = grid_points(family, 9)
-        theorems = literals = _bracket_grid(_BRACKET_CONSTANTS, family, weights, xs)
-        if any(_LITERAL_CONSTANTS[family, m] != _BRACKET_CONSTANTS[family, m] for m in weights):
-            literals = _bracket_grid(_LITERAL_CONSTANTS, family, weights, xs)
+    points = [(row.family, grid_points(row.family, 9)) for row in TABLE2_ROWS]
+    readings = [(_BRACKET_CONSTANTS, family, xs) for family, xs in points]
+    readings += [(_LITERAL_CONSTANTS, family, xs) for family, xs in points
+                 if any(_LITERAL_CONSTANTS[family, m] != _BRACKET_CONSTANTS[family, m]
+                        for m in weights)]
+    # (literal?, family) -> the reading's (weights, points) values
+    values = {(constants is _LITERAL_CONSTANTS, family): grid
+              for (constants, family, _), grid in zip(readings, _bracket_grid(readings, weights))}
+    for (family, xs), limits in zip(points, _limit_grid(points, weights)):
+        theorems = values[False, family]
+        literals = values.get((True, family), theorems)
         worst_vs_theorem = _worst_gap(literals, theorems)
-        specs = [SeriesSpec.from_family(family, m) for m in weights]
-        limits = [[limit_series_eval(spec, x) for x in xs] for spec in specs]
         worst_vs_limit = _worst_gap(limits, theorems)
         if worst_vs_theorem <= 1e-8:
             checks.append((f"table2.{family}.literal", worst_vs_limit <= 1e-13,

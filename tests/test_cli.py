@@ -529,31 +529,40 @@ class TestVerify:
 class TestSharedWork:
     """Work the verify suites share, counted: each is done once."""
 
-    def test_table2_makes_one_kernel_pass_per_row(self, capsys, monkeypatch):
-        # one zeta' grid per row for its theorem values, and one more for
-        # T8, the only row whose literal reading differs
-        calls = []
-        kernel = closedforms.hurwitz_zeta_sderiv_grid
+    def test_table2_makes_one_kernel_pass_per_order_set(self, capsys, monkeypatch):
+        # one zeta' grid for the rows at p = 0 (orders 0, 2, .., 14) and one
+        # for those at p = 1 (orders 1, 3, .., 15), T8's literal reading
+        # included, and no per-point limit series call
+        calls, limits = [], []
+        kernel, limit = closedforms.hurwitz_zeta_sderiv_grid, verify.limit_series_eval
 
         def spy(orders, offsets):
-            calls.append(len(offsets))
+            calls.append(sorted(int(n) for n in orders))
             return kernel(orders, offsets)
 
+        def limit_spy(spec, x):
+            limits.append((spec, x))
+            return limit(spec, x)
+
         monkeypatch.setattr(closedforms, "hurwitz_zeta_sderiv_grid", spy)
+        monkeypatch.setattr(verify, "limit_series_eval", limit_spy)
         code, _, _ = run_cli(["verify", "--suite", "table2"], capsys)
         assert code == 0
-        assert len(calls) == 9
+        assert sorted(calls) == [list(range(0, 16, 2)), list(range(1, 16, 2))]
+        assert limits == []
 
     def test_table2_reads_literally_only_the_rows_that_differ(self, capsys, monkeypatch):
         # a theorem entry of T3 moved off its literal one gives T3 a literal
-        # pass too, whose gap of 1e-12 is not a deviation but still fails
-        # the limit check
-        passes, kernels = [], []
+        # reading too, whose gap of 1e-12 is not a deviation but still fails
+        # the limit check; the zeta' orders do not move, so the one grid
+        # call still makes 2 kernel passes
+        readings, kernels = [], []
         grid, kernel = verify._bracket_grid, closedforms.hurwitz_zeta_sderiv_grid
 
-        def grid_spy(constants, family, weights, xs):
-            passes.append((family, constants is closedforms._LITERAL_CONSTANTS))
-            return grid(constants, family, weights, xs)
+        def grid_spy(call, weights):
+            readings.append([(family, constants is closedforms._LITERAL_CONSTANTS)
+                             for constants, family, _ in call])
+            return grid(call, weights)
 
         def kernel_spy(orders, offsets):
             kernels.append(len(offsets))
@@ -567,9 +576,10 @@ class TestSharedWork:
         code, out, _ = run_cli(["verify", "--suite", "table2"], capsys)
         assert code == 4
         assert "FAIL table2.T3.literal" in out
+        passes, = readings
         assert [family for family, literal in passes if not literal] == list(FAMILIES)
         assert [family for family, literal in passes if literal] == ["T3", "T8"]
-        assert len(kernels) == 10
+        assert len(kernels) == 2
 
     def test_identities_take_n_to_the_minus_s_once_per_order(self, capsys, monkeypatch):
         # the Hurwitz-formula sums at one s share n and n^-s over their offsets

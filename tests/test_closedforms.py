@@ -260,11 +260,62 @@ class TestBracketGridTables:
         # the literal table through the grid is general_closed_form, bit for
         # bit, x = 0 of T3, T4, T7 and T8 included
         xs = grid_points(family, 9) + REFERENCE["closed_form"][family]["x"]
-        grid = closedforms._bracket_grid(closedforms._LITERAL_CONSTANTS, family, self.WEIGHTS, xs)
+        grid, = closedforms._bracket_grid([(closedforms._LITERAL_CONSTANTS, family, xs)],
+                                          self.WEIGHTS)
         assert grid.shape == (len(self.WEIGHTS), len(xs))
         for m, row in zip(self.WEIGHTS, grid.tolist()):
             for x, got in zip(xs, row):
                 assert same_float(got, general_closed_form(family, m, x)), (family, m, x)
+
+
+    def test_one_call_equals_one_reading_calls(self, monkeypatch):
+        # every family in both tables, on grids that differ by reading and
+        # hold x = 0 (T3, T4, T7, T8), -0.0 and negative x: the merged call
+        # makes one kernel pass per zeta' order set, 0, 2, .., 14 (p = 0)
+        # and 1, 3, .., 15 (p = 1), and each value is its one-reading call's
+        readings = []
+        for family in FAMILIES:
+            lo = SeriesSpec.from_family(family, 1).interval[0]
+            xs = grid_points(family, 9)
+            negative = [-x for x in grid_points(family, 31) if x > 0.0] + [-0.0]
+            readings.append((closedforms._BRACKET_CONSTANTS, family,
+                             xs + negative if lo < 0.0 else xs))
+            readings.append((closedforms._LITERAL_CONSTANTS, family, xs))
+        want = [closedforms._bracket_grid([reading], self.WEIGHTS)[0] for reading in readings]
+        calls = []
+        kernel = closedforms.hurwitz_zeta_sderiv_grid
+
+        def spy(orders, offsets):
+            calls.append(sorted(int(n) for n in orders))
+            return kernel(orders, offsets)
+
+        monkeypatch.setattr(closedforms, "hurwitz_zeta_sderiv_grid", spy)
+        got = closedforms._bracket_grid(readings, self.WEIGHTS)
+        assert sorted(calls) == [list(range(0, 16, 2)), list(range(1, 16, 2))]
+        assert len(got) == len(readings)
+        for (_, family, xs), grid, one in zip(readings, got, want):
+            assert grid.shape == one.shape == (len(self.WEIGHTS), len(xs))
+            for m, row, one_row in zip(self.WEIGHTS, grid.tolist(), one.tolist()):
+                for x, value, one_value in zip(xs, row, one_row):
+                    assert same_float(value, one_value), (family, m, x)
+
+    def test_readings_with_the_same_offsets_share_their_columns(self, monkeypatch):
+        # T8's two tables differ in j and sign but not in their offsets, so
+        # its literal reading adds no kernel column
+        xs = grid_points("T8", 9)
+        sizes = []
+        kernel = closedforms.hurwitz_zeta_sderiv_grid
+
+        def spy(orders, offsets):
+            sizes.append(len(offsets))
+            return kernel(orders, offsets)
+
+        monkeypatch.setattr(closedforms, "hurwitz_zeta_sderiv_grid", spy)
+        tables = (closedforms._BRACKET_CONSTANTS, closedforms._LITERAL_CONSTANTS)
+        corrected, literal = closedforms._bracket_grid([(t, "T8", xs) for t in tables],
+                                                       self.WEIGHTS)
+        assert sizes == [4 * len(xs)]
+        assert not (corrected == literal).all()
 
 
 def zero_grid(family):
@@ -303,8 +354,9 @@ class TestZeroRule:
             return bracket_eval(*args)
 
         monkeypatch.setattr(closedforms, "_bracket_eval", spy)
-        for constants in (closedforms._BRACKET_CONSTANTS, closedforms._LITERAL_CONSTANTS):
-            closedforms._bracket_grid(constants, family, range(1, 9), zero_grid(family))
+        tables = (closedforms._BRACKET_CONSTANTS, closedforms._LITERAL_CONSTANTS)
+        closedforms._bracket_grid([(constants, family, zero_grid(family)) for constants in tables],
+                                  range(1, 9))
         assert calls == []
 
     @pytest.mark.parametrize("family, most", [("T3", 0), ("T4", 1), ("T7", 0), ("T8", 0)])

@@ -960,6 +960,81 @@ class TestLimitSeries:
         assert got == pytest.approx(CATALAN, abs=1e-15)
 
 
+
+def same_float(got, want):
+    """got == want, with the sign of a zero."""
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def limit_points(family):
+    """The 9- and 33-point grids, the reference xs, points 1e-9 of the
+    interval from each end, and x = 0, -0.0 and negative x where the
+    interval holds them."""
+    lo, hi = SeriesSpec.from_family(family, 1).interval
+    xs = grid_points(family, 9) + grid_points(family, 33) + TEST_REFERENCE[family]["x"]
+    xs += [lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo)]
+    if lo < 0.0:
+        xs += [0.0, -0.0, -5e-324, -1e-300, -1.0]
+    return xs
+
+
+class TestLimitGrid:
+    WEIGHTS = range(1, 9)
+
+    def test_equals_scalar_calls(self):
+        # all 64 (family, m) pairs in one call, bit for bit
+        points = [(family, limit_points(family)) for family in FAMILIES]
+        grids = verify._limit_grid(points, self.WEIGHTS)
+        assert len(grids) == len(points)
+        for (family, xs), grid in zip(points, grids):
+            assert grid.shape == (len(self.WEIGHTS), len(xs))
+            for m, row in zip(self.WEIGHTS, grid.tolist()):
+                spec = SeriesSpec.from_family(family, m)
+                for x, got in zip(xs, row):
+                    assert same_float(got, limit_series_eval(spec, x)), (family, m, x)
+
+    def test_bad_input_raises_the_scalar_message(self):
+        for family in FAMILIES:
+            lo, hi = SeriesSpec.from_family(family, 1).interval
+            for bad in (lo, hi, hi + 0.1, math.nan):
+                with pytest.raises(DomainError) as want:
+                    limit_series_eval(SeriesSpec.from_family(family, 2), bad)
+                with pytest.raises(DomainError) as got:
+                    verify._limit_grid([(family, [0.5 * (lo + hi), bad])], self.WEIGHTS)
+                assert str(got.value) == str(want.value)
+        with pytest.raises(DomainError):
+            verify._limit_grid([("T1", [1.0])], [9])
+
+    def test_first_refusing_lane_raises_its_error(self, monkeypatch):
+        # T1's m = 3 table cut to its last 4 coefficients refuses T1 at
+        # m = 3 and T3 (whose far end reads T1) near +-pi; the grid raises
+        # the scalar error of the first refusing lane in (family, m, x)
+        # order, T3 listed first
+        table = verify._limit_table
+
+        def cut(family, m):
+            entry = table(family, m)
+            return (entry[0][-4:], *entry[1:]) if (family, m) == ("T1", 3) else entry
+
+        monkeypatch.setattr(verify, "_limit_table", cut)
+        fresh = functools.cache(verify._limit_stack.__wrapped__)  # built from the cut table
+        monkeypatch.setattr(verify, "_limit_stack", fresh)
+        points = [(family, limit_points(family)) for family in ("T2", "T3", "T1")]
+        want = None
+        for family, xs in points:
+            for m in self.WEIGHTS:
+                for x in xs:
+                    try:
+                        limit_series_eval(SeriesSpec.from_family(family, m), x)
+                    except ConvergenceError as exc:
+                        want = want or (family, m, x, exc)
+        assert want is not None and want[:2] == ("T3", 3), want
+        with pytest.raises(ConvergenceError) as got:
+            verify._limit_grid(points, self.WEIGHTS)
+        assert str(got.value) == str(want[3])
+        assert same_float(got.value.best_value, want[3].best_value)
+
+
 class TestLimitProbes:
     def test_probe_values(self):
         lam = lambda_probe_orders()[1]
