@@ -4,12 +4,13 @@
 output stream returning its (name, passed, detail) checks; only table2
 writes to the stream, its deviation report line.  The check oracles share
 no code with the closed forms' brackets, their parity fold included:
-``limit_series_eval``, the singular limit of the power series over
+``_limit_grid``, the singular limit of the power series over
 zeta/eta/lambda/beta values at integers, which takes the sign of x
-itself, and its grid ``_limit_grid``, which the table2 suite calls once
-for all rows; ``choi_srivastava_grid``, both sides of the identity under
-the closed forms; ``_hurwitz_formula_partials``, the Hurwitz formula for
-zeta(1 - s, a) truncated; and ``lambda_probe_orders``, extrapolations of
+itself and which the table2 suite calls once for all rows, with
+``limit_series_eval`` its one-point call; ``choi_srivastava_grid``, both
+sides of the identity under the closed forms;
+``_hurwitz_formula_partials``, the Hurwitz formula for zeta(1 - s, a)
+truncated; and ``lambda_probe_orders``, extrapolations of
 s lambda(1 + s) -> 1/2.  The table2 suite evaluates its brackets in one
 ``closedforms._bracket_grid`` call, two kernel passes for the eight rows,
 and checks its deviating rows against the summation oracle by
@@ -85,10 +86,21 @@ _PI_LO = 1.2246467991473532e-16  # pi - math.pi
 def _limit_table(family: str, m: int) -> tuple:
     """Horner coefficients in x^2, highest first, and the log-term constants.
 
-    The coefficient of x^(2k+delta) is (-1)^k F(alpha-2k-delta)/(2k+delta)!,
-    at order <= 0 one integer true division of the exact numerator by the
+    At the singular alpha the power series over F = zeta, eta, lambda or
+    beta (by family) hits the pole of F at 1; its finite limit is
+
+        sum_{k != m-1} (-1)^k F(alpha-2k-delta) x^(2k+delta)/(2k+delta)!
+          + c (-1)^m x^K (log(scale x) - H_K)/K!,    K = alpha - 1,
+
+    with delta = 1 for sine and 0 for cosine families, and c, scale = 1, 1
+    (zeta), 1/2, 1/2 (lambda) or c = 0 with no skipped index (eta, beta).
+    The sum stops at F(-63).  The coefficient of x^(2k+delta) is, at
+    order <= 0, one integer true division of the exact numerator by the
     exact denominator, which Python rounds correctly, from ``dirichlet``
     above it, and 0 at the pole index k = m-1 of the rows with a log term.
+    Besides the series catalogue, the limit series shares with the closed
+    forms only the Bernoulli numbers (``BERNOULLI``, for F at order <= 0)
+    and, through ``dirichlet``, the Euler-Maclaurin sum at positive order.
     """
     spec = SeriesSpec.from_family(family, m)
     f_func, f_exact, c, scale, radius = _LIMIT_ROWS[spec.sign, spec.a]
@@ -112,56 +124,10 @@ def _limit_table(family: str, m: int) -> tuple:
 def limit_series_eval(spec: SeriesSpec, x: float) -> float:
     """The series of ``spec`` at x as the limit of its power series.
 
-    At the singular alpha the power series over F = zeta, eta, lambda or
-    beta (by family) hits the pole of F at 1; its finite limit is
-
-        sum_{k != m-1} (-1)^k F(alpha-2k-delta) x^(2k+delta)/(2k+delta)!
-          + c (-1)^m x^K (log(scale x) - H_K)/K!,    K = alpha - 1,
-
-    with delta = 1 for sine and 0 for cosine families, and c, scale = 1, 1
-    (zeta), 1/2, 1/2 (lambda) or c = 0 with no skipped index (eta, beta).
-    The sum stops at F(-63), one Horner pass in x^2 over a table built on
-    first use per (family, m).  Of the expansion at 0 and that of the
-    ``_END_SYMMETRIES`` target at y = E - |x|, with y formed from pi in two
-    parts so that it keeps its relative accuracy, the one with the smaller
-    ratio |x|/R or y/R' to its radius of convergence is summed.  That ratio
-    never exceeds 1/2 on the open interval.  The omitted terms are bounded
-    as a geometric series of ratio q = (x/R)^2; where that bound exceeds
-    eps (1 + |value|) it raises ``ConvergenceError`` carrying the value as
-    ``best_value``.  Both expansions read t = |x|, times the parity sign:
-    -1 for a sine family at x < 0.  It takes that sign itself, after
-    ``spec.check``, so a slip in the brackets' fold (``_fold``) does not
-    move it.  Besides the series catalogue it shares with the closed forms
-    only the Bernoulli numbers (``BERNOULLI``, for F at order <= 0) and,
-    through ``dirichlet``, the Euler-Maclaurin sum at positive order.
-    It is the one-point route, and the reference of ``_limit_grid``.
+    The one-point call of ``_limit_grid``, which describes the route: it
+    gives that grid's value, ``DomainError`` or ``ConvergenceError``.
     """
-    spec.check(x)
-    sign, t = (-1.0 if spec.kind == "sin" else 1.0, -x) if x < 0.0 else (1.0, x)
-    target, end_sign = _END_SYMMETRIES[spec.family]
-    table = _limit_table(spec.family, spec.m)
-    far = _limit_table(target, spec.m)
-    end = spec.interval[1]
-    y = (end - t) + end / math.pi * _PI_LO
-    if y * table[-1] < t * far[-1]:  # y/R' < |x|/R
-        table, t, sign = far, y, sign * end_sign
-    coeffs, delta, k_log, log_coeff, h_k, scale, radius = table
-    y = t * t
-    acc = 0.0
-    for coeff in coeffs:
-        acc = acc * y + coeff
-    value = acc * t**delta
-    if log_coeff:
-        value += log_coeff * t**k_log * (math.log(scale * t) - h_k)
-    value *= sign
-    q = y / (radius * radius)
-    omitted = abs(coeffs[0]) * t ** (2 * len(coeffs) - 2 + delta) * q / (1.0 - q)
-    if omitted > sys.float_info.epsilon * (1.0 + abs(value)):
-        raise ConvergenceError(
-            f"singular-limit series leaves terms up to {omitted:.3e} at x={x}",
-            best_value=value,
-        )
-    return value
+    return _limit_grid([(spec.family, [x])], [spec.m])[0].item()
 
 
 @functools.cache
@@ -190,18 +156,29 @@ def _limit_stack() -> tuple:
 
 
 def _limit_grid(points, weights) -> list[np.ndarray]:
-    """``limit_series_eval`` for each (family, xs) of ``points`` at every weight.
+    """The singular-limit series of each (family, xs) of ``points`` at every weight.
 
     Returns a (weights, points) array per family, in the order of
-    ``points``; each value is, bit for bit, ``limit_series_eval(spec, x)``.
-    Every weight and x is checked first.  Per family the expansion (at 0
-    or at the far end), t and the parity sign are chosen as arrays, then
-    one Horner pass in t^2 runs over every lane, reading the columns of
-    ``_limit_stack`` gathered by lane.  The log term and the omitted-term
-    bound take ``math.log`` and builtin ``pow`` per lane, because
-    ``np.log`` and ``np.power`` may round differently.  The first lane in
-    (family, weight, x) order whose bound exceeds eps (1 + |value|)
-    raises the ``ConvergenceError`` of the one-point call.
+    ``points``.  Every weight and x is checked first.  Each value sums the
+    power series of ``_limit_table`` at 0 or at the far end: of the
+    expansion at 0 and that of the ``_END_SYMMETRIES`` target at
+    y = E - |x|, with y formed from pi in two parts so that it keeps its
+    relative accuracy, the one with the smaller ratio |x|/R or y/R' to its
+    radius of convergence is summed.  That ratio never exceeds 1/2 on the
+    open interval.  Both expansions read t = |x|, times the parity sign:
+    -1 for a sine family at x < 0.  The series takes that sign itself,
+    after ``SeriesSpec.check``, so a slip in the brackets' fold
+    (``_fold``) does not move it.  The omitted terms are bounded as a
+    geometric series of ratio q = (t/R)^2; the first lane in (family,
+    weight, x) order where that bound exceeds eps (1 + |value|) raises
+    ``ConvergenceError`` carrying its value as ``best_value``.
+
+    Per family the expansion, t and the parity sign are chosen as arrays,
+    then one Horner pass in t^2 runs over every lane, reading the columns
+    of ``_limit_stack`` gathered by lane.  The log term and the
+    omitted-term bound take ``math.log`` and builtin ``pow`` per lane:
+    ``np.log`` and ``np.power`` may round differently from a one-point
+    reference.  ``limit_series_eval`` is its one-point call.
     """
     import numpy as np
 

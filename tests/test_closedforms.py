@@ -21,7 +21,7 @@ from trigzeta.dirichlet import beta_fn, eta
 from trigzeta.errors import DomainError
 from trigzeta.hurwitz import hurwitz_zeta_sderiv
 from trigzeta.oracles import direct_sum_grid
-from trigzeta.verify import limit_series_eval
+from trigzeta.verify import _limit_grid
 
 CATALAN = 0.915965594177219  # 15-digit reference, cross-checked by the
                              # direct-sum oracle in test_oracles
@@ -126,10 +126,11 @@ class TestClosedFormValues:
         for family in ("T3", "T4", "T7", "T8"):
             grid = closed_form_grid(family, (1, 2), xs)
             oracle = direct_sum_grid(family, (1, 2), xs)[0]
+            limits, = _limit_grid([(family, xs)], (1, 2))
             for w, m in enumerate((1, 2)):
                 spec = SeriesSpec.from_family(family, m)
                 for j, x in enumerate(xs):
-                    want = limit_series_eval(spec, x)
+                    want = limits[w, j]
                     for got in (closed_form_eval(spec, x).value, grid[w, j], oracle[w, j]):
                         assert abs(got - want) <= 1e-15 * (1.0 + abs(want)), (family, m, x)
         for x in xs:
@@ -298,24 +299,9 @@ class TestBracketGridTables:
             for m, row, one_row in zip(self.WEIGHTS, grid.tolist(), one.tolist()):
                 for x, value, one_value in zip(xs, row, one_row):
                     assert same_float(value, one_value), (family, m, x)
-
-    def test_readings_with_the_same_offsets_share_their_columns(self, monkeypatch):
-        # T8's two tables differ in j and sign but not in their offsets, so
-        # its literal reading adds no kernel column
-        xs = grid_points("T8", 9)
-        sizes = []
-        kernel = closedforms.hurwitz_zeta_sderiv_grid
-
-        def spy(orders, offsets):
-            sizes.append(len(offsets))
-            return kernel(orders, offsets)
-
-        monkeypatch.setattr(closedforms, "hurwitz_zeta_sderiv_grid", spy)
-        tables = (closedforms._BRACKET_CONSTANTS, closedforms._LITERAL_CONSTANTS)
-        corrected, literal = closedforms._bracket_grid([(t, "T8", xs) for t in tables],
-                                                       self.WEIGHTS)
-        assert sizes == [4 * len(xs)]
-        assert not (corrected == literal).all()
+        # T8's two tables read the same offsets but differ in j and sign
+        corrected, literal = got[-2:]
+        assert not (corrected[:, :literal.shape[1]] == literal).all()
 
 
 def zero_grid(family):
@@ -338,10 +324,10 @@ class TestZeroRule:
         if m == 1:
             assert at_zero.value == math.log(2.0)
         grid = closed_form_grid("T4", (m,), self.T4_NEAR_ZERO)[0].tolist()
-        for x, got in zip(self.T4_NEAR_ZERO, grid):
+        limits = _limit_grid([("T4", self.T4_NEAR_ZERO)], (m,))[0][0].tolist()
+        for x, got, want in zip(self.T4_NEAR_ZERO, grid, limits):
             assert closed_form_eval(spec, x) == at_zero, x
             assert same_float(got, at_zero.value), x
-            want = limit_series_eval(spec, x)
             assert abs(at_zero.value - want) <= sys.float_info.epsilon * (1.0 + abs(want)), x
 
     @pytest.mark.parametrize("family", FAMILIES)

@@ -868,6 +868,45 @@ LIMIT_FAR_END = {
 }
 
 
+def _ref_limit_series(spec, x):
+    """The singular-limit series of ``spec`` at x, one point at a time.
+
+    It reads ``verify``'s tables at call time, so a patched
+    ``verify._limit_table`` reaches it as it reaches the grid.
+    """
+    spec.check(x)
+    sign, t = (-1.0 if spec.kind == "sin" else 1.0, -x) if x < 0.0 else (1.0, x)
+    target, end_sign = verify._END_SYMMETRIES[spec.family]
+    table = verify._limit_table(spec.family, spec.m)
+    far = verify._limit_table(target, spec.m)
+    end = spec.interval[1]
+    y = (end - t) + end / math.pi * verify._PI_LO
+    if y * table[-1] < t * far[-1]:  # y/R' < |x|/R
+        table, t, sign = far, y, sign * end_sign
+    coeffs, delta, k_log, log_coeff, h_k, scale, radius = table
+    y = t * t
+    acc = 0.0
+    for coeff in coeffs:
+        acc = acc * y + coeff
+    value = acc * t**delta
+    if log_coeff:
+        value += log_coeff * t**k_log * (math.log(scale * t) - h_k)
+    value *= sign
+    q = y / (radius * radius)
+    omitted = abs(coeffs[0]) * t ** (2 * len(coeffs) - 2 + delta) * q / (1.0 - q)
+    if omitted > sys.float_info.epsilon * (1.0 + abs(value)):
+        raise ConvergenceError(
+            f"singular-limit series leaves terms up to {omitted:.3e} at x={x}",
+            best_value=value,
+        )
+    return value
+
+
+def limit_row(family, m, xs):
+    """The singular-limit series of ``family`` at weight m over xs, in one grid call."""
+    return verify._limit_grid([(family, xs)], [m])[0][0].tolist()
+
+
 class TestLimitSeries:
     @pytest.mark.parametrize("family, m", PAIRS)
     def test_matches_reference_and_closed_form(self, family, m):
@@ -876,8 +915,8 @@ class TestLimitSeries:
         entry = TEST_REFERENCE[family]
         assert set(grid_points(family, 9)) <= set(entry["x"])
         spec = SeriesSpec.from_family(family, m)
-        for x, ref in zip(entry["x"], entry[str(m)]):
-            got = limit_series_eval(spec, x)
+        limits = limit_row(family, m, entry["x"])
+        for x, ref, got in zip(entry["x"], entry[str(m)], limits):
             closed = closed_form_eval(spec, x).value
             assert abs(got - ref) <= 1e-13 * (1.0 + abs(ref)), (x, got, ref)
             assert abs(got - closed) <= 1e-13 * (1.0 + abs(ref)), (x, got, closed)
@@ -892,11 +931,11 @@ class TestLimitSeries:
         lo, hi = spec.interval
         end, target = LIMIT_FAR_END[family]
         fractions = [i / 200 for i in range(1, 200)] + [1e-6, 1e-3, 1.0 - 1e-3, 1.0 - 1e-6]
-        for x in (lo + t * (hi - lo) for t in fractions):
+        xs = [lo + t * (hi - lo) for t in fractions]
+        for x, got in zip(xs, limit_row(family, m, xs)):
             near = abs(x) / LIMIT_RADIUS[family]
             far = (end * math.pi - abs(x)) / LIMIT_RADIUS[target]
             assert min(near, far) <= 0.5, x
-            got = limit_series_eval(spec, x)
             closed = closed_form_eval(spec, x).value
             assert abs(got - closed) <= 1e-13 * (1.0 + abs(closed)), (x, got, closed)
 
@@ -911,9 +950,11 @@ class TestLimitSeries:
                 limit_series_eval(spec, -0.5)
             return
         parity = -1.0 if spec.kind == "sin" else 1.0
-        for t in (0.05, 0.3, 0.5):
-            assert limit_series_eval(spec, -t * hi) == parity * limit_series_eval(spec, t * hi)
-        at_zero = limit_series_eval(spec, 0.0)
+        ts = (0.05, 0.3, 0.5)
+        values = limit_row(family, m, [-t * hi for t in ts] + [t * hi for t in ts] + [0.0])
+        for minus, plus in zip(values[:3], values[3:6]):
+            assert minus == parity * plus
+        at_zero = values[6]
         if spec.kind == "sin":
             assert at_zero == 0.0
         else:
@@ -956,7 +997,7 @@ class TestLimitSeries:
 
     def test_catalan_anchor(self):
         # [DERIVED] sum sin((2n-1) pi/2)/(2n-1)^2 = Catalan's constant
-        got = limit_series_eval(SeriesSpec.from_family("T5", 1), math.pi / 2.0)
+        got, = limit_row("T5", 1, [math.pi / 2.0])
         assert got == pytest.approx(CATALAN, abs=1e-15)
 
 
@@ -978,6 +1019,23 @@ def limit_points(family):
     return xs
 
 
+def cut_t1_at_m3(monkeypatch):
+    """Cut T1's m = 3 limit table to its last 4 coefficients, in the grid's stack too.
+
+    The cut series refuses T1 at m = 3 and T3 (whose far end reads T1)
+    near +-pi.
+    """
+    table = verify._limit_table
+
+    def cut(family, m):
+        entry = table(family, m)
+        return (entry[0][-4:], *entry[1:]) if (family, m) == ("T1", 3) else entry
+
+    monkeypatch.setattr(verify, "_limit_table", cut)
+    fresh = functools.cache(verify._limit_stack.__wrapped__)  # built from the cut table
+    monkeypatch.setattr(verify, "_limit_stack", fresh)
+
+
 class TestLimitGrid:
     WEIGHTS = range(1, 9)
 
@@ -991,14 +1049,14 @@ class TestLimitGrid:
             for m, row in zip(self.WEIGHTS, grid.tolist()):
                 spec = SeriesSpec.from_family(family, m)
                 for x, got in zip(xs, row):
-                    assert same_float(got, limit_series_eval(spec, x)), (family, m, x)
+                    assert same_float(got, _ref_limit_series(spec, x)), (family, m, x)
 
     def test_bad_input_raises_the_scalar_message(self):
         for family in FAMILIES:
             lo, hi = SeriesSpec.from_family(family, 1).interval
             for bad in (lo, hi, hi + 0.1, math.nan):
                 with pytest.raises(DomainError) as want:
-                    limit_series_eval(SeriesSpec.from_family(family, 2), bad)
+                    _ref_limit_series(SeriesSpec.from_family(family, 2), bad)
                 with pytest.raises(DomainError) as got:
                     verify._limit_grid([(family, [0.5 * (lo + hi), bad])], self.WEIGHTS)
                 assert str(got.value) == str(want.value)
@@ -1006,26 +1064,16 @@ class TestLimitGrid:
             verify._limit_grid([("T1", [1.0])], [9])
 
     def test_first_refusing_lane_raises_its_error(self, monkeypatch):
-        # T1's m = 3 table cut to its last 4 coefficients refuses T1 at
-        # m = 3 and T3 (whose far end reads T1) near +-pi; the grid raises
-        # the scalar error of the first refusing lane in (family, m, x)
-        # order, T3 listed first
-        table = verify._limit_table
-
-        def cut(family, m):
-            entry = table(family, m)
-            return (entry[0][-4:], *entry[1:]) if (family, m) == ("T1", 3) else entry
-
-        monkeypatch.setattr(verify, "_limit_table", cut)
-        fresh = functools.cache(verify._limit_stack.__wrapped__)  # built from the cut table
-        monkeypatch.setattr(verify, "_limit_stack", fresh)
+        # the grid raises the reference's error of the first refusing lane
+        # in (family, m, x) order, T3 listed first
+        cut_t1_at_m3(monkeypatch)
         points = [(family, limit_points(family)) for family in ("T2", "T3", "T1")]
         want = None
         for family, xs in points:
             for m in self.WEIGHTS:
                 for x in xs:
                     try:
-                        limit_series_eval(SeriesSpec.from_family(family, m), x)
+                        _ref_limit_series(SeriesSpec.from_family(family, m), x)
                     except ConvergenceError as exc:
                         want = want or (family, m, x, exc)
         assert want is not None and want[:2] == ("T3", 3), want
@@ -1033,6 +1081,39 @@ class TestLimitGrid:
             verify._limit_grid(points, self.WEIGHTS)
         assert str(got.value) == str(want[3])
         assert same_float(got.value.best_value, want[3].best_value)
+
+    def test_one_point_call_is_its_grid_entry(self, monkeypatch):
+        # limit_series_eval is the 1 x 1 grid: the same bits, signed zeros
+        # included, and the same DomainError and ConvergenceError as the
+        # grid's entry or refusal at that point
+        for family in FAMILIES:
+            lo, hi = SeriesSpec.from_family(family, 1).interval
+            xs = grid_points(family, 3) + [lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo)]
+            xs += [-0.0, -5e-324] if lo < 0.0 else []
+            grid = verify._limit_grid([(family, xs)], self.WEIGHTS)[0]
+            for m, row in zip(self.WEIGHTS, grid.tolist()):
+                spec = SeriesSpec.from_family(family, m)
+                for x, want in zip(xs, row):
+                    assert same_float(limit_series_eval(spec, x), want), (family, m, x)
+            for bad in (lo, hi, math.nan):
+                with pytest.raises(DomainError) as want:
+                    verify._limit_grid([(family, [0.5 * (lo + hi), bad])], [2])
+                with pytest.raises(DomainError) as got:
+                    limit_series_eval(SeriesSpec.from_family(family, 2), bad)
+                assert str(got.value) == str(want.value)
+        cut_t1_at_m3(monkeypatch)
+        for family in ("T1", "T3"):
+            xs = limit_points(family)
+            refusals = []
+            for x in xs:
+                try:
+                    limit_series_eval(SeriesSpec.from_family(family, 3), x)
+                except ConvergenceError as exc:
+                    refusals.append(exc)
+            with pytest.raises(ConvergenceError) as want:
+                verify._limit_grid([(family, xs)], [3])
+            assert str(refusals[0]) == str(want.value)
+            assert same_float(refusals[0].best_value, want.value.best_value)
 
 
 class TestLimitProbes:
